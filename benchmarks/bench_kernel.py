@@ -186,7 +186,7 @@ def run_point(name: str, hash_pass: bool, calls_pass: bool = True) -> Dict:
 
     - *hash pass* (sanitizer on): records the S5 trace hash that pins
       determinism across kernel changes. Separate because the
-      sanitizer's step hook bypasses the kernel's inline run loop, so
+      sanitizer hashes every dispatch and checks every delivery, so
       timing with it attached would measure the checker.
     - *perf pass* (sanitizer off): wall-clock, events, events/sec.
     - *calls pass* (cProfile): total Python calls / logical event —

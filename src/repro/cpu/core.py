@@ -90,15 +90,16 @@ class Core:
         self.ops_committed = 0
         self.finish_time = 0
         self._fast = getattr(sim, "fastpath", False)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_core(self)
+        self._probes = sim.probes.bind("core", self)
 
     # ------------------------------------------------------------------
     # phase control (driven by the Chip)
     # ------------------------------------------------------------------
     def run_phase(self, phase: KernelPhase, on_done: Callable[[], None]) -> None:
         """Execute one kernel phase; ``on_done`` fires at the barrier."""
+        p = self._probes.core_phase
+        if p is not None:
+            p(self, phase)
         self._phase_done_cb = on_done
         self._iter_source = phase.iterations()
         self._source_exhausted = False
@@ -122,6 +123,9 @@ class Core:
         cb = self._phase_done_cb
         self._phase_done_cb = None
         if cb is not None:
+            p = self._probes.core_phase_done
+            if p is not None:
+                p(self)
             cb()
 
     # ------------------------------------------------------------------
@@ -262,7 +266,7 @@ class Core:
     def _load_done(self, state: _IterState) -> None:
         state.loads_pending -= 1
         self._outstanding_loads -= 1
-        self._check_done(state)
+        self._check_done(state, by_load=True)
         self._try_dispatch()
 
     def _plain_store(self, addr: int, op_id: int) -> None:
@@ -295,11 +299,17 @@ class Core:
             else:
                 sim.schedule(0, self._store_waiters.pop(0))
 
-    def _check_done(self, state: _IterState) -> None:
+    def _check_done(self, state: _IterState, by_load: bool = False) -> None:
+        """Finish the iteration once its loads and compute are done;
+        ``by_load`` marks a call from a load completion (the scheduled
+        call is the compute-completion event)."""
         if state.finished:
             return
         if state.loads_pending == 0 and self.sim.now >= state.compute_done_at:
             state.finished = True
+            p = self._probes.core_iter_finish
+            if p is not None:
+                p(self, state.seq, by_load)
             self._commit_in_order()
 
     def _commit_in_order(self) -> None:

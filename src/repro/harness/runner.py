@@ -50,7 +50,7 @@ class RunRecord:
     telemetry: Optional[Dict[str, float]] = None
     # Telemetry pillars the point itself requests (comma list, e.g.
     # "attribution"); a run parameter — and so a cache key — because
-    # pillar hooks serialize deliveries that fastpath would fuse.
+    # the record's ``telemetry`` counters depend on which pillars ran.
     obs: Optional[str] = None
 
     @property

@@ -96,21 +96,12 @@ class L1Cache:
         self._avoid_inflight = self.mshr._entries.__contains__
         self._overflow: List[L1Request] = []
         self.prefetcher = None  # L1 stride or Bingo, wired by the tile
-        # Telemetry hop-reason tag: why the most recent _fill resolved
-        # the way it did ("fill" cached, "uncached" stream data,
-        # "drop" rejected prefetch re-issue).
-        self.last_fill_reason = "fill"
         self._fast = getattr(sim, "fastpath", False)
         self._c_hits = stats.counter("l1.hits")
         self._c_misses = stats.counter("l1.misses")
         l2.on_l1_invalidate = self.invalidate
         l2.on_l1_downgrade = self.downgrade
-        san = getattr(sim, "sanitizer", None)
-        if san is not None:
-            san.watch_l1(self)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_l1(self)
+        self._probes = sim.probes.bind("l1", self)
 
     # ------------------------------------------------------------------
     def access(self, req: L1Request) -> None:
@@ -150,41 +141,38 @@ class L1Cache:
 
     def _miss(self, req: L1Request) -> None:
         base = req.addr & _LINE_MASK
-        entry = self.mshr.lookup(base)
-        if entry is not None:
-            entry.is_write = entry.is_write or req.is_write
-            entry.is_prefetch_only = entry.is_prefetch_only and req.prefetch
-            entry.waiters.append(req)
-            return
-        if self.mshr.full:
+        merged = self.mshr.lookup(base)
+        if merged is not None:
+            merged.is_write = merged.is_write or req.is_write
+            merged.is_prefetch_only = merged.is_prefetch_only and req.prefetch
+            merged.waiters.append(req)
+        elif self.mshr.full:
             if req.prefetch:
                 self.stats.add("l1.prefetch_dropped")
-                return
-            self._overflow.append(req)
-            return
-        entry = self.mshr.allocate(base, self.sim.now)
-        entry.is_write = req.is_write
-        entry.is_prefetch_only = req.prefetch
-        entry.waiters.append(req)
-        l2_req = L2Request(
-            addr=base,
-            is_write=req.is_write,
-            prefetch=req.prefetch,
-            stream_id=req.stream_id,
-            element=req.element,
-            floating=req.floating,
-            op_id=req.op_id,
-            on_done=lambda result: self._fill(base, result),
-        )
-        self.sim.schedule(self.latency, self.l2.access, l2_req)
+            else:
+                self._overflow.append(req)
+        else:
+            entry = self.mshr.allocate(base, self.sim.now)
+            entry.is_write = req.is_write
+            entry.is_prefetch_only = req.prefetch
+            entry.waiters.append(req)
+            l2_req = L2Request(
+                addr=base,
+                is_write=req.is_write,
+                prefetch=req.prefetch,
+                stream_id=req.stream_id,
+                element=req.element,
+                floating=req.floating,
+                op_id=req.op_id,
+                on_done=lambda result: self._fill(base, result),
+            )
+            self.sim.schedule(self.latency, self.l2.access, l2_req)
+        p = self._probes.l1_miss
+        if p is not None:
+            p(self, req, base, merged is None)
 
     def _fill(self, base: int, result: L2AccessResult) -> None:
         entry = self.mshr.release(base)
-        self.last_fill_reason = (
-            "drop" if result.dropped
-            else "uncached" if result.uncached
-            else "fill"
-        )
         if result.dropped:
             # The L2 rejected our prefetch. Re-issue for any demand
             # requests that merged into the entry meanwhile.
@@ -193,6 +181,9 @@ class L1Cache:
                     self._miss(waiter)
             self._drain_overflow()
             self.mshr.recycle(entry)
+            p = self._probes.l1_fill
+            if p is not None:
+                p(self, base, "drop")
             return
         # The L2's grant may be stale: a downgrade or invalidation can
         # land during the response latency window, after the L2 decided
@@ -235,15 +226,19 @@ class L1Cache:
             self.stats.add("l1.write_upgrade_retries")
             self._miss(L1Request(addr=base, is_write=True))
         sim = self.sim
+        p = self._probes.l1_fill
         if self._fast and sim.can_inline():
             # Fused wakeup (DESIGN.md §12): with nothing else pending
             # this cycle, the zero-delay waiter callbacks would run
             # immediately after this handler in queue order — so run
             # them synchronously once _fill has fully completed
-            # (after the overflow drain, exactly where the event
-            # queue would have run them). count_inlined_events keeps
-            # the logical event count identical to the unfused path.
+            # (after the overflow drain and the fill probe, exactly
+            # where the event queue would have run them).
+            # count_inlined_events keeps the logical event count
+            # identical to the unfused path.
             self._drain_overflow()
+            if p is not None:
+                p(self, base, "uncached" if result.uncached else "fill")
             sim._inline_depth += 1
             try:
                 for waiter in entry.waiters:
@@ -257,10 +252,15 @@ class L1Cache:
                 if waiter.on_done is not None:
                     sim.schedule(0, waiter.on_done)
             self._drain_overflow()
+            if p is not None:
+                p(self, base, "uncached" if result.uncached else "fill")
         self.mshr.recycle(entry)
 
     def _writeback_to_l2(self, addr: int) -> None:
         """Dirty L1 victim folds into the (inclusive) L2 copy."""
+        p = self._probes.l1_writeback
+        if p is not None:
+            p(self, addr)
         line = self.l2.array.lookup(addr, touch=False)
         if line is not None:
             line.dirty = True

@@ -140,10 +140,6 @@ class L2Cache:
         self.on_l1_downgrade: Optional[Callable[[int], None]] = None
         self.prefetcher = None  # L2 stride prefetcher (trained on misses)
         self.bulk = None  # optional bulk-prefetch request grouper
-        # Telemetry hop-reason tag: how the most recent _miss left the
-        # L2 ("gets"/"getx"/"bulk" sent to the home bank, "merge" rode
-        # an in-flight MSHR entry, "overflow"/"prefetch_drop" parked).
-        self.last_miss_kind = ""
         self._fast = getattr(sim, "fastpath", False)
         self._pooling = getattr(sim, "pooling", False)
         # A line-sized Data response always serializes to the same flit
@@ -154,12 +150,7 @@ class L2Cache:
             payload_bits=data_payload_bits(LINE_SIZE), dst_port="l2",
         ).flits(net.link_bits)
         net.register(tile, "l2", self.handle)
-        san = getattr(sim, "sanitizer", None)
-        if san is not None:
-            san.watch_l2(self)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_l2(self)
+        self._probes = sim.probes.bind("l2", self)
 
     def _sp(self, name: str, amount: float = 1) -> None:
         self.stats.add(name, amount)
@@ -213,53 +204,60 @@ class L2Cache:
         self._miss(L2Request(addr=base, prefetch=True), None)
 
     def _miss(self, req: L2Request, line) -> None:
+        """Send the miss to the home bank, or park it. ``via`` names
+        how it left the L2 for the l2_miss probe: "gets"/"getx"/"bulk"
+        sent to the bank, "merge" rode an in-flight MSHR entry,
+        "overflow"/"prefetch_drop" parked or dropped here."""
         base = req.addr & _LINE_MASK
         upgrade = line is not None  # write hit in S: needs GetX, no fill
-        entry = self.mshr.lookup(base)
-        if entry is not None:
-            self.last_miss_kind = "merge"
-            entry.is_write = entry.is_write or req.is_write
-            entry.is_prefetch_only = entry.is_prefetch_only and req.prefetch
+        merged = self.mshr.lookup(base)
+        if merged is not None:
+            via = "merge"
+            merged.is_write = merged.is_write or req.is_write
+            merged.is_prefetch_only = merged.is_prefetch_only and req.prefetch
             if req.on_done is not None:
-                entry.waiters.append(req)
-            return
-        if self.mshr.full:
+                merged.waiters.append(req)
+        elif self.mshr.full:
             if req.prefetch:
-                self.last_miss_kind = "prefetch_drop"
+                via = "prefetch_drop"
                 self._sp("l2.prefetch_dropped")
                 if req.on_done is not None:
                     # Tell the L1 so it releases its own MSHR entry.
                     self.sim.schedule(1, req.on_done, L2AccessResult(
                         addr=base, writable=False, dropped=True,
                     ))
-                return
-            self.last_miss_kind = "overflow"
-            self._overflow.append(req)
-            return
-        entry = self.mshr.allocate(base, self.sim.now)
-        entry.is_write = req.is_write
-        entry.is_prefetch_only = req.prefetch
-        if req.on_done is not None:
-            entry.waiters.append(req)
-        entry.meta["stream_id"] = req.stream_id
-        entry.meta["prefetch"] = req.prefetch
-        entry.meta["upgrade"] = upgrade
-        entry.meta["req_flits"] = 0
-        op = "GetX" if req.is_write else "GetS"
-        home = self.nuca.bank_of(base)
-        source = "core_stream" if req.stream_id is not None else "core"
-        msg = CohMsg(op=op, addr=base, requester=self.tile, source=source)
-        if self.bulk is not None and req.prefetch and op == "GetS":
-            self.last_miss_kind = "bulk"
-            self.bulk.enqueue(home, msg, entry)
-            return
-        self.last_miss_kind = "getx" if req.is_write else "gets"
-        # Body stays a plain allocation: L3-bound requests may be
-        # parked in the bank's MSHR meta, so they never pool.
-        info = self.net.send_new(
-            self.tile, home, CTRL, control_payload_bits(), "l3", body=msg,
-        )
-        entry.meta["req_flits"] = info.flits
+            else:
+                via = "overflow"
+                self._overflow.append(req)
+        else:
+            entry = self.mshr.allocate(base, self.sim.now)
+            entry.is_write = req.is_write
+            entry.is_prefetch_only = req.prefetch
+            if req.on_done is not None:
+                entry.waiters.append(req)
+            entry.meta["stream_id"] = req.stream_id
+            entry.meta["prefetch"] = req.prefetch
+            entry.meta["upgrade"] = upgrade
+            entry.meta["req_flits"] = 0
+            op = "GetX" if req.is_write else "GetS"
+            home = self.nuca.bank_of(base)
+            source = "core_stream" if req.stream_id is not None else "core"
+            msg = CohMsg(op=op, addr=base, requester=self.tile, source=source)
+            if self.bulk is not None and req.prefetch and op == "GetS":
+                via = "bulk"
+                self.bulk.enqueue(home, msg, entry)
+            else:
+                via = "getx" if req.is_write else "gets"
+                # Body stays a plain allocation: L3-bound requests may
+                # be parked in the bank's MSHR meta, so they never pool.
+                info = self.net.send_new(
+                    self.tile, home, CTRL, control_payload_bits(), "l3",
+                    body=msg,
+                )
+                entry.meta["req_flits"] = info.flits
+        p = self._probes.l2_miss
+        if p is not None:
+            p(self, req, base, merged is None, via)
 
     # ------------------------------------------------------------------
     # network ingress
@@ -300,11 +298,15 @@ class L2Cache:
         line = self.array.lookup(base, touch=False)
         writable = bool(line) and line.state in (MODIFIED, EXCLUSIVE)
         sim = self.sim
+        p = self._probes.l2_data
         if self._fast and sim.can_inline():
             # Fused response (DESIGN.md §12): the zero-delay waiter
-            # callbacks run synchronously after _data fully completes,
-            # exactly where the event queue would have run them.
+            # callbacks run synchronously after _data fully completes
+            # (overflow drain and data probe included), exactly where
+            # the event queue would have run them.
             self._drain_overflow()
+            if p is not None:
+                p(self, base, pkt.src)
             sim._inline_depth += 1
             try:
                 for waiter in entry.waiters:
@@ -318,6 +320,8 @@ class L2Cache:
             for waiter in entry.waiters:
                 self._respond(waiter, writable=writable, delay=0)
             self._drain_overflow()
+            if p is not None:
+                p(self, base, pkt.src)
         self.mshr.recycle(entry)
 
     def _fill(self, base: int, msg: CohMsg, entry, resp_flits: int) -> None:

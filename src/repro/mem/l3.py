@@ -92,9 +92,6 @@ class L3Bank:
         self.dir = Directory()
         self.mshr = MshrFile(mshrs)
         self._waitq: List[tuple] = []  # requests waiting for a free MSHR
-        # Telemetry hop-reason tag: the most recent _demand's verdict
-        # ("hit", "miss", "forward", "queued", "mshr_wait").
-        self.last_outcome = ""
         self.dram = dram
         # Interned counter cells for the bank's hottest stats
         # (DESIGN.md §12); cells are shared across banks by name.
@@ -108,12 +105,7 @@ class L3Bank:
         # notifies it when GetU data it asked for becomes available.
         self.se_l3 = None
         net.register(tile, "l3", self.handle)
-        san = getattr(sim, "sanitizer", None)
-        if san is not None:
-            san.watch_l3(self)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_l3(self)
+        self._probes = sim.probes.bind("l3", self)
 
     # ------------------------------------------------------------------
     # entry points
@@ -145,6 +137,9 @@ class L3Bank:
             data_bytes=data_bytes, stream_id=stream_id, element=element,
             se_info=on_ready, source=category,
         )
+        p = self._probes.l3_getu
+        if p is not None:
+            p(self, msg)
         self._c_stream_float[0] += 1
         self._src_cell(category)[0] += 1
         self.sim.schedule(self.latency, self._process, self.tile, msg)
@@ -161,12 +156,19 @@ class L3Bank:
     # ------------------------------------------------------------------
     def _process(self, src: int, msg: CohMsg) -> None:
         op = msg.op
+        probes = self._probes
         if op in ("GetS", "GetX", "GetU"):
-            self._demand(src, msg)
+            outcome = self._demand(src, msg)
+            p = probes.l3_demand
+            if p is not None:
+                p(self, msg, outcome)
         elif op == "GetSBulk":
             # Bulk prefetch (SS VI): unpack the grouped GetS requests.
+            p = probes.l3_demand
             for sub in msg.se_info:
-                self._demand(src, sub)
+                outcome = self._demand(src, sub)
+                if p is not None:
+                    p(self, sub, outcome)
         elif op == "PutS":
             self.stats.add("l3.puts")
             self.dir.remove(msg.addr, msg.requester)
@@ -182,19 +184,22 @@ class L3Bank:
             self._fwd_miss(msg)
         else:
             raise ValueError(f"L3 bank got unexpected op {op!r}")
+        p = probes.l3_processed
+        if p is not None:
+            p(self, msg)
 
     def _blocked(self, addr: int) -> bool:
         return self.mshr.lookup(addr) is not None
 
-    def _demand(self, src: int, msg: CohMsg) -> None:
-        """GetS / GetX / GetU head-of-line processing."""
+    def _demand(self, src: int, msg: CohMsg) -> str:
+        """GetS / GetX / GetU head-of-line processing. Returns the
+        outcome ("queued", "forward", "hit", "mshr_wait" or "miss")."""
         base = msg.addr & _LINE_MASK
         entry = self.mshr.lookup(base)
         if entry is not None:
             # Line transaction in flight: queue and replay later.
-            self.last_outcome = "queued"
             entry.meta.setdefault("queued", []).append((src, msg))
-            return
+            return "queued"
         op = msg.op
         if not msg.seen:
             msg.seen = True
@@ -208,13 +213,11 @@ class L3Bank:
         ent = self.dir.peek(base)
         owner = ent.owner if ent else None
         if owner is not None and owner != msg.requester:
-            self.last_outcome = "forward"
             self._forward_to_owner(owner, src, msg)
-            return
+            return "forward"
 
         line = self.array.lookup(base)
         if line is not None:
-            self.last_outcome = "hit"
             self._c_hits[0] += 1
             if ent is None and op == "GetS":
                 # Uncontended GetS shortcut: no directory entry means
@@ -228,18 +231,16 @@ class L3Bank:
                     body=acquire_msg("Data", base, msg.requester,
                                      grant=EXCLUSIVE),
                 )
-                return
+                return "hit"
             self._satisfy(msg, line_dirty=line.dirty)
-            return
+            return "hit"
 
         # LLC miss: fetch from memory.
         if self.mshr.full:
             # Park in the bank's wait queue until an MSHR frees up.
-            self.last_outcome = "mshr_wait"
             self._waitq.append((src, msg))
             self.stats.add("l3.mshr_full_waits")
-            return
-        self.last_outcome = "miss"
+            return "mshr_wait"
         self._c_misses[0] += 1
         entry = self.mshr.allocate(base, self.sim.now)
         entry.meta["head"] = (src, msg)
@@ -248,6 +249,7 @@ class L3Bank:
             self.tile, dram_tile, CTRL, control_payload_bits(), "dram",
             body=acquire_msg("MemRead", addr=base, requester=self.tile),
         )
+        return "miss"
 
     def _forward_to_owner(self, owner: int, src: int, msg: CohMsg) -> None:
         """Ask the current M/E owner to supply the data."""

@@ -21,7 +21,7 @@ genuinely save flit-hops on their shared prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.noc.message import TRAFFIC_CLASSES, Packet, _packet_ids
 from repro.noc.topology import Link, Mesh
@@ -69,8 +69,7 @@ class Network:
         # Lane cache: everything static per (src, dst, kind, payload,
         # port) — route, flit count, stat cells, the local pseudo-link,
         # and a shared DeliveryInfo (callers only read it) — so send()
-        # runs traversal, accounting and delivery scheduling without
-        # calling _traverse/_record/_deliver_at per packet.
+        # runs traversal, accounting and delivery scheduling inline.
         self._lanes: Dict[Tuple[int, int, str, int, str], tuple] = {}
         self._tree_cache: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
         # Deliveries arriving at the same cycle share one kernel event:
@@ -80,24 +79,11 @@ class Network:
         # Packet free-list (DESIGN.md §12): with pooling enabled the
         # network reclaims every delivered packet shell (no handler
         # retains the Packet object — bodies have their own lifetime)
-        # and send_new() reuses them. Pooling is vetoed by observers
-        # (sim.pooling), which may retain packet references.
+        # and send_new() reuses them. The sanitizer vetoes pooling
+        # (sim.pooling): its S3 ledger keeps packets past delivery.
         self._pooling = getattr(sim, "pooling", False)
         self._pkt_free: List[Packet] = []
-        # The network is built before every endpoint, so registering
-        # here lets the sanitizer wrap all handlers as they attach.
-        san = getattr(sim, "sanitizer", None)
-        if san is not None:
-            san.watch_network(self)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_network(self)
-        # Observers (sanitizer/telemetry) interpose on _deliver_at by
-        # assigning an instance attribute; when they do, send() must
-        # route deliveries through the wrapper instead of appending to
-        # the arrival batch directly. All wrapping happens above, so
-        # one check here covers the network's lifetime.
-        self._observed = "_deliver_at" in self.__dict__
+        self._probes = sim.probes.bind("net", self)
 
     # ------------------------------------------------------------------
     # wiring
@@ -146,8 +132,11 @@ class Network:
         This is the fused hot path (DESIGN.md §12): one lane-cache
         probe replaces the per-packet route/flits/handler/stat-cell
         lookups, and traversal, accounting and delivery scheduling run
-        inline instead of as three method calls. The timing math is
-        byte-for-byte the old _traverse/_deliver_at logic.
+        inline instead of as three method calls. Same-tile deliveries
+        serialize on a per-tile pseudo-link so delivery order matches
+        send order there too — the protocol relies on per-route FIFO
+        ordering (a Data grant must never be overtaken by a later
+        forward from the same bank).
         """
         lanes = self._lanes
         key = (packet.src, packet.dst, packet.kind,
@@ -182,9 +171,13 @@ class Network:
         c_pkts[0] += 1
         c_flits[0] += flits
         c_fhops[0] += info.flit_hops
-        if self._observed:
-            self._deliver_at(when, packet)
-            return info
+        probes = self._probes
+        p = probes.noc_links
+        if p is not None:
+            p(route, flits)
+        p = probes.noc_send
+        if p is not None:
+            p(packet, when)
         now = sim.now
         if when < now:
             when = now
@@ -224,42 +217,15 @@ class Network:
         self._lanes[key] = lane
         return lane
 
-    def _traverse(
-        self, route: List[Link], inject_time: int, flits: int,
-        local_key: Optional[int] = None,
-    ) -> int:
-        """Walk the head flit down ``route`` with link contention;
-        returns the tail-flit arrival time at the destination.
-
-        Same-tile deliveries serialize on a per-tile pseudo-link so
-        delivery order matches send order there too — the protocol
-        relies on per-route FIFO ordering (a Data grant must never be
-        overtaken by a later forward from the same bank).
-        """
-        head = inject_time
-        busy = self._busy_until
-        hop = self.hop_latency
-        for link in route:
-            depart = busy.get(link, 0)
-            if depart < head:
-                depart = head
-            busy[link] = depart + flits
-            head = depart + hop
-        if not route and local_key is not None:
-            link = (local_key, local_key)
-            depart = busy.get(link, 0)
-            if depart < head:
-                depart = head
-            busy[link] = depart + flits
-            head = depart + self.LOCAL_LATENCY
-        return head + flits - 1
-
     def _deliver_at(self, when: int, packet: Packet) -> None:
         handler = self._handlers.get((packet.dst, packet.dst_port))
         if handler is None:
             raise KeyError(
                 f"no handler at tile {packet.dst} port {packet.dst_port!r}"
             )
+        p = self._probes.noc_send
+        if p is not None:
+            p(packet, when)
         now = self.sim.now
         if when < now:
             when = now
@@ -283,32 +249,36 @@ class Network:
         batch = self._arrivals.pop(when)
         sim = self.sim
         pool = self._pkt_free if self._pooling else None
+        probes = self._probes
+        pre = probes.noc_deliver
+        post = probes.noc_delivered
         n = len(batch)
-        if n == 1:
-            # Singleton batch: the handler runs in tail position, so
-            # nested handler fusions stay available.
-            handler, packet = batch[0]
-            handler(packet)
-            if pool is not None:
-                packet.body = None
-                pool.append(packet)
-            return
-        sim.count_inlined_events(n - 1)
-        # The undrained tail of the batch is invisible to the event
-        # queue, so nested handler fusions must stand down while it
-        # exists (DESIGN.md §12); the final handler runs unguarded,
-        # back in tail position.
-        sim._inline_depth += 1
-        try:
-            for handler, packet in batch[:-1]:
-                handler(packet)
-                if pool is not None:
-                    packet.body = None
-                    pool.append(packet)
-        finally:
-            sim._inline_depth -= 1
+        if n > 1:
+            sim.count_inlined_events(n - 1)
+            # The undrained tail of the batch is invisible to the event
+            # queue, so nested handler fusions must stand down while it
+            # exists (DESIGN.md §12).
+            sim._inline_depth += 1
+            try:
+                for handler, packet in batch[:-1]:
+                    if pre is not None:
+                        pre(handler, packet)
+                    handler(packet)
+                    if post is not None:
+                        post(handler, packet)
+                    if pool is not None:
+                        packet.body = None
+                        pool.append(packet)
+            finally:
+                sim._inline_depth -= 1
+        # The final (or only) handler runs unguarded, in tail position,
+        # so its own fusions stay available.
         handler, packet = batch[n - 1]
+        if pre is not None:
+            pre(handler, packet)
         handler(packet)
+        if post is not None:
+            post(handler, packet)
         if pool is not None:
             packet.body = None
             pool.append(packet)
@@ -349,6 +319,9 @@ class Network:
             cached = self._tree_cache[tree_key] = (routes, tree_links)
         else:
             routes, tree_links = cached
+        p = self._probes.noc_links
+        if p is not None:
+            p(tree_links, flits)
         # Reserve each tree link once; per-destination arrival follows
         # its own route's (already reserved) links.
         depart_at: Dict[Link, int] = {}

@@ -26,9 +26,10 @@ sums equal total core cycles — holds exactly; :meth:`check` asserts
 it sanitizer-style at the end of every run. Everything here is
 simulated-cycle arithmetic: deterministic, cache- and ``--jobs``-safe.
 
-The pillar piggybacks on the fusion veto (``sim.fastpath`` is False
-whenever telemetry is attached, DESIGN.md §12): fill events always
-precede their zero-delay waiter callbacks in queue order, which is
+The accountant reads the model through the probe seam: bus events for
+the journeys, the ``core_*`` probes for the commit front. Probes fire
+before any fused tail call (DESIGN.md §12), so a fill event precedes
+the waiter callbacks it wakes whether fusion is on or off — which is
 what lets a finishing load correlate to the latest completion.
 """
 
@@ -72,7 +73,7 @@ class _TileState:
     """Per-core commit-front replica."""
 
     __slots__ = ("front", "config_end", "next_seq", "pending",
-                 "load_ctx", "last_comp", "buckets", "saw_phase")
+                 "last_comp", "buckets", "saw_phase")
 
     def __init__(self) -> None:
         self.front = 0
@@ -80,7 +81,6 @@ class _TileState:
         self.next_seq = 0
         # seq -> (finish cycle, cause); drained in commit order.
         self.pending: Dict[int, Tuple[int, Any]] = {}
-        self.load_ctx = 0
         # (cycle, legs) of the tile's latest line/element completion.
         self.last_comp: Optional[Tuple[int, List[tuple]]] = None
         self.buckets: Dict[str, int] = {b: 0 for b in BUCKETS}
@@ -88,7 +88,7 @@ class _TileState:
 
 
 class CycleAccountant:
-    """Assembles the per-core CPI stack from bus events + core hooks."""
+    """Assembles the per-core CPI stack from bus events + core probes."""
 
     def __init__(self, telemetry) -> None:
         self.telemetry = telemetry
@@ -106,66 +106,15 @@ class CycleAccountant:
             telemetry.subscribe(kind, getattr(self, f"_on_{kind}"))
 
     # ------------------------------------------------------------------
-    # core hooks (installed by Telemetry.watch_core)
+    # commit-front replication (core probes, subscribed by Telemetry)
     # ------------------------------------------------------------------
-    def watch_core(self, core) -> None:
-        tile = core.tile
-        ts = self._tiles.setdefault(tile, _TileState())
-        self._cores[tile] = core
-        acct = self
-        sim = core.sim
-        inner_run = core.run_phase
+    def add_core(self, core) -> None:
+        self._tiles.setdefault(core.tile, _TileState())
+        self._cores[core.tile] = core
 
-        def run_phase(phase, on_done):
-            nspecs = (
-                len(phase.stream_specs)
-                if core.se is not None and phase.stream_specs else 0
-            )
-            acct.phase_begin(ts, sim.now, nspecs)
-
-            def done() -> None:
-                acct.phase_end(ts, sim.now)
-                on_done()
-
-            inner_run(phase, done)
-
-        run_phase.__qualname__ = getattr(
-            inner_run, "__qualname__", "Core.run_phase")
-        core.run_phase = run_phase
-        inner_load_done = core._load_done
-
-        def load_done(state) -> None:
-            ts.load_ctx += 1
-            try:
-                inner_load_done(state)
-            finally:
-                ts.load_ctx -= 1
-
-        load_done.__qualname__ = getattr(
-            inner_load_done, "__qualname__", "Core._load_done")
-        core._load_done = load_done
-        inner_check = core._check_done
-
-        def check_done(state) -> None:
-            # Replicates _check_done's finish condition *before* the
-            # inner call: afterwards, a nested _phase_complete may
-            # already have advanced the front past this cycle.
-            if (
-                not state.finished
-                and state.loads_pending == 0
-                and sim.now >= state.compute_done_at
-            ):
-                acct.iter_finish(ts, state.seq, sim.now)
-            inner_check(state)
-
-        check_done.__qualname__ = getattr(
-            inner_check, "__qualname__", "Core._check_done")
-        core._check_done = check_done
-
-    # ------------------------------------------------------------------
-    # commit-front replication
-    # ------------------------------------------------------------------
-    def phase_begin(self, ts: _TileState, now: int, nspecs: int) -> None:
+    def phase_begin(self, core, phase) -> None:
+        ts = self._tiles[core.tile]
+        now = core.sim.now
         ts.saw_phase = True
         self._flush_pending(ts)
         if now > ts.front:
@@ -173,9 +122,16 @@ class CycleAccountant:
             ts.buckets["drain"] += now - ts.front
             ts.front = now
         ts.next_seq = 0
-        ts.config_end = now + nspecs  # mirrors _front_free_at += nspecs
+        # Mirrors the core's _front_free_at += nspecs.
+        nspecs = (
+            len(phase.stream_specs)
+            if core.se is not None and phase.stream_specs else 0
+        )
+        ts.config_end = now + nspecs
 
-    def phase_end(self, ts: _TileState, now: int) -> None:
+    def phase_end(self, core) -> None:
+        ts = self._tiles[core.tile]
+        now = core.sim.now
         self._flush_pending(ts)
         if ts.front < ts.config_end:
             # Degenerate phase: configured streams, no iteration ran.
@@ -186,8 +142,10 @@ class CycleAccountant:
             ts.buckets["drain"] += now - ts.front
             ts.front = now
 
-    def iter_finish(self, ts: _TileState, seq: int, cycle: int) -> None:
-        if ts.load_ctx:
+    def iter_finish(self, core, seq: int, by_load: bool) -> None:
+        ts = self._tiles[core.tile]
+        cycle = core.sim.now
+        if by_load:
             comp = ts.last_comp
             if comp is not None and cycle - comp[0] <= HIT_WINDOW:
                 cause: Any = comp[1]

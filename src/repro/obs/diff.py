@@ -190,14 +190,6 @@ def interval_series(
     return [float(s.get(column, 0.0)) for s in samples]
 
 
-def aligned_series(
-    a: List[Dict[str, Any]], b: List[Dict[str, Any]], column: str,
-) -> Tuple[List[float], List[float]]:
-    """Both runs' per-interval series for one column (sparkline
-    input); the caller decides how to render unequal lengths."""
-    return interval_series(a, column), interval_series(b, column)
-
-
 # ----------------------------------------------------------------------
 # top-k streams by lifetime (from trace stream spans)
 # ----------------------------------------------------------------------

@@ -9,10 +9,10 @@ localizable with a two-pass replay (DESIGN.md §11):
 
 1. **Checkpoint pass**: run both variants (kernel backend A/B, commit
    N vs N-1, policy on/off) with a :class:`TraceRecorder` attached.
-   The recorder mirrors the S5 formula *exactly* (same
-   ``zlib.crc32(b"%d|%s" % (when, name))`` incremental hash — see
-   ``Sanitizer._install_step_hook``) and snapshots the prefix hash
-   every ``checkpoint_every`` events.
+   The recorder feeds the sanitizer's own S5 hash
+   (:class:`~repro.sim.sanitizer.S5Trace`) from the same ``dispatch``
+   probe and snapshots the prefix hash every ``checkpoint_every``
+   events.
 2. **Window pass**: a prefix-hash mismatch is monotone (once the
    streams diverge the hashes stay different), so binary-search the
    checkpoint arrays for the first disagreeing checkpoint, then
@@ -27,9 +27,10 @@ instead of two giant opaque hashes.
 from __future__ import annotations
 
 import os
-import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.sim.sanitizer import S5Trace
 
 # Window capture guard: the second pass captures at most this many
 # events (only relevant when two runs share every checkpoint but one
@@ -40,14 +41,13 @@ DEFAULT_CHECKPOINT_EVERY = 1024
 
 
 class TraceRecorder:
-    """Step-hook recorder of the S5 event stream.
+    """Records the S5 event stream from the ``dispatch`` probe.
 
     Attach to a fresh :class:`~repro.sim.kernel.Simulator` *before*
-    running it. Works identically on both kernel backends: ``run()``
-    dispatches through the wrapped ``step`` whenever a step hook is
-    installed, and ``peek_event()`` is part of the backend contract.
-    Composes with the sanitizer's own step hook (wrapping preserves
-    the event stream and hashes the same ``(cycle, qualname)`` pairs).
+    running it. Works identically on both kernel backends: their
+    ``run()`` loops fire the ``dispatch`` probe for every event.
+    Composes with the sanitizer, which hashes the same stream with the
+    same :class:`~repro.sim.sanitizer.S5Trace`.
     """
 
     def __init__(
@@ -61,44 +61,31 @@ class TraceRecorder:
         self.sim = sim
         self.checkpoint_every = checkpoint_every
         self.window = window
-        self.crc = 0
-        self.events = 0
+        self._s5 = S5Trace()
         self.checkpoints: List[int] = []
         self.window_events: List[Tuple[int, int, str]] = []
         self.window_dropped = 0
-        self._install(sim)
+        sim.probes.subscribe("dispatch", self._on_dispatch)
 
-    def _install(self, sim) -> None:
-        recorder = self
-        inner_step = sim.step
-        checkpoint_every = self.checkpoint_every
+    @property
+    def crc(self) -> int:
+        return self._s5.crc
+
+    @property
+    def events(self) -> int:
+        return self._s5.events
+
+    def _on_dispatch(self, when: int, fn) -> None:
+        index = self._s5.events
+        name = self._s5.update(when, fn)
+        if self._s5.events % self.checkpoint_every == 0:
+            self.checkpoints.append(self._s5.crc)
         window = self.window
-
-        def step() -> bool:
-            nxt = sim.peek_event()
-            if nxt is not None:
-                when, fn = nxt
-                name = getattr(fn, "__qualname__", None) or type(fn).__name__
-                # Incremental prefix hash — the S5 formula verbatim
-                # (sim/sanitizer.py), so recorder hashes and sanitizer
-                # hashes describe the same stream.
-                recorder.crc = zlib.crc32(
-                    b"%d|%s" % (when, name.encode()), recorder.crc
-                )
-                index = recorder.events
-                recorder.events = index + 1
-                if recorder.events % checkpoint_every == 0:
-                    recorder.checkpoints.append(recorder.crc)
-                if window is not None and window[0] <= index < window[1]:
-                    if len(recorder.window_events) < MAX_WINDOW_EVENTS:
-                        recorder.window_events.append((index, when, name))
-                    else:
-                        recorder.window_dropped += 1
-            return inner_step()
-
-        step.__qualname__ = getattr(inner_step, "__qualname__",
-                                    "Simulator.step")
-        sim.step = step
+        if window is not None and window[0] <= index < window[1]:
+            if len(self.window_events) < MAX_WINDOW_EVENTS:
+                self.window_events.append((index, when, name))
+            else:
+                self.window_dropped += 1
 
 
 # A run variant: builds a fresh simulation, calls the supplied attach

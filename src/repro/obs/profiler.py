@@ -1,23 +1,22 @@
 """Kernel hot-path profiler: wall-clock per event-callback owner.
 
-The telemetry step hook peeks the queue head before dispatch and
-times the dispatch with ``perf_counter``; this module aggregates
+The profiler subscribes to the kernel's ``dispatch``/``dispatched``
+probes and times each dispatch with ``perf_counter``; it aggregates
 ``(count, seconds)`` per callback *owner* — the ``__qualname__`` of
 the scheduled function, which for bound methods reads
-``L3Bank._process`` etc. Sanitizer/telemetry wrappers preserve the
-inner ``__qualname__``, so attribution stays on the component even
-when checking or tracing layers wrap the callable.
+``L3Bank._process`` etc. Work a handler runs fused (DESIGN.md §12) is
+charged to the handler that dispatched it.
 
 Wall-clock numbers are host-dependent by nature; they are reported in
 the ``--profile`` artifact but deliberately kept out of Stats and the
 run cache so cached records stay byte-identical across hosts.
 
-Two sample sources feed the accumulator. The step hook times each
-queue dispatch (:meth:`KernelProfiler.record`). Deliveries the
+Two sample sources feed the accumulator. The dispatch probes time
+each queue dispatch (:meth:`KernelProfiler.record`). Deliveries the
 network batches inside ``Network._drain_cycle`` — including every
 lane-cached packet — would all land on that one dispatch qualname, so
-the telemetry layer additionally wraps ``Network.register`` with
-per-endpoint timers that credit the *real* handler's ``__qualname__``
+the ``noc_deliver``/``noc_delivered`` probes additionally time each
+endpoint handler and credit the *real* handler's ``__qualname__``
 (:meth:`KernelProfiler.record_inner`). The dispatch sample then
 subtracts the nested handler time it contains, so host seconds are
 counted exactly once.
@@ -25,6 +24,7 @@ counted exactly once.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Any, Dict, List
 
 
@@ -37,6 +37,24 @@ class KernelProfiler:
         # Handler time recorded inside the current dispatch, to be
         # subtracted from the enclosing dispatch sample.
         self._nested_pending = 0.0
+        self._dispatch_t0 = 0.0
+        self._deliver_t0 = 0.0
+
+    # -- probe subscribers ----------------------------------------------
+    def on_dispatch(self, when: int, fn: Any) -> None:
+        self._dispatch_t0 = perf_counter()
+
+    def on_dispatched(self, when: int, fn: Any) -> None:
+        self.record(fn, perf_counter() - self._dispatch_t0)
+
+    def on_deliver(self, handler: Any, packet: Any) -> None:
+        self._deliver_t0 = perf_counter()
+
+    def on_delivered(self, handler: Any, packet: Any) -> None:
+        self.record_inner(
+            getattr(handler, "__qualname__", repr(handler)),
+            perf_counter() - self._deliver_t0,
+        )
 
     def record(self, fn: Any, seconds: float) -> None:
         nested = self._nested_pending

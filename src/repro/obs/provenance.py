@@ -18,8 +18,8 @@ traffic per tile; flits per directed mesh link), surfaced through
 ``Telemetry.summary()`` so they ride the ``telemetry.*`` stats into
 every :class:`~repro.harness.runner.RunRecord`.
 
-Zero-cost-when-off contract: nothing here is imported, subscribed or
-wrapped unless the ``provenance`` pillar is enabled.
+Zero-cost-when-off contract: nothing here is imported or subscribed
+unless the ``provenance`` pillar is enabled.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class ProvenanceLedger:
         per_tile[ev.kind] = per_tile.get(ev.kind, 0) + 1
 
     # ------------------------------------------------------------------
-    # link accounting (called from the provenance-gated network wrap)
+    # link accounting (the noc_links probe subscriber)
     # ------------------------------------------------------------------
     def record_links(self, route: Iterable[Tuple[int, int]],
                      flits: int) -> None:

@@ -1,19 +1,14 @@
-"""Unified telemetry layer: the event bus and component hooks.
+"""Unified telemetry layer: the event bus over the probe seam.
 
 ``Telemetry`` is the observability counterpart of
-:class:`~repro.sim.sanitizer.Sanitizer` and follows the same
-attachment contract: when enabled (``REPRO_TELEMETRY`` environment
-variable, the harness's ``--trace-out`` / ``--interval-stats`` /
-``--profile`` flags, or an explicit ``Telemetry(sim, config)`` call)
-it hangs off the shared :class:`~repro.sim.kernel.Simulator` and
-components self-register at construction::
-
-    tel = getattr(sim, "telemetry", None)
-    if tel is not None:
-        tel.watch_l1(self)
-
-When disabled the hooks cost nothing: ``sim.telemetry`` is ``None``,
-no method is wrapped, and no per-event guard exists anywhere.
+:class:`~repro.sim.sanitizer.Sanitizer` and attaches the same way,
+through the probe seam (:mod:`repro.obs.probes`): when enabled
+(``REPRO_TELEMETRY`` environment variable, the harness's
+``--trace-out`` / ``--interval-stats`` / ``--profile`` flags, an
+explicit ``Telemetry(sim, config)`` call, or :func:`attach` on a built
+chip) it hangs off the shared :class:`~repro.sim.kernel.Simulator`
+and subscribes to the probes its pillars need. When disabled nothing
+subscribes, so every probe costs one attribute test and no call.
 
 The layer's pillars are each independently enabled by
 :class:`TelemetryConfig` (DESIGN.md §8):
@@ -32,19 +27,20 @@ The layer's pillars are each independently enabled by
   assertion (DESIGN.md §15).
 
 Underneath the pillars sits a typed publish/subscribe **event bus**:
-the wrapped component methods ``publish`` :class:`BusEvent` records
+the probe subscribers below ``publish`` :class:`BusEvent` records
 (kind, cycle, tile, human detail, structured data) and any number of
 consumers ``subscribe`` per kind — the span collector, the interval
-sampler's gauges and :class:`~repro.sim.trace.Tracer` are all plain
-subscribers. Publishing with no subscriber for the kind is a
-dictionary miss and an integer increment.
+sampler's gauges and the ring-buffer event logs of :meth:`record`
+are all plain subscribers. Publishing with no subscriber for the kind
+is a dictionary miss and an integer increment.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 ENV_TELEMETRY = "REPRO_TELEMETRY"
 ENV_INTERVAL = "REPRO_TELEMETRY_INTERVAL"
@@ -57,14 +53,28 @@ PILLARS = ("spans", "interval", "profile", "provenance", "attribution")
 
 DEFAULT_INTERVAL = 10_000
 
-# Every kind the instrumented components publish. The first six match
-# the Tracer's historical vocabulary exactly (sim/trace.py).
-# ``decision`` carries float/no-float/sink/config/follow verdicts with
-# their full policy-input snapshot (provenance pillar, DESIGN.md §11).
+# Every kind the probe subscribers publish. The first six are the
+# floated-stream lifecycle (TRACE_KINDS, what record() keeps by
+# default). ``decision`` carries float/no-float/sink/config/follow
+# verdicts with their full policy-input snapshot (provenance pillar,
+# DESIGN.md §11).
 KINDS = (
     "float", "sink", "migrate", "confluence", "credit", "end",
     "l1_miss", "l1_fill", "l2_miss", "l2_data", "l3_demand",
     "getu", "datau", "dram", "noc", "decision",
+)
+TRACE_KINDS = KINDS[:6]
+
+# Probes every attached Telemetry publishes from (``_on_<probe>``).
+BUS_PROBES = (
+    "noc_send", "l1_miss", "l1_fill", "l2_miss", "l2_data", "l3_demand",
+    "l3_getu", "dram", "se_floated", "se_sunk", "se_l2_datau",
+    "se_l3_migrate", "se_l3_confluence", "se_l3_credit", "se_l3_end",
+)
+# Probes only the provenance pillar needs: policy decisions.
+DECISION_PROBES = (
+    "se_float_decision", "se_sink_decision", "se_end", "se_l2_follow",
+    "se_l3_configure",
 )
 
 
@@ -72,8 +82,8 @@ KINDS = (
 class TelemetryConfig:
     """Which pillars are active, and their bounds.
 
-    A config with every pillar off is still useful: the event bus and
-    component hooks run, which is what the Tracer needs.
+    A config with every pillar off is still useful: the event bus
+    runs, which is what :meth:`Telemetry.record` logs need.
     """
 
     spans: bool = False
@@ -127,6 +137,17 @@ def maybe_attach(sim) -> Optional["Telemetry"]:
     return None
 
 
+def attach(sim) -> "Telemetry":
+    """The telemetry on ``sim``, attaching a bus-only one if none is.
+
+    Works on an already-built chip: components reach observers through
+    the probe seam at fire time, so subscribing late loses nothing but
+    the events already past.
+    """
+    tel = sim.telemetry
+    return tel if tel is not None else Telemetry(sim)
+
+
 @dataclass(frozen=True)
 class BusEvent:
     """One published telemetry event."""
@@ -137,17 +158,22 @@ class BusEvent:
     detail: str = ""
     data: Dict[str, Any] = field(default_factory=dict)
 
+    def __str__(self) -> str:
+        return (f"[{self.cycle:>9}] {self.kind:<8} tile {self.tile:<3} "
+                f"{self.detail}")
+
 
 class Telemetry:
-    """The per-simulator telemetry hub (bus + pillars + hooks)."""
-
-    _WATCH_FLAG = "_obs_watched"
+    """The per-simulator telemetry hub: bus, pillars, probe subscribers."""
 
     def __init__(self, sim, config: Optional[TelemetryConfig] = None) -> None:
+        # Deferred: repro.mem imports the kernel, which imports this.
+        from repro.mem.addr import line_addr
         from repro.obs.interval import IntervalSampler
         from repro.obs.profiler import KernelProfiler
         from repro.obs.spans import SpanCollector
 
+        self._line = line_addr
         self.sim = sim
         sim.telemetry = self
         self.config = config or TelemetryConfig()
@@ -176,8 +202,30 @@ class Telemetry:
             from repro.obs.attribution import CycleAccountant
 
             self.attribution = CycleAccountant(self)
-        if self.sampler is not None or self.profiler is not None:
-            self._install_step_hook()
+        self._subscribe_probes(sim.probes)
+
+    def _subscribe_probes(self, probes) -> None:
+        for name in BUS_PROBES:
+            probes.subscribe(name, getattr(self, f"_on_{name}"))
+        probes.subscribe("built", self._on_built)
+        if self.provenance is not None:
+            for name in DECISION_PROBES:
+                probes.subscribe(name, getattr(self, f"_on_{name}"))
+            probes.subscribe("noc_links", self.provenance.record_links)
+        if self.attribution is not None:
+            acct = self.attribution
+            probes.subscribe("core_phase", acct.phase_begin)
+            probes.subscribe("core_phase_done", acct.phase_end)
+            probes.subscribe("core_iter_finish", acct.iter_finish)
+        if self.profiler is not None:
+            prof = self.profiler
+            probes.subscribe("dispatch", prof.on_dispatch)
+            probes.subscribe("dispatched", prof.on_dispatched)
+            probes.subscribe("noc_deliver", prof.on_deliver)
+            probes.subscribe("noc_delivered", prof.on_delivered)
+        if self.sampler is not None:
+            sampler = self.sampler
+            probes.subscribe("dispatched", lambda when, fn: sampler.on_step(when))
 
     # ------------------------------------------------------------------
     # event bus
@@ -208,289 +256,137 @@ class Telemetry:
         for handler in subs:
             handler(event)
 
+    def record(self, kinds: Iterable[str] = TRACE_KINDS,
+               capacity: int = 100_000) -> Deque[BusEvent]:
+        """A ring buffer of the last ``capacity`` published events of
+        ``kinds`` (default: the floated-stream lifecycle), in cycle
+        order."""
+        kinds = tuple(kinds)
+        unknown = sorted(set(kinds) - set(KINDS))
+        if unknown:
+            raise ValueError(f"unknown telemetry kinds {unknown}")
+        log: Deque[BusEvent] = deque(maxlen=capacity)
+        for kind in kinds:
+            self.subscribe(kind, log.append)
+        return log
+
     @property
     def streams_alive(self) -> int:
         return len(self._alive)
 
     # ------------------------------------------------------------------
-    # kernel heartbeat (profiler attribution + interval cadence)
+    # probe subscribers: one bus kind each
     # ------------------------------------------------------------------
-    def _install_step_hook(self) -> None:
-        from time import perf_counter
+    def _on_built(self, role: str, comp) -> None:
+        if role == "chip" and self.sampler is not None:
+            # Chip-level context the sampler derives IPC / utilization
+            # from.
+            self.sampler.bind(
+                comp.stats, links=comp.mesh.num_links,
+                cores=comp.mesh.num_tiles,
+            )
+        elif role == "core" and self.attribution is not None:
+            self.attribution.add_core(comp)
 
-        sim = self.sim
-        inner_step = sim.step
-        profiler = self.profiler
-        sampler = self.sampler
+    def _on_noc_send(self, packet, when: int) -> None:
+        # Injection cycle (now) and arrival cycle: exactly the pair a
+        # Chrome-trace flow arrow needs.
+        self.publish(
+            "noc", packet.src,
+            f"{packet.kind} -> {packet.dst}:{packet.dst_port}",
+            dst=packet.dst, port=packet.dst_port, cls=packet.kind,
+            pid=packet.pid, arrive=when,
+        )
 
-        def step() -> bool:
-            if profiler is not None:
-                nxt = sim.peek_event()
-                fn = nxt[1] if nxt is not None else None
-                t0 = perf_counter()
-                ran = inner_step()
-                if fn is not None:
-                    profiler.record(fn, perf_counter() - t0)
-            else:
-                ran = inner_step()
-            if sampler is not None:
-                sampler.on_step(sim.now)
-            return ran
+    def _on_l1_miss(self, l1, req, base: int, fresh: bool) -> None:
+        self.publish(
+            "l1_miss", l1.tile, f"{base:#x}", addr=base,
+            write=req.is_write, prefetch=req.prefetch, fresh=fresh,
+            sid=req.stream_id, floating=req.floating,
+        )
 
-        step.__qualname__ = getattr(inner_step, "__qualname__", "Simulator.step")
-        sim.step = step
+    def _on_l1_fill(self, l1, base: int, reason: str) -> None:
+        self.publish("l1_fill", l1.tile, f"{base:#x}", addr=base,
+                     reason=reason)
+
+    def _on_l2_miss(self, l2, req, base: int, fresh: bool, via: str) -> None:
+        self.publish(
+            "l2_miss", l2.tile, f"{base:#x}", addr=base,
+            write=req.is_write, prefetch=req.prefetch, fresh=fresh, via=via,
+        )
+
+    def _on_l2_data(self, l2, base: int, src: int) -> None:
+        self.publish("l2_data", l2.tile, f"{base:#x}", addr=base, src=src)
+
+    def _on_l3_demand(self, bank, msg, outcome: str) -> None:
+        addr = self._line(msg.addr)
+        self.publish(
+            "l3_demand", bank.tile, f"{msg.op} {addr:#x} {outcome}",
+            addr=addr, op=msg.op, requester=msg.requester,
+            lat=bank.latency, outcome=outcome,
+        )
+
+    def _on_l3_getu(self, bank, msg) -> None:
+        self.publish(
+            "getu", bank.tile, f"sid {msg.stream_id} elem {msg.element}",
+            addr=self._line(msg.addr), requester=msg.requester,
+            sid=msg.stream_id, element=msg.element, category=msg.source,
+        )
+
+    def _on_dram(self, ctrl, msg, done: int) -> None:
+        self.publish(
+            "dram", ctrl.tile, f"{msg.op} {msg.addr:#x}",
+            addr=self._line(msg.addr), op=msg.op, done=done,
+        )
+
+    def _on_se_floated(self, se, stream) -> None:
+        self.publish(
+            "float", se.tile, f"sid {stream.sid} @elem {stream.float_start}",
+            sid=stream.sid, elem=stream.float_start,
+        )
+
+    def _on_se_sunk(self, se, stream) -> None:
+        self.publish("sink", se.tile, f"sid {stream.sid}", sid=stream.sid)
+
+    def _on_se_l2_datau(self, se, sid, element, src: int) -> None:
+        if element is None:
+            return  # elem spans key on the element index
+        self.publish("datau", se.tile, f"sid {sid} elem {element}",
+                     sid=sid, element=element, src=src)
+
+    def _on_se_l3_migrate(self, se3, stream, to_bank: int) -> None:
+        self.publish(
+            "migrate", se3.tile,
+            f"{stream.key} elem {stream.next_idx} -> bank {to_bank}",
+            requester=stream.requester, sid=stream.spec.sid,
+            elem=stream.next_idx, to_bank=to_bank, epoch=stream.epoch,
+            credits=stream.credits,
+        )
+
+    def _on_se_l3_confluence(self, se3, stream) -> None:
+        size = len(stream.group.members)
+        self.publish(
+            "confluence", se3.tile,
+            f"{stream.key} joined group of {size}",
+            requester=stream.requester, sid=stream.spec.sid, size=size,
+        )
+
+    def _on_se_l3_credit(self, se3, body) -> None:
+        self.publish(
+            "credit", se3.tile,
+            f"({body.requester},{body.sid}) +{body.count}",
+            requester=body.requester, sid=body.sid, count=body.count,
+        )
+
+    def _on_se_l3_end(self, se3, body) -> None:
+        self.publish(
+            "end", se3.tile, f"({body.requester},{body.sid})",
+            requester=body.requester, sid=body.sid,
+        )
 
     # ------------------------------------------------------------------
-    # component hooks (sanitizer-style constructor registration)
+    # decision probes (provenance pillar)
     # ------------------------------------------------------------------
-    def _claim(self, obj: Any) -> bool:
-        """True exactly once per object — guards double wrapping when a
-        component registered at construction is later adopt()-ed."""
-        if getattr(obj, self._WATCH_FLAG, None) is self:
-            return False
-        setattr(obj, self._WATCH_FLAG, self)
-        return True
-
-    @staticmethod
-    def _line(addr: int) -> int:
-        from repro.mem.addr import line_addr
-
-        return line_addr(addr)
-
-    def watch_network(self, net) -> None:
-        """Publish a ``noc`` event per delivery scheduling: carries the
-        injection cycle (now) and the arrival cycle, which is exactly
-        the pair a Chrome-trace flow arrow needs."""
-        if not self._claim(net):
-            return
-        tel = self
-        inner = net._deliver_at
-
-        def deliver_at(when: int, packet) -> None:
-            tel.publish(
-                "noc", tile=packet.src,
-                detail=f"{packet.kind} -> {packet.dst}:{packet.dst_port}",
-                dst=packet.dst, port=packet.dst_port, cls=packet.kind,
-                pid=packet.pid, arrive=when,
-            )
-            inner(when, packet)
-
-        deliver_at.__qualname__ = getattr(inner, "__qualname__", "Network._deliver_at")
-        net._deliver_at = deliver_at
-        if self.profiler is not None:
-            # Per-endpoint host-time attribution: the lane cache and
-            # the batched _drain_cycle dispatch make the step hook see
-            # a shared wrapper, so wrap each registration with a timer
-            # that credits the real handler's __qualname__. The step
-            # hook's dispatch sample subtracts this nested time
-            # (KernelProfiler.record_inner) to avoid double counting.
-            from time import perf_counter
-
-            profiler = self.profiler
-            inner_register = net.register
-
-            def register(tile: int, port: str, handler) -> None:
-                name = getattr(handler, "__qualname__", repr(handler))
-
-                def timed(pkt) -> None:
-                    t0 = perf_counter()
-                    handler(pkt)
-                    profiler.record_inner(name, perf_counter() - t0)
-
-                timed.__qualname__ = name
-                inner_register(tile, port, timed)
-
-            register.__qualname__ = getattr(
-                inner_register, "__qualname__", "Network.register"
-            )
-            net.register = register
-        if self.provenance is None:
-            return
-        # Per-link flit accounting for the differential observatory's
-        # NoC heatmap: recompute each packet's route (the mesh routing
-        # is deterministic) and charge its flits to every hop.
-        ledger = self.provenance
-        inner_send = net.send
-
-        def send(packet, extra_delay: int = 0):
-            route = net._route_cache.get((packet.src, packet.dst))
-            if route is None:
-                route = net.mesh.route(packet.src, packet.dst)
-            ledger.record_links(route, packet.flits(net.link_bits))
-            return inner_send(packet, extra_delay)
-
-        send.__qualname__ = getattr(inner_send, "__qualname__", "Network.send")
-        net.send = send
-        inner_multicast = net.multicast
-
-        def multicast(src, dsts, kind, payload_bits, dst_port, body=None):
-            from repro.noc.topology import Mesh
-            from repro.noc.message import Packet
-
-            uniq = list(dict.fromkeys(dsts))
-            if uniq:
-                template = Packet(
-                    src=src, dst=uniq[0], kind=kind,
-                    payload_bits=payload_bits, dst_port=dst_port,
-                )
-                links = Mesh.unique_links(net.mesh.multicast_tree(src, uniq))
-                ledger.record_links(sorted(links),
-                                    template.flits(net.link_bits))
-            return inner_multicast(src, dsts, kind, payload_bits,
-                                   dst_port, body)
-
-        multicast.__qualname__ = getattr(
-            inner_multicast, "__qualname__", "Network.multicast"
-        )
-        net.multicast = multicast
-
-    def watch_core(self, core) -> None:
-        """Install the cycle accountant's commit-front hooks. A no-op
-        unless the attribution pillar is on — every other pillar keeps
-        the core entirely unhooked."""
-        if self.attribution is None:
-            return
-        if not self._claim(core):
-            return
-        self.attribution.watch_core(core)
-
-    def watch_l1(self, l1) -> None:
-        if not self._claim(l1):
-            return
-        tel = self
-        inner_miss = l1._miss
-
-        def miss(req) -> None:
-            base = tel._line(req.addr)
-            fresh = l1.mshr.lookup(base) is None
-            inner_miss(req)
-            tel.publish(
-                "l1_miss", tile=l1.tile, detail=f"{base:#x}",
-                addr=base, write=req.is_write, prefetch=req.prefetch,
-                fresh=fresh, sid=req.stream_id, floating=req.floating,
-            )
-
-        miss.__qualname__ = getattr(inner_miss, "__qualname__", "L1Cache._miss")
-        l1._miss = miss
-        inner_fill = l1._fill
-
-        def fill(base: int, result) -> None:
-            inner_fill(base, result)
-            tel.publish(
-                "l1_fill", tile=l1.tile, detail=f"{base:#x}", addr=base,
-                reason=l1.last_fill_reason,
-            )
-
-        fill.__qualname__ = getattr(inner_fill, "__qualname__", "L1Cache._fill")
-        l1._fill = fill
-
-    def watch_l2(self, l2) -> None:
-        if not self._claim(l2):
-            return
-        tel = self
-        inner_miss = l2._miss
-
-        def miss(req, line) -> None:
-            base = tel._line(req.addr)
-            fresh = l2.mshr.lookup(base) is None
-            inner_miss(req, line)
-            tel.publish(
-                "l2_miss", tile=l2.tile, detail=f"{base:#x}",
-                addr=base, write=req.is_write, prefetch=req.prefetch,
-                fresh=fresh, via=l2.last_miss_kind,
-            )
-
-        miss.__qualname__ = getattr(inner_miss, "__qualname__", "L2Cache._miss")
-        l2._miss = miss
-        inner_data = l2._data
-
-        def data(pkt, msg) -> None:
-            inner_data(pkt, msg)
-            base = tel._line(msg.addr)
-            tel.publish(
-                "l2_data", tile=l2.tile, detail=f"{base:#x}",
-                addr=base, src=pkt.src,
-            )
-
-        data.__qualname__ = getattr(inner_data, "__qualname__", "L2Cache._data")
-        l2._data = data
-
-    def watch_l3(self, bank) -> None:
-        if not self._claim(bank):
-            return
-        tel = self
-        inner_demand = bank._demand
-
-        def demand(src: int, msg) -> None:
-            inner_demand(src, msg)
-            tel.publish(
-                "l3_demand", tile=bank.tile,
-                detail=f"{msg.op} {tel._line(msg.addr):#x} "
-                       f"{bank.last_outcome}",
-                addr=tel._line(msg.addr), op=msg.op,
-                requester=msg.requester, lat=bank.latency,
-                outcome=bank.last_outcome,
-            )
-
-        demand.__qualname__ = getattr(inner_demand, "__qualname__", "L3Bank._demand")
-        bank._demand = demand
-        inner_read = bank.stream_read
-
-        def stream_read(addr: int, requester: int, **kwargs) -> None:
-            tel.publish(
-                "getu", tile=bank.tile,
-                detail=f"sid {kwargs.get('stream_id')} "
-                       f"elem {kwargs.get('element')}",
-                addr=tel._line(addr), requester=requester,
-                sid=kwargs.get("stream_id"), element=kwargs.get("element"),
-                category=kwargs.get("category", "float_affine"),
-            )
-            inner_read(addr, requester, **kwargs)
-
-        stream_read.__qualname__ = getattr(
-            inner_read, "__qualname__", "L3Bank.stream_read"
-        )
-        bank.stream_read = stream_read
-
-    @staticmethod
-    def _wrap_port(net, tile: int, port: str, make) -> None:
-        """Wrap the handler the network holds for ``(tile, port)``.
-
-        ``handle`` methods reached *through the network* must be
-        wrapped in the registration table — the network dispatches the
-        callable it stored, so patching the instance attribute after
-        ``net.register`` ran would never fire. Wrapping the stored
-        entry also composes with the sanitizer's own handler wrapper.
-        """
-        key = (tile, port)
-        inner = net._handlers.get(key)
-        if inner is None:
-            return
-        wrapped = make(inner)
-        wrapped.__qualname__ = getattr(
-            inner, "__qualname__", f"handler[{tile},{port}]"
-        )
-        net._handlers[key] = wrapped
-
-    def watch_dram(self, ctrl) -> None:
-        if not self._claim(ctrl):
-            return
-        tel = self
-
-        def make(inner):
-            def handle(pkt) -> None:
-                body = pkt.body
-                inner(pkt)
-                tel.publish(
-                    "dram", tile=ctrl.tile,
-                    detail=f"{body.op} {body.addr:#x}",
-                    addr=tel._line(body.addr), op=body.op,
-                    done=ctrl.last_done,
-                )
-            return handle
-
-        self._wrap_port(ctrl.net, ctrl.tile, "dram", make)
-
     @staticmethod
     def _policy_snapshot(se, stream) -> Dict[str, Any]:
         """The float/sink policy's complete input state for one stream
@@ -523,260 +419,75 @@ class Telemetry:
             snap["home_bank"] = se.se_l2.nuca.bank_of(pattern.address(idx))
         return snap
 
-    def watch_se_core(self, se) -> None:
-        if not self._claim(se):
-            return
-        tel = self
-        ledger = self.provenance is not None
-        inner_float = se._float
-
-        def float_(stream, reason="history", plan=None) -> None:
-            was = stream.floating
-            if ledger and not was:
-                inputs = tel._policy_snapshot(se, stream)
-                if plan is not None:
-                    inputs["plan"] = plan.describe()
-                tel.publish(
-                    "decision", tile=se.tile,
-                    detail=f"float sid {stream.sid} ({reason})",
-                    verdict="float", sid=stream.sid, reason=reason,
-                    inputs=inputs,
-                )
-            inner_float(stream, reason, plan)
-            if not was and stream.floating:
-                tel.publish(
-                    "float", tile=se.tile,
-                    detail=f"sid {stream.sid} @elem {stream.float_start}",
-                    sid=stream.sid, elem=stream.float_start,
-                )
-
-        float_.__qualname__ = getattr(inner_float, "__qualname__", "SECore._float")
-        se._float = float_
-        inner_sink = se._sink
-
-        def sink(stream, reason="policy") -> None:
-            was = stream.floating
-            if ledger and was and stream.parent is None:
-                # A smart-policy revocation is its own verdict: the
-                # policy actively undid a float it now judges bad
-                # (the reason names the trigger).
-                verdict = "revoke" if reason.startswith("revoke") else "sink"
-                tel.publish(
-                    "decision", tile=se.tile,
-                    detail=f"{verdict} sid {stream.sid} ({reason})",
-                    verdict=verdict, sid=stream.sid, reason=reason,
-                    inputs=tel._policy_snapshot(se, stream),
-                )
-            inner_sink(stream, reason)
-            if was and not stream.floating:
-                tel.publish(
-                    "sink", tile=se.tile, detail=f"sid {stream.sid}",
-                    sid=stream.sid,
-                )
-
-        sink.__qualname__ = getattr(inner_sink, "__qualname__", "SECore._sink")
-        se._sink = sink
-        if not ledger:
-            return
-        # Terminal no-float verdicts: a load stream that retires without
-        # ever floating records why the policy never fired (its final
-        # history snapshot is ROADMAP item 3's training signal).
-        inner_end = se.end
-
-        def end(sids) -> None:
-            for sid in sids:
-                stream = se.streams.get(sid)
-                if (
-                    stream is not None and not stream.floating
-                    and stream.spec.kind == "load" and stream.parent is None
-                ):
-                    tel.publish(
-                        "decision", tile=se.tile,
-                        detail=f"no_float sid {sid} (end)",
-                        verdict="no_float", sid=sid, reason="never_qualified",
-                        inputs=tel._policy_snapshot(se, stream),
-                    )
-            inner_end(sids)
-
-        end.__qualname__ = getattr(inner_end, "__qualname__", "SECore.end")
-        se.end = end
-
-    def watch_se_l2(self, se) -> None:
-        if not self._claim(se):
-            return
-        tel = self
-
-        def make(inner):
-            def handle(pkt) -> None:
-                body = pkt.body
-                inner(pkt)
-                # DataU arrivals only (EndAck/StreamInv have no element).
-                element = getattr(body, "element", None)
-                if element is None:
-                    return
-                sid = body.stream_id
-                if isinstance(body.se_info, list):
-                    for tile, member_sid in body.se_info:
-                        if tile == se.tile:
-                            sid = member_sid
-                            break
-                tel.publish(
-                    "datau", tile=se.tile,
-                    detail=f"sid {sid} elem {element}",
-                    sid=sid, element=element, src=pkt.src,
-                )
-            return handle
-
-        self._wrap_port(se.net, se.tile, "se_l2", make)
-        if self.provenance is None:
-            return
-        inner_follow = se._try_follow
-
-        def try_follow(spec) -> bool:
-            followed = inner_follow(spec)
-            if followed:
-                leader, _role = se._sid_index[spec.sid]
-                tel.publish(
-                    "decision", tile=se.tile,
-                    detail=f"follow sid {spec.sid} -> leader "
-                           f"{leader.sid}",
-                    verdict="follow", sid=spec.sid, reason="constant_offset",
-                    inputs={
-                        "leader_sid": leader.sid,
-                        "delta": leader.followers[spec.sid].delta,
-                        "pattern": type(spec.pattern).__name__,
-                        "length": spec.length,
-                        "epoch": leader.epoch,
-                    },
-                )
-            return followed
-
-        try_follow.__qualname__ = getattr(
-            inner_follow, "__qualname__", "SEL2._try_follow"
+    def _on_se_float_decision(self, se, stream, reason: str, plan) -> None:
+        inputs = self._policy_snapshot(se, stream)
+        if plan is not None:
+            inputs["plan"] = plan.describe()
+        self.publish(
+            "decision", se.tile, f"float sid {stream.sid} ({reason})",
+            verdict="float", sid=stream.sid, reason=reason, inputs=inputs,
         )
-        se._try_follow = try_follow
 
-    def watch_se_l3(self, se3) -> None:
-        if not self._claim(se3):
-            return
-        tel = self
-        inner_migrate = se3._migrate
+    def _on_se_sink_decision(self, se, stream, reason: str) -> None:
+        # A smart-policy revocation is its own verdict: the policy
+        # actively undid a float it now judges bad (the reason names
+        # the trigger).
+        verdict = "revoke" if reason.startswith("revoke") else "sink"
+        self.publish(
+            "decision", se.tile, f"{verdict} sid {stream.sid} ({reason})",
+            verdict=verdict, sid=stream.sid, reason=reason,
+            inputs=self._policy_snapshot(se, stream),
+        )
 
-        def migrate(stream, addr) -> None:
-            to_bank = se3.nuca.bank_of(addr)
-            tel.publish(
-                "migrate", tile=se3.tile,
-                detail=f"{stream.key} elem {stream.next_idx} -> bank {to_bank}",
-                requester=stream.requester, sid=stream.spec.sid,
-                elem=stream.next_idx, to_bank=to_bank, epoch=stream.epoch,
-                credits=stream.credits,
-            )
-            inner_migrate(stream, addr)
-
-        migrate.__qualname__ = getattr(inner_migrate, "__qualname__", "SEL3._migrate")
-        se3._migrate = migrate
-        inner_merge = se3._try_merge
-
-        def try_merge(stream) -> None:
-            inner_merge(stream)
-            if stream.group is not None:
-                tel.publish(
-                    "confluence", tile=se3.tile,
-                    detail=f"{stream.key} joined group of "
-                           f"{len(stream.group.members)}",
-                    requester=stream.requester, sid=stream.spec.sid,
-                    size=len(stream.group.members),
+    def _on_se_end(self, se, sids) -> None:
+        # Terminal no-float verdicts: a load stream that retires without
+        # ever floating records why the policy never fired.
+        for sid in sids:
+            stream = se.streams.get(sid)
+            if (
+                stream is not None and not stream.floating
+                and stream.spec.kind == "load" and stream.parent is None
+            ):
+                self.publish(
+                    "decision", se.tile, f"no_float sid {sid} (end)",
+                    verdict="no_float", sid=sid, reason="never_qualified",
+                    inputs=self._policy_snapshot(se, stream),
                 )
 
-        try_merge.__qualname__ = getattr(inner_merge, "__qualname__", "SEL3._try_merge")
-        se3._try_merge = try_merge
-        inner_credit = se3._credit
-
-        def credit(body) -> None:
-            tel.publish(
-                "credit", tile=se3.tile,
-                detail=f"({body.requester},{body.sid}) +{body.count}",
-                requester=body.requester, sid=body.sid, count=body.count,
-            )
-            inner_credit(body)
-
-        credit.__qualname__ = getattr(inner_credit, "__qualname__", "SEL3._credit")
-        se3._credit = credit
-        inner_end = se3._end
-
-        def end(body) -> None:
-            tel.publish(
-                "end", tile=se3.tile,
-                detail=f"({body.requester},{body.sid})",
-                requester=body.requester, sid=body.sid,
-            )
-            inner_end(body)
-
-        end.__qualname__ = getattr(inner_end, "__qualname__", "SEL3._end")
-        se3._end = end
-        if self.provenance is None:
-            return
-        inner_configure = se3._configure
-
-        def configure(spec, children, requester, start_idx, credits,
-                      epoch=0, migrated=False, plan=None):
-            verdict = inner_configure(spec, children, requester, start_idx,
-                                      credits, epoch, migrated, plan)
-            inputs = {
-                "start_idx": start_idx, "credits": credits,
-                "epoch": epoch, "migrated": migrated,
+    def _on_se_l2_follow(self, se, spec, leader) -> None:
+        self.publish(
+            "decision", se.tile,
+            f"follow sid {spec.sid} -> leader {leader.sid}",
+            verdict="follow", sid=spec.sid, reason="constant_offset",
+            inputs={
+                "leader_sid": leader.sid,
+                "delta": leader.followers[spec.sid].delta,
                 "pattern": type(spec.pattern).__name__,
                 "length": spec.length,
-                "resident_streams": len(se3.streams),
-            }
-            if plan is not None:
-                inputs["plan"] = plan.describe()
-            tel.publish(
-                "decision", tile=se3.tile,
-                detail=f"config_{verdict} ({requester},{spec.sid})",
-                verdict=f"config_{verdict}", sid=spec.sid,
-                requester=requester,
-                reason="migrate" if migrated else "float_config",
-                inputs=inputs,
-            )
-            return verdict
-
-        configure.__qualname__ = getattr(
-            inner_configure, "__qualname__", "SEL3._configure"
+                "epoch": leader.epoch,
+            },
         )
-        se3._configure = configure
 
-    def watch_chip(self, chip) -> None:
-        """Bind chip-level context (stats tree, mesh geometry) — what
-        the interval sampler needs to derive IPC / utilization."""
-        if self.sampler is not None:
-            self.sampler.bind(
-                chip.stats,
-                links=chip.mesh.num_links,
-                cores=chip.mesh.num_tiles,
-            )
-
-    # ------------------------------------------------------------------
-    # post-hoc adoption (Tracer, tests, bare rigs)
-    # ------------------------------------------------------------------
-    def adopt(self, chip) -> None:
-        """Install every hook on an already-built chip. Idempotent:
-        components that registered at construction are skipped."""
-        self.watch_network(chip.net)
-        for ctrl in chip.dram.controllers:
-            self.watch_dram(ctrl)
-        for tile in chip.tiles:
-            self.watch_core(tile.core)
-            self.watch_l1(tile.l1)
-            self.watch_l2(tile.l2)
-            self.watch_l3(tile.l3)
-            if tile.se_core is not None:
-                self.watch_se_core(tile.se_core)
-            if tile.se_l2 is not None:
-                self.watch_se_l2(tile.se_l2)
-            if tile.se_l3 is not None:
-                self.watch_se_l3(tile.se_l3)
-        self.watch_chip(chip)
+    def _on_se_l3_configure(self, se3, body, start_idx: int,
+                            migrated: bool, verdict: str) -> None:
+        spec = body.spec
+        inputs = {
+            "start_idx": start_idx, "credits": body.credits,
+            "epoch": body.epoch, "migrated": migrated,
+            "pattern": type(spec.pattern).__name__,
+            "length": spec.length,
+            "resident_streams": len(se3.streams),
+        }
+        if body.plan is not None:
+            inputs["plan"] = body.plan.describe()
+        self.publish(
+            "decision", se3.tile,
+            f"config_{verdict} ({body.requester},{spec.sid})",
+            verdict=f"config_{verdict}", sid=spec.sid,
+            requester=body.requester,
+            reason="migrate" if migrated else "float_config",
+            inputs=inputs,
+        )
 
     # ------------------------------------------------------------------
     # run completion

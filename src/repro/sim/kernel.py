@@ -38,6 +38,7 @@ from collections import deque
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs import telemetry as _telemetry
+from repro.obs.probes import Probes
 from repro.sim import fastpath as _fastpath
 from repro.sim import sanitizer as _sanitizer
 
@@ -86,26 +87,22 @@ class Simulator:
         # nested fusion would run ahead of them (DESIGN.md §12).
         self._inline_depth: int = 0
         self._init_queue()
-        # None unless REPRO_SANITIZE enables invariant checking; when
-        # attached, components register themselves at construction.
+        # The probe seam (repro.obs.probes): components bind it at
+        # construction and every observer attaches through it.
+        self.probes = Probes()
+        # None unless REPRO_SANITIZE enables invariant checking.
         self.sanitizer = _sanitizer.maybe_attach(self)
         # Same contract for the telemetry layer (REPRO_TELEMETRY).
-        # The sanitizer attaches first so its step hook sits closest
-        # to the kernel and hashes the same event stream either way.
         self.telemetry = _telemetry.maybe_attach(self)
         # Handler fast paths (REPRO_FASTPATH, default on) fuse
         # uncontended event chains into synchronous calls that credit
         # count_inlined_events(). Fusion changes the *event stream*
         # (hence the S5 trace hash) but never cycles or architectural
-        # stats (DESIGN.md §12). Telemetry vetoes fusion: its wrappers
-        # publish after their inner handler returns, so a fused callback
-        # chain would invert observer ordering (e.g. a span closing
-        # before the hop that produced it). The sanitizer does not —
-        # tier-1 runs exercise the fused paths, and the S5 hash change
-        # is regenerated deliberately. Message pooling additionally
-        # requires no sanitizer, since observers may retain references
-        # past a message's handler.
-        self.fastpath = _fastpath.enabled() and self.telemetry is None
+        # stats (DESIGN.md §12), and every probe fires before a fused
+        # tail call, so observers see the same sequence either way.
+        # Message pooling additionally requires no sanitizer, since
+        # its checkers keep packet references past a delivery.
+        self.fastpath = _fastpath.enabled()
         self.pooling = self.fastpath and self.sanitizer is None
 
     # -- backend hooks -------------------------------------------------
@@ -222,31 +219,11 @@ class Simulator:
         queue drains first); ``max_events`` bounds the number of events
         run, which guards against accidental livelock in tests. Returns
         the current cycle when the run stops.
+
+        The ``dispatch``/``dispatched`` probes fire around every event
+        the loop runs (the S5 hash, the profiler and the interval
+        sampler subscribe); a bare :meth:`step` fires neither.
         """
-        if "step" in self.__dict__:
-            # A step hook (sanitizer / telemetry profiler) is
-            # installed: dispatch through it, one event at a time.
-            return self._run_hooked(until, max_events)
-        return self._run_fast(until, max_events)
-
-    def _run_hooked(self, until: Optional[int], max_events: Optional[int]) -> int:
-        executed = 0
-        step = self.step
-        while True:
-            nxt = self.peek_time()
-            if nxt is None:
-                break
-            if until is not None and nxt > until:
-                break
-            if max_events is not None and executed >= max_events:
-                return self.now
-            step()
-            executed += 1
-        if until is not None and self.now < until:
-            self._advance_to(until)
-        return self.now
-
-    def _run_fast(self, until: Optional[int], max_events: Optional[int]) -> int:
         raise NotImplementedError
 
 
@@ -288,9 +265,12 @@ class HeapSimulator(Simulator):
         fn(*args)
         return True
 
-    def _run_fast(self, until: Optional[int], max_events: Optional[int]) -> int:
+    def run(self, until: Optional[int] = None,
+            max_events: Optional[int] = None) -> int:
         queue = self._queue
         pop = heapq.heappop
+        before = self.probes.dispatch
+        after = self.probes.dispatched
         executed = 0
         while queue:
             if until is not None and queue[0][0] > until:
@@ -300,7 +280,11 @@ class HeapSimulator(Simulator):
             when, _seq, fn, args = pop(queue)
             self.now = when
             self._events_executed += 1
+            if before is not None:
+                before(when, fn)
             fn(*args)
+            if after is not None:
+                after(when, fn)
             executed += 1
         if until is not None and self.now < until:
             self.now = until
@@ -442,10 +426,13 @@ class CalendarSimulator(Simulator):
         fn(*args)
         return True
 
-    def _run_fast(self, until: Optional[int], max_events: Optional[int]) -> int:
+    def run(self, until: Optional[int] = None,
+            max_events: Optional[int] = None) -> int:
         buckets = self._buckets
         mask = self._mask
         budget = max_events if max_events is not None else None
+        before = self.probes.dispatch
+        after = self.probes.dispatched
         while True:
             bucket = buckets[self.now & mask]
             if not bucket:
@@ -474,7 +461,11 @@ class CalendarSimulator(Simulator):
                     while bucket:
                         fn, args = popleft()
                         consumed += 1
+                        if before is not None:
+                            before(self.now, fn)
                         fn(*args)
+                        if after is not None:
+                            after(self.now, fn)
                 finally:
                     self._ring_count -= consumed
                     self._events_executed += consumed
@@ -483,7 +474,11 @@ class CalendarSimulator(Simulator):
                 while bucket:
                     fn, args = popleft()
                     consumed += 1
+                    if before is not None:
+                        before(self.now, fn)
                     fn(*args)
+                    if after is not None:
+                        after(self.now, fn)
                     budget -= 1
                     if budget <= 0:
                         break

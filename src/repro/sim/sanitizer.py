@@ -1,12 +1,12 @@
 """Runtime invariant sanitizer for the simulated chip.
 
-A pluggable checking layer that components register with the shared
+A pluggable checking layer on the shared
 :class:`~repro.sim.kernel.Simulator`.  When enabled (``--sanitize``
 harness flag, the ``REPRO_SANITIZE`` environment variable, or the
-tier-1 pytest autouse fixture) it wraps a handful of component entry
-points and validates protocol invariants *while the simulation runs*,
-so bugs surface at the cycle they happen instead of as corrupted
-stats thousands of events later.
+tier-1 pytest autouse fixture) it subscribes to the model's probes
+and validates protocol invariants *while the simulation runs*, so
+bugs surface at the cycle they happen instead of as corrupted stats
+thousands of events later.
 
 Checkers (DESIGN.md §7):
 
@@ -32,9 +32,8 @@ Checkers (DESIGN.md §7):
   the harness can compare runs across ``--jobs`` values.
 
 Violations raise :class:`SanitizerError` carrying the cycle, tile and
-offending object.  When disabled the hooks cost nothing: components
-check ``sim.sanitizer`` once at construction and register only if it
-exists — no per-event guards anywhere.
+offending object.  When disabled nothing subscribes, so every probe
+(:mod:`repro.obs.probes`) costs one attribute test and no call.
 """
 
 from __future__ import annotations
@@ -51,6 +50,37 @@ _OFF_VALUES = ("", "0", "off", "false", "no")
 def enabled_by_env() -> bool:
     """Is ``REPRO_SANITIZE`` set to a truthy value?"""
     return os.environ.get(ENV_SANITIZE, "").strip().lower() not in _OFF_VALUES
+
+
+# S5 names that differ from the dispatched callable's __qualname__.
+# The pinned S5 baselines (BENCH_kernel.json) were recorded while the
+# sanitizer interposed on L3 transaction steps with a wrapper of its
+# own; hashing the bound method under that wrapper's name keeps every
+# pinned hash valid.
+S5_ALIASES = {"L3Bank._process": "Sanitizer.watch_l3.<locals>.process"}
+
+
+class S5Trace:
+    """Rolling CRC32 over the (cycle, handler-name) dispatch stream.
+
+    The one S5 hash: the sanitizer's ``trace_hash`` stat and the
+    divergence recorder (:mod:`repro.obs.divergence`) both feed it from
+    the kernel's ``dispatch`` probe.
+    """
+
+    __slots__ = ("crc", "events")
+
+    def __init__(self) -> None:
+        self.crc = 0
+        self.events = 0
+
+    def update(self, when: int, fn: Any) -> str:
+        """Hash one dispatch; returns the name it was hashed under."""
+        name = getattr(fn, "__qualname__", None) or type(fn).__name__
+        name = S5_ALIASES.get(name, name)
+        self.crc = zlib.crc32(b"%d|%s" % (when, name.encode()), self.crc)
+        self.events += 1
+        return name
 
 
 def maybe_attach(sim) -> Optional["Sanitizer"]:
@@ -91,14 +121,10 @@ class SanitizerError(AssertionError):
 class Sanitizer:
     """Invariant checkers hanging off one :class:`Simulator`.
 
-    Components self-register in their constructors::
-
-        san = getattr(sim, "sanitizer", None)
-        if san is not None:
-            san.watch_l2(self)
-
-    so both full :class:`~repro.system.chip.Chip` assemblies and the
-    bare component rigs in the unit tests get coverage.
+    Attached at simulator construction, before any component exists:
+    it registers each component from the ``built`` probe, so both full
+    :class:`~repro.system.chip.Chip` assemblies and the bare component
+    rigs in the unit tests get coverage.
     """
 
     # Watchdog bounds (cycles). Generous: the deepest legitimate wait
@@ -115,11 +141,8 @@ class Sanitizer:
         self.sim = sim
         sim.sanitizer = self
         self.violations = 0
-        # S5 rolling trace hash.
-        self._crc = 0
-        self._hashed = 0
+        self._s5 = S5Trace()
         # Component registries.
-        self._net = None
         self._l1s: Dict[int, Any] = {}
         self._l2s: Dict[int, Any] = {}
         self._banks: Dict[int, Any] = {}
@@ -138,7 +161,30 @@ class Sanitizer:
         self._terms: Dict[Tuple[int, int, int], int] = {}
         self._granted: Dict[Tuple[int, int], int] = {}
         self._consumed: Dict[Tuple[int, int], int] = {}
-        self._install_step_hook()
+        probes = sim.probes
+        probes.subscribe("dispatch", self._on_dispatch)
+        probes.subscribe("built", self._on_built)
+        probes.subscribe("noc_send", self._on_send)
+        probes.subscribe("noc_deliver", self._note_delivery)
+        probes.subscribe("noc_delivered", self._after_delivery)
+        probes.subscribe("l1_writeback", self._check_writeback)
+        probes.subscribe("l3_processed", self._after_l3_step)
+        probes.subscribe("se_l2_config_sent", self._on_config_sent)
+        probes.subscribe("se_l2_credit", self._on_credit)
+        probes.subscribe("se_l3_issue", self._on_issue)
+        probes.subscribe("se_l3_configure", self._on_configure)
+        probes.subscribe("se_l3_retire", self._on_retire)
+        probes.subscribe("se_l3_data_ready", self._check_confluence)
+
+    def _on_built(self, role: str, comp) -> None:
+        registry = {
+            "l1": self._l1s, "l2": self._l2s, "l3": self._banks,
+            "se_l2": self._se_l2s, "se_l3": self._se_l3s,
+        }.get(role)
+        if registry is not None:
+            registry[comp.tile] = comp
+        if role in ("l1", "l2", "l3"):
+            self._mshrs.append((role, comp.tile, comp.mshr))
 
     # ------------------------------------------------------------------
     # failure reporting
@@ -155,28 +201,16 @@ class Sanitizer:
     @property
     def trace_hash(self) -> int:
         """CRC32 over the (cycle, event-name) trace so far."""
-        return self._crc
+        return self._s5.crc
 
     @property
     def trace_events(self) -> int:
-        return self._hashed
+        return self._s5.events
 
-    def _install_step_hook(self) -> None:
-        sim = self.sim
-        inner_step = sim.step
-
-        def step() -> bool:
-            nxt = sim.peek_event()
-            if nxt is not None:
-                when, fn = nxt
-                name = getattr(fn, "__qualname__", None) or type(fn).__name__
-                self._crc = zlib.crc32(b"%d|%s" % (when, name.encode()), self._crc)
-                self._hashed += 1
-                if self._hashed % self.SCAN_PERIOD == 0:
-                    self._periodic_scan()
-            return inner_step()
-
-        sim.step = step
+    def _on_dispatch(self, when: int, fn) -> None:
+        self._s5.update(when, fn)
+        if self._s5.events % self.SCAN_PERIOD == 0:
+            self._periodic_scan()
 
     def _periodic_scan(self) -> None:
         now = self.sim.now
@@ -201,51 +235,23 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # S3: NoC conservation (+ the S1 Inv excuse bookkeeping)
     # ------------------------------------------------------------------
-    def watch_network(self, net) -> None:
-        """Wrap packet injection and handler registration.
+    def _on_send(self, packet, when: int) -> None:
+        self._in_flight[packet.pid] = (packet, self.sim.now)
+        self._injected += 1
+        body = packet.body
+        if getattr(body, "op", None) == "Inv":
+            key = (self._line(body.addr), packet.dst)
+            self._invs[key] = self._invs.get(key, 0) + 1
 
-        Must run before any component registers a handler — the
-        Network registers the sanitizer in its own constructor, and
-        every other component is built after the network.
-        """
-        self._net = net
-        san = self
-        inner_deliver = net._deliver_at
-
-        def deliver_at(when: int, packet) -> None:
-            san._in_flight[packet.pid] = (packet, san.sim.now)
-            san._injected += 1
-            body = packet.body
-            if getattr(body, "op", None) == "Inv":
-                key = (san._line(body.addr), packet.dst)
-                san._invs[key] = san._invs.get(key, 0) + 1
-            inner_deliver(when, packet)
-
-        net._deliver_at = deliver_at
-        inner_register = net.register
-
-        def register(tile: int, port: str, handler) -> None:
-            def checked(pkt) -> None:
-                san._note_delivery(pkt, tile, port)
-                handler(pkt)
-                san._after_delivery(pkt, port)
-
-            checked.__qualname__ = getattr(
-                handler, "__qualname__", f"handler[{tile},{port}]"
-            )
-            inner_register(tile, port, checked)
-
-        net.register = register
-
-    def _note_delivery(self, pkt, tile: int, port: str) -> None:
+    def _note_delivery(self, handler, pkt) -> None:
         if self._in_flight.pop(pkt.pid, None) is None:
             self._fail(
                 "S3", "packet delivered but never tracked as injected",
-                tile=tile, obj=pkt,
+                tile=pkt.dst, obj=pkt,
             )
         self._delivered += 1
 
-    def _after_delivery(self, pkt, port: str) -> None:
+    def _after_delivery(self, handler, pkt) -> None:
         body = pkt.body
         addr = getattr(body, "addr", None)
         if getattr(body, "op", None) == "Inv":
@@ -255,7 +261,7 @@ class Sanitizer:
                 self._invs.pop(key, None)
             else:
                 self._invs[key] = n - 1
-        if port == "l2" and addr is not None:
+        if pkt.dst_port == "l2" and addr is not None:
             self._check_line(self._line(addr))
 
     # ------------------------------------------------------------------
@@ -271,42 +277,21 @@ class Sanitizer:
 
         return MODIFIED, EXCLUSIVE, SHARED
 
-    def watch_l1(self, l1) -> None:
-        self._l1s[l1.tile] = l1
-        self._mshrs.append(("l1", l1.tile, l1.mshr))
-        san = self
-        inner_wb = l1._writeback_to_l2
+    def _check_writeback(self, l1, addr: int) -> None:
+        """A dirty L1 victim may only fold into an L2 line it owns."""
+        M, E, _S = self._mesi()
+        line = l1.l2.array.lookup(addr, touch=False)
+        if line is not None and line.state not in (M, E):
+            self._fail(
+                "S1",
+                f"dirty L1 writeback folds into L2 line {addr:#x} "
+                f"without write permission (state {line.state!r})",
+                tile=l1.tile, obj=line,
+            )
 
-        def writeback(addr: int) -> None:
-            M, E, _S = san._mesi()
-            line = l1.l2.array.lookup(addr, touch=False)
-            if line is not None and line.state not in (M, E):
-                san._fail(
-                    "S1",
-                    f"dirty L1 writeback folds into L2 line {addr:#x} "
-                    f"without write permission (state {line.state!r})",
-                    tile=l1.tile, obj=line,
-                )
-            inner_wb(addr)
-
-        l1._writeback_to_l2 = writeback
-
-    def watch_l2(self, l2) -> None:
-        self._l2s[l2.tile] = l2
-        self._mshrs.append(("l2", l2.tile, l2.mshr))
-
-    def watch_l3(self, bank) -> None:
-        self._banks[bank.tile] = bank
-        self._mshrs.append(("l3", bank.tile, bank.mshr))
-        san = self
-        inner_process = bank._process
-
-        def process(src: int, msg) -> None:
-            inner_process(src, msg)
-            if msg.op not in ("GetU", "MemRead"):
-                san._check_line(san._line(msg.addr))
-
-        bank._process = process
+    def _after_l3_step(self, bank, msg) -> None:
+        if msg.op not in ("GetU", "MemRead"):
+            self._check_line(self._line(msg.addr))
 
     def _check_line(self, base: int) -> None:
         """Cross-tile snapshot invariants for one line."""
@@ -366,149 +351,67 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # S4: floated-stream lifetime and credit accounting
     # ------------------------------------------------------------------
-    def watch_se_l2(self, se) -> None:
-        self._se_l2s[se.tile] = se
-        san = self
-        inner_send = se._send_config
+    def _on_config_sent(self, se, stream) -> None:
+        # One ledger entry per incarnation (tile, sid, epoch) that
+        # reaches an SE_L3: each must be ended or dropped exactly once
+        # there. Pure-L2 plan floats never configure an SE_L3 and stay
+        # out of the ledger; a deferred config enters it at send time
+        # with every credit granted so far.
+        ikey = (se.tile, stream.sid, stream.epoch)
+        if ikey in self._floats:
+            self._fail(
+                "S4", f"stream incarnation {ikey} configured twice",
+                tile=se.tile, obj=ikey,
+            )
+        self._floats[ikey] = 1
+        key = (se.tile, stream.sid)
+        self._granted[key] = (
+            self._granted.get(key, 0) + stream.granted - stream.l3_start
+        )
 
-        def send_config(stream) -> None:
-            # One ledger entry per incarnation (tile, sid, epoch) that
-            # reaches an SE_L3: each must be ended or dropped exactly
-            # once there. Pure-L2 plan floats never configure an SE_L3
-            # and stay out of the ledger; a deferred config enters it
-            # at send time with every credit granted so far.
-            inner_send(stream)
-            ikey = (se.tile, stream.sid, stream.epoch)
-            if ikey in san._floats:
-                san._fail(
-                    "S4", f"stream incarnation {ikey} configured twice",
-                    tile=se.tile, obj=ikey,
-                )
-            san._floats[ikey] = 1
-            key = (se.tile, stream.sid)
-            san._granted[key] = (
-                san._granted.get(key, 0) + stream.granted - stream.l3_start
+    def _on_credit(self, se, stream, count: int) -> None:
+        key = (se.tile, stream.sid)
+        self._granted[key] = self._granted.get(key, 0) + count
+
+    def _on_issue(self, se, members, count: int) -> None:
+        for member in members:
+            self._consume(member.key, count, se.tile)
+
+    def _on_configure(self, se, body, start_idx: int, migrated: bool,
+                      verdict: str) -> None:
+        if verdict in ("stale", "rejected"):
+            # The incoming incarnation was not installed: it dies here.
+            self._terminate(
+                (body.requester, body.spec.sid, body.epoch), se.tile,
             )
 
-        se._send_config = send_config
-        inner_free = se._free
+    def _on_retire(self, se, stream) -> None:
+        self._terminate(
+            (stream.requester, stream.spec.sid, stream.epoch), se.tile,
+        )
 
-        def free(stream, count: int) -> None:
-            before_granted = stream.granted
-            sent_before = stream.config_sent
-            inner_free(stream, count)
-            delta = stream.granted - before_granted
-            if delta > 0 and sent_before:
-                # Grants before the config is sent ride the config
-                # itself (counted by the send wrapper above).
-                key = (se.tile, stream.sid)
-                san._granted[key] = san._granted.get(key, 0) + delta
-
-        se._free = free
-
-    def watch_se_l3(self, se) -> None:
-        self._se_l3s[se.tile] = se
-        san = self
-        inner_issue = se._issue_one
-
-        def issue_one(stream) -> bool:
-            members = (
-                list(stream.group.members) if stream.group is not None
-                else [stream]
+    def _check_confluence(self, se, participants) -> None:
+        if len(participants) > se.MAX_GROUP:
+            self._fail(
+                "S4",
+                f"confluence fan-out {len(participants)} exceeds the "
+                f"group cap {se.MAX_GROUP}",
+                tile=se.tile, obj=[m.key for m in participants],
             )
-            before = {m.key: m.credits for m in members}
-            out = inner_issue(stream)
-            for m in members:
-                spent = before[m.key] - m.credits
-                if spent > 0:
-                    san._consume(m.key, spent, se.tile)
-            fwd = se.forwarding.get(stream.key)
-            if stream.key not in se.streams and (
-                fwd is None or fwd[1] != stream.epoch
-            ):
-                # Silent completion. (A migration leaves a forwarding
-                # breadcrumb carrying this incarnation's epoch; an
-                # older breadcrumb for the same key doesn't count.)
-                san._terminate(
-                    (stream.requester, stream.spec.sid, stream.epoch),
-                    se.tile,
-                )
-            return out
-
-        se._issue_one = issue_one
-        for name in ("_end", "check_write", "flush_floating"):
-            self._wrap_terminal(se, name)
-        inner_configure = se._configure
-
-        def configure(spec, children, requester, start_idx, credits,
-                      epoch=0, migrated=False, plan=None):
-            key = (requester, spec.sid)
-            prev = se.streams.get(key)
-            out = inner_configure(spec, children, requester, start_idx,
-                                  credits, epoch, migrated, plan)
-            cur = se.streams.get(key)
-            if cur is prev:
-                # The incoming incarnation was not installed (admission
-                # rejection or stale Migrate): it dies here.
-                san._terminate((requester, spec.sid, epoch), se.tile)
-            elif prev is not None:
-                # A superseded resident incarnation was replaced.
-                san._terminate(
-                    (requester, spec.sid, prev.epoch), se.tile,
-                )
-            # Forward the verdict so observability wrappers stacked
-            # outside this one still see it.
-            return out
-
-        se._configure = configure
-        inner_ready = se._data_ready
-
-        def data_ready(participants, element, msg) -> None:
-            if len(participants) > se.MAX_GROUP:
-                san._fail(
+        tiles = [m.requester for m in participants]
+        if len(set(tiles)) != len(tiles):
+            self._fail(
+                "S4", "duplicate requester tile in confluence multicast",
+                tile=se.tile, obj=tiles,
+            )
+        if len(participants) > 1:
+            blocks = {se.mesh.block_of(t, se.BLOCK) for t in tiles}
+            if len(blocks) > 1:
+                self._fail(
                     "S4",
-                    f"confluence fan-out {len(participants)} exceeds the "
-                    f"group cap {se.MAX_GROUP}",
-                    tile=se.tile, obj=[m.key for m in participants],
-                )
-            tiles = [m.requester for m in participants]
-            if len(set(tiles)) != len(tiles):
-                san._fail(
-                    "S4", "duplicate requester tile in confluence multicast",
+                    f"confluence group spans tile blocks {sorted(blocks)}",
                     tile=se.tile, obj=tiles,
                 )
-            if len(participants) > 1:
-                blocks = {se.mesh.block_of(t, se.BLOCK) for t in tiles}
-                if len(blocks) > 1:
-                    san._fail(
-                        "S4",
-                        f"confluence group spans tile blocks {sorted(blocks)}",
-                        tile=se.tile, obj=tiles,
-                    )
-            inner_ready(participants, element, msg)
-
-        se._data_ready = data_ready
-
-    def _wrap_terminal(self, se, name: str) -> None:
-        """Wrap an SE_L3 method that may remove streams: any key that
-        leaves ``se.streams`` without a forwarding entry terminated
-        here (migrations leave a forwarding breadcrumb)."""
-        san = self
-        inner = getattr(se, name)
-
-        def wrapped(*args, **kwargs):
-            before = dict(se.streams)
-            out = inner(*args, **kwargs)
-            for key, stream in before.items():
-                if se.streams.get(key) is stream:
-                    continue
-                fwd = se.forwarding.get(key)
-                if fwd is None or fwd[1] != stream.epoch:
-                    san._terminate((key[0], key[1], stream.epoch), se.tile)
-            return out
-
-        wrapped.__qualname__ = getattr(inner, "__qualname__", name)
-        setattr(se, name, wrapped)
 
     def _terminate(self, ikey, tile: int) -> None:
         """Record the death of incarnation ``(tile, sid, epoch)``."""

@@ -125,9 +125,7 @@ class SECore:
         self._c_requests = stats.counter("se_core.requests")
         if se_l2 is not None:
             se_l2.se_core = self
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_se_core(self)
+        self._probes = sim.probes.bind("se_core", self)
 
     # ------------------------------------------------------------------
     # configuration (stream_cfg / stream_end)
@@ -210,6 +208,9 @@ class SECore:
         return self._config_footprint(stream) > self.l2_capacity
 
     def end(self, sids: List[int]) -> None:
+        p = self._probes.se_end
+        if p is not None:
+            p(self, sids)
         for sid in sids:
             stream = self.streams.pop(sid, None)
             if stream is None:
@@ -236,7 +237,12 @@ class SECore:
         it with the decision's input snapshot. ``plan`` (smart+plan
         policy) carries per-range levels; None is the classic float
         from the current element."""
-        if stream.floating or self.se_l2 is None:
+        if stream.floating:
+            return
+        p = self._probes.se_float_decision
+        if p is not None:
+            p(self, stream, reason, plan)
+        if self.se_l2 is None:
             return
         if plan is not None and stream.children:
             # Chained indirect children have no data source in an
@@ -268,6 +274,11 @@ class SECore:
             children=[c.spec for c in float_children],
             plan=plan,
         )
+        p = self._probes.se_floated
+        if p is not None and stream.floating:
+            # (A smart-policy revocation can sink the stream while the
+            # SE_L2 prefetches its L2 range.)
+            p(self, stream)
 
     def _sink(self, stream: CoreStream, reason: str = "policy") -> None:
         """Sink ``stream`` (undo its float). ``reason`` labels the
@@ -276,10 +287,17 @@ class SECore:
         no behavioral effect."""
         if stream.parent is not None:
             # Indirect streams float and sink with their parent.
+            was = stream.floating
             self._sink(stream.parent, reason)
+            p = self._probes.se_sunk
+            if p is not None and was and not stream.floating:
+                p(self, stream)
             return
         if not stream.floating:
             return
+        p = self._probes.se_sink_decision
+        if p is not None:
+            p(self, stream, reason)
         stream.floating = False
         stream.plan = None
         for child in stream.children:
@@ -296,6 +314,9 @@ class SECore:
             self.history.carryover_reset(s.sid)
         if self.se_l2 is not None:
             self.se_l2.end_stream(stream.sid)
+        p = self._probes.se_sunk
+        if p is not None:
+            p(self, stream)
 
     def _revoke(self, stream: CoreStream, reason: str) -> None:
         """Smart policy: undo a demonstrably bad float mid-run and

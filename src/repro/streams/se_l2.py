@@ -145,12 +145,7 @@ class SEL2:
         self.se_core = None  # wired by SECore.__init__
         l2.se_l2 = self
         net.register(tile, "se_l2", self.handle)
-        san = getattr(sim, "sanitizer", None)
-        if san is not None:
-            san.watch_se_l2(self)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_se_l2(self)
+        self._probes = sim.probes.bind("se_l2", self)
 
     # ------------------------------------------------------------------
     # floating / termination (SE_core-facing)
@@ -245,6 +240,9 @@ class SEL2:
             src=self.tile, dst=self.nuca.bank_of(first_addr), kind=STREAM,
             payload_bits=body.bits(), dst_port="se_l3", body=body,
         ), extra_delay=translate_cost)
+        p = self._probes.se_l2_config_sent
+        if p is not None:
+            p(self, stream)
 
     # ------------------------------------------------------------------
     # L2-level plan ranges (prefetch into the stream buffer)
@@ -326,6 +324,9 @@ class SEL2:
             leader.followers[spec.sid] = Follower(spec=spec, delta=delta)
             self._sid_index[spec.sid] = (leader, "follower")
             self.stats.add("se_l2.followers")
+            p = self._probes.se_l2_follow
+            if p is not None:
+                p(self, spec, leader)
             return True
         return False
 
@@ -494,31 +495,35 @@ class SEL2:
                     sid = member_sid
                     break
         stream = self._find(sid)
+        idx = body.element
         if stream is None:
             self.stats.add("se_l2.orphan_data")
-            return
-        self._c_data_arrivals[0] += 1
-        idx = body.element
-        if sid == stream.sid:
-            # Credits chase the *parent* stream's data source (child
-            # sublines come from their own home banks).
-            stream.last_bank = pkt.src
-            if self.stream_grain_coherence:
-                stream.visited_banks.add(pkt.src)
-            if isinstance(idx, tuple):
-                # Coalesced subline elements: one DataU covers a range.
-                if not stream.waiters and not stream.served_by_cache:
-                    # Nothing is waiting on (or pre-served from) any
-                    # element: the per-index bookkeeping degenerates to
-                    # a bulk set update.
-                    stream.ready.update(range(idx[0], idx[1]))
-                else:
-                    for i in range(idx[0], idx[1]):
-                        self._parent_data(stream, i)
-            else:
-                self._parent_data(stream, idx)
         else:
-            self._child_data(stream, sid, idx)
+            self._c_data_arrivals[0] += 1
+            if sid == stream.sid:
+                # Credits chase the *parent* stream's data source (child
+                # sublines come from their own home banks).
+                stream.last_bank = pkt.src
+                if self.stream_grain_coherence:
+                    stream.visited_banks.add(pkt.src)
+                if isinstance(idx, tuple):
+                    # Coalesced subline elements: one DataU covers a
+                    # range.
+                    if not stream.waiters and not stream.served_by_cache:
+                        # Nothing is waiting on (or pre-served from) any
+                        # element: the per-index bookkeeping degenerates
+                        # to a bulk set update.
+                        stream.ready.update(range(idx[0], idx[1]))
+                    else:
+                        for i in range(idx[0], idx[1]):
+                            self._parent_data(stream, i)
+                else:
+                    self._parent_data(stream, idx)
+            else:
+                self._child_data(stream, sid, idx)
+        p = self._probes.se_l2_datau
+        if p is not None:
+            p(self, sid, idx, pkt.src)
 
     def _parent_data(self, stream: BufferedStream, idx: int) -> None:
         stream.ready.add(idx)
@@ -599,6 +604,9 @@ class SEL2:
             self.tile, stream.last_bank, STREAM, body.bits(), "se_l3",
             body=body,
         )
+        p = self._probes.se_l2_credit
+        if p is not None:
+            p(self, stream, grant)
 
     def on_cache_hit(self, sid: Optional[int], idx: Optional[int]) -> None:
         """The private caches served a floating element (SS IV-A):

@@ -170,12 +170,7 @@ class SEL3:
         self._c_elements = stats.counter("se_l3.elements_issued")
         bank.se_l3 = self
         net.register(tile, "se_l3", self.handle)
-        san = getattr(sim, "sanitizer", None)
-        if san is not None:
-            san.watch_se_l3(self)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_se_l3(self)
+        self._probes = sim.probes.bind("se_l3", self)
 
     # ------------------------------------------------------------------
     # network ingress
@@ -183,22 +178,27 @@ class SEL3:
     def handle(self, pkt: Packet) -> None:
         body = pkt.body
         if isinstance(body, FloatConfig):
-            self._configure(body.spec, body.children, body.requester,
-                            body.start_idx, body.credits, body.epoch,
-                            plan=body.plan)
+            start, migrated = body.start_idx, False
         elif isinstance(body, Migrate):
             self.stats.add("se_l3.migrations_in")
-            self._configure(body.spec, body.children, body.requester,
-                            body.next_idx, body.credits, body.epoch,
-                            migrated=True, plan=body.plan)
+            start, migrated = body.next_idx, True
         elif isinstance(body, Credit):
             self._credit(body)
+            return
         elif isinstance(body, EndStream):
             self._end(body)
+            return
         elif isinstance(body, IndFetch):
             self._indirect_fetch(body)
+            return
         else:
             raise ValueError(f"SE_L3 got unexpected body {type(body)!r}")
+        verdict = self._configure(body.spec, body.children, body.requester,
+                                  start, body.credits, body.epoch,
+                                  migrated=migrated, plan=body.plan)
+        p = self._probes.se_l3_configure
+        if p is not None:
+            p(self, body, start, migrated, verdict)
 
     # ------------------------------------------------------------------
     # configure / merge units
@@ -219,7 +219,7 @@ class SEL3:
         Returns the verdict — ``"installed"``, ``"replaced"`` (an
         older resident incarnation was evicted), ``"stale"`` (the
         arrival lost to a newer incarnation) or ``"rejected"``
-        (admission control) — consumed only by observability wrappers.
+        (admission control) — reported through the se_l3_configure probe.
         """
         key = (requester, spec.sid)
         existing = self.streams.get(key)
@@ -300,6 +300,9 @@ class SEL3:
             group.members.append(stream)
             stream.group = group
             self.stats.add("se_l3.confluences")
+            p = self._probes.se_l3_confluence
+            if p is not None:
+                p(self, stream)
             return
 
     # ------------------------------------------------------------------
@@ -445,7 +448,10 @@ class SEL3:
             for member in (participants if participants is not None else (stream,)):
                 self._track_range(member.key, addr, span)
         element = idx if count == 1 else (idx, idx + count)
-        p = participants if participants is not None else [stream]
+        members = participants if participants is not None else [stream]
+        p = self._probes.se_l3_issue
+        if p is not None:
+            p(self, members, count)
         self.bank.stream_read(
             addr,
             requester=stream.requester,
@@ -453,7 +459,7 @@ class SEL3:
             stream_id=stream.spec.sid,
             element=element,
             category=category,
-            on_ready=lambda msg, p=p, e=element: self._data_ready(p, e, msg),
+            on_ready=lambda msg, m=members, e=element: self._data_ready(m, e, msg),
         )
         return True
 
@@ -461,6 +467,9 @@ class SEL3:
         """GetU data is at the bank: respond (possibly multicast) and
         chain any indirect children. ``element`` is an index or a
         coalesced ``(start, end)`` range."""
+        p = self._probes.se_l3_data_ready
+        if p is not None:
+            p(self, participants)
         if len(participants) == 1:
             # Common case: no confluence — skip the members-list build.
             sole = participants[0]
@@ -543,7 +552,10 @@ class SEL3:
     # ------------------------------------------------------------------
     def _migrate(self, stream: L3Stream, next_addr: int) -> None:
         target = self.nuca.bank_of(next_addr)
-        self._drop(stream)
+        p = self._probes.se_l3_migrate
+        if p is not None:
+            p(self, stream, target)
+        self._drop(stream, retired=False)
         self.forwarding[stream.key] = (target, stream.epoch)
         body = Migrate(
             spec=stream.spec, children=stream.children,
@@ -556,7 +568,9 @@ class SEL3:
             self.tile, target, STREAM, body.bits(), "se_l3", body=body,
         )
 
-    def _drop(self, stream: L3Stream) -> None:
+    def _drop(self, stream: L3Stream, retired: bool = True) -> None:
+        """Remove a resident stream; ``retired`` unless it migrates on
+        (completion, end, invalidation, flush or replacement)."""
         self.streams.pop(stream.key, None)
         if stream.group is not None:
             group = stream.group
@@ -566,11 +580,18 @@ class SEL3:
                     member.group = None
                 if group in self.groups:
                     self.groups.remove(group)
+        if retired:
+            p = self._probes.se_l3_retire
+            if p is not None:
+                p(self, stream)
 
     # ------------------------------------------------------------------
     # flow unit / termination
     # ------------------------------------------------------------------
     def _credit(self, body: Credit) -> None:
+        p = self._probes.se_l3_credit
+        if p is not None:
+            p(self, body)
         key = (body.requester, body.sid)
         stream = self.streams.get(key)
         if stream is not None and stream.epoch == body.epoch:
@@ -605,6 +626,9 @@ class SEL3:
             self.stats.add("se_l3.credits_held")
 
     def _end(self, body: EndStream) -> None:
+        p = self._probes.se_l3_end
+        if p is not None:
+            p(self, body)
         key = (body.requester, body.sid)
         pending = self.pending_credits.get(key)
         if pending is not None and pending[0] <= body.epoch:

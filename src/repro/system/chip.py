@@ -89,9 +89,7 @@ class Chip:
                  self.nuca, self.mesh, self.dram)
             for t in range(self.mesh.num_tiles)
         ]
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.watch_chip(self)
+        self.sim.probes.bind("chip", self)
 
     @property
     def num_cores(self) -> int:

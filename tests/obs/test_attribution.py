@@ -1,6 +1,6 @@
 """Cycle-accounting pillar tests: conservation, golden CPI stack,
-``--jobs`` byte-stability, fastpath fusion veto, and the bucket
-movement the attribution figure exists to show."""
+``--jobs`` byte-stability, identical accounting with fusion on and
+off, and the bucket movement the attribution figure exists to show."""
 
 import json
 import os
@@ -162,7 +162,7 @@ def test_floating_empties_dram_wait_bucket():
 
 
 # ----------------------------------------------------------------------
-# fastpath fusion veto: telemetry runs are identical either way
+# fastpath: telemetry observes the fused path, and sees the same run
 # ----------------------------------------------------------------------
 def _span_chains(chip):
     return sorted(
@@ -172,13 +172,14 @@ def _span_chains(chip):
     )
 
 
-@pytest.mark.parametrize("fastpath", ["1", "0"])
-def test_fastpath_vetoed_under_telemetry(fastpath, monkeypatch):
+@pytest.mark.parametrize("fastpath,fused", [(None, True), ("0", False)])
+def test_telemetry_keeps_fastpath(fastpath, fused, monkeypatch):
+    monkeypatch.delenv(ENV_FASTPATH, raising=False)
     chip = _chip_run("mv", "sf", monkeypatch, pillars="spans,attribution",
                      fastpath=fastpath)
-    # Telemetry attach always vetoes handler fusion — REPRO_FASTPATH=1
-    # must not change what the accountant observes.
-    assert chip.sim.fastpath is False
+    # Attaching telemetry leaves handler fusion as REPRO_FASTPATH sets
+    # it (on by default): the pillars observe the path that ships.
+    assert chip.sim.fastpath is fused
 
 
 def test_fastpath_setting_does_not_change_attribution(monkeypatch):

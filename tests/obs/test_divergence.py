@@ -8,6 +8,7 @@ from repro.obs.divergence import (
     TraceRecorder,
     localize,
 )
+from repro.obs.probes import Probes
 
 
 # ----------------------------------------------------------------------
@@ -23,21 +24,19 @@ def _handler(name):
 
 class ScriptedSim:
     """Minimal Simulator double: a fixed (cycle, handler) schedule,
-    dispatched through ``step`` so a step-hook wrap sees every event
-    exactly like on the real backends."""
+    dispatched through ``step``, which fires the ``dispatch`` probe for
+    every event exactly like the real backends."""
 
     def __init__(self, events):
         self._events = [(when, _handler(name)) for when, name in events]
         self._i = 0
-
-    def peek_event(self):
-        if self._i < len(self._events):
-            return self._events[self._i]
-        return None
+        self.probes = Probes()
 
     def step(self):
         when, fn = self._events[self._i]
         self._i += 1
+        if self.probes.dispatch is not None:
+            self.probes.dispatch(when, fn)
         fn()
         return self._i < len(self._events)
 

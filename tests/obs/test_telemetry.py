@@ -1,8 +1,8 @@
-"""Telemetry layer tests: enablement matrix, event bus, hooks.
+"""Telemetry layer tests: enablement matrix, event bus, probes.
 
 Mirrors ``tests/sim/test_sanitizer.py``'s enablement coverage: the
-layer must be a strict no-op with zero hooks when off, and attach the
-requested pillars (and only those) when on.
+layer must be a strict no-op with no probe subscribed when off, and
+attach the requested pillars (and only those) when on.
 """
 
 import pytest
@@ -29,14 +29,12 @@ def test_disabled_without_env():
     assert not enabled_by_env()
     sim = Simulator()
     assert sim.telemetry is None
-    # Zero-cost off: no step hook (the sanitizer is also off here)...
-    assert "step" not in sim.__dict__
-    # ...and no component wraps its entry points.
+    # Zero-cost off: nothing watches the kernel's dispatches (the
+    # sanitizer is also off here)...
+    assert sim.probes.dispatch is None and sim.probes.dispatched is None
+    # ...and no component method is replaced.
     hier = MiniHierarchy()
-    assert hier.net._deliver_at.__qualname__.startswith("Network.")
-    assert hier.l1s[0]._miss.__qualname__.startswith("L1Cache.")
-    assert hier.l2s[0]._data.__qualname__.startswith("L2Cache.")
-    assert hier.banks[0].stream_read.__qualname__.startswith("L3Bank.")
+    assert hier.sim.probes.l1_miss is None
     assert "_miss" not in hier.l1s[0].__dict__
 
 
@@ -85,7 +83,7 @@ def test_env_attach_installs_hooks(monkeypatch):
     assert tel is not None
     assert tel.spans is not None
     assert tel.sampler is None and tel.profiler is None
-    # spans alone needs no step hook; the sanitizer's is fine.
+    # spans alone watches no dispatch; the sanitizer does.
     results = []
     hier.read(0, BASE, results)
     hier.run()
@@ -99,7 +97,7 @@ def test_step_hook_only_for_interval_or_profile(monkeypatch):
     monkeypatch.setenv(ENV_TELEMETRY, "profile")
     sim = Simulator()
     assert sim.telemetry.profiler is not None
-    assert "step" in sim.__dict__
+    assert sim.probes.dispatched is not None
 
 
 # ----------------------------------------------------------------------
@@ -140,33 +138,6 @@ def test_streams_alive_gauge_tracks_float_sink_end():
     # ...and end alone retires the other one.
     tel.publish("end", tile=9, requester=1, sid=1)
     assert tel.streams_alive == 0
-
-
-@pytest.mark.no_sanitize
-def test_watch_is_idempotent():
-    hier = MiniHierarchy()
-    tel = Telemetry(hier.sim, TelemetryConfig())
-    tel.watch_l1(hier.l1s[0])
-    wrapped = hier.l1s[0]._miss
-    tel.watch_l1(hier.l1s[0])  # second watch must not double-wrap
-    assert hier.l1s[0]._miss is wrapped
-
-
-# ----------------------------------------------------------------------
-# wrappers preserve determinism-critical metadata
-# ----------------------------------------------------------------------
-@pytest.mark.no_sanitize
-def test_wrappers_preserve_qualnames(monkeypatch):
-    # The sanitizer's S5 determinism trace hashes queue-head
-    # __qualname__s; telemetry wrapping must not change them.
-    # (no_sanitize: with the sanitizer on, *its* wrappers own some of
-    # these names — here we pin telemetry's own behavior.)
-    monkeypatch.setenv(ENV_TELEMETRY, "spans")
-    hier = MiniHierarchy()
-    assert hier.net._deliver_at.__qualname__.startswith("Network.")
-    assert hier.l1s[0]._miss.__qualname__.startswith("L1Cache.")
-    assert hier.l2s[0]._miss.__qualname__.startswith("L2Cache.")
-    assert hier.banks[0]._demand.__qualname__.startswith("L3Bank.")
 
 
 def test_telemetry_does_not_change_simulation(monkeypatch):

@@ -7,9 +7,9 @@ historical kernel bugs — ``run(until=N)`` leaving ``now`` behind on
 queue drain, and ``schedule_at`` silently truncating fractional times
 — must hold on each.
 
-Tests marked ``no_sanitize`` additionally exercise the inline
-``_run_fast`` loop (the tier-1 default attaches the sanitizer's step
-hook, which routes ``run()`` through the hooked dispatcher instead).
+Tests marked ``no_sanitize`` additionally exercise the run loop with
+no ``dispatch`` probe subscriber (the tier-1 default attaches the
+sanitizer, which subscribes one).
 """
 
 import pytest
@@ -71,8 +71,8 @@ def test_run_until_on_empty_queue_advances_now(sim):
 
 @pytest.mark.no_sanitize
 def test_run_until_advances_now_fast_path(sim):
-    # Same regression against the inline loop (no step hook attached).
-    assert "step" not in sim.__dict__
+    # Same regression with no observer on the run loop.
+    assert sim.probes.dispatch is None
     sim.schedule(2, lambda: None)
     sim.run(until=25)
     assert sim.now == 25

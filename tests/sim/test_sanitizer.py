@@ -40,11 +40,12 @@ def test_disabled_without_env():
     assert not enabled_by_env()
     sim = Simulator()
     assert sim.sanitizer is None
-    # Zero-cost off: the step hook is never installed...
-    assert "step" not in sim.__dict__
-    # ...and no component wraps its entry points.
+    # Zero-cost off: nothing hashes the kernel's dispatches...
+    assert sim.probes.dispatch is None
+    # ...and no component probe has a subscriber.
     hier = MiniHierarchy()
-    assert hier.net._deliver_at.__qualname__.startswith("Network.")
+    assert hier.sim.probes.noc_send is None
+    assert hier.sim.probes.l3_processed is None
 
 
 @pytest.mark.no_sanitize
@@ -59,7 +60,7 @@ def test_enabled_by_fixture():
     assert enabled_by_env()
     sim = Simulator()
     assert sim.sanitizer is not None
-    assert "step" in sim.__dict__
+    assert sim.probes.dispatch is not None
 
 
 def test_clean_run_passes_final_check():

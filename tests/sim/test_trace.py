@@ -1,69 +1,73 @@
-"""Tests for the event tracer."""
+"""Event tracing: ring-buffer logs of telemetry bus events."""
+
+from collections import Counter
 
 import pytest
 
-from repro.sim.trace import TraceEvent, Tracer
+from repro.obs.telemetry import TRACE_KINDS, attach
 from repro.system import Chip, make_config
 from repro.workloads import build_programs
 
 
-def traced_run(kinds=None, workload="hotspot", config="sf"):
-    chip = Chip(make_config(config, core="ooo4", cols=2, rows=2, scale=32))
-    tracer = Tracer(chip, kinds=kinds)
+def _chip():
+    return Chip(make_config("sf", core="ooo4", cols=2, rows=2, scale=32))
+
+
+def traced_run(kinds=TRACE_KINDS, workload="hotspot", capacity=100_000):
+    chip = _chip()
+    events = attach(chip.sim).record(kinds, capacity=capacity)
     programs = build_programs(workload, chip.num_cores, scale=32)
     chip.run(programs)
-    return tracer
+    return events
+
+
+def of_kind(events, kind):
+    return [ev for ev in events if ev.kind == kind]
 
 
 def test_records_floats_and_migrations():
-    tracer = traced_run(kinds=("float", "migrate"))
-    assert tracer.of_kind("float"), "no floats traced"
-    assert tracer.of_kind("migrate"), "no migrations traced"
+    events = traced_run(kinds=("float", "migrate"))
+    assert of_kind(events, "float"), "no floats traced"
+    assert of_kind(events, "migrate"), "no migrations traced"
     # Kinds filter respected.
-    assert not tracer.of_kind("credit")
+    assert not of_kind(events, "credit")
 
 
 def test_all_kinds_by_default():
-    tracer = traced_run()
-    kinds = {ev.kind for ev in tracer.events}
+    kinds = {ev.kind for ev in traced_run()}
+    assert kinds <= set(TRACE_KINDS)
     assert "float" in kinds
     assert "credit" in kinds or "migrate" in kinds
 
 
 def test_events_are_time_ordered():
-    tracer = traced_run(kinds=("float", "sink", "migrate", "end"))
-    cycles = [ev.cycle for ev in tracer.events]
+    events = traced_run(kinds=("float", "sink", "migrate", "end"))
+    cycles = [ev.cycle for ev in events]
     assert cycles == sorted(cycles)
 
 
 def test_capacity_bounds_buffer():
-    chip = Chip(make_config("sf", core="ooo4", cols=2, rows=2, scale=32))
-    tracer = Tracer(chip, capacity=10)
-    programs = build_programs("hotspot", chip.num_cores, scale=32)
-    chip.run(programs)
-    assert len(tracer.events) <= 10
+    assert len(traced_run(capacity=10)) <= 10
 
 
 def test_summary_and_str():
-    tracer = traced_run(kinds=("float",))
-    text = tracer.summary()
-    assert "float" in text
-    ev = tracer.events[0]
-    assert "float" in str(ev)
-    assert str(ev.tile) in str(ev)
+    events = traced_run(kinds=("float",))
+    assert Counter(ev.kind for ev in events)["float"] == len(events)
+    ev = events[0]
+    assert str(ev).startswith(f"[{ev.cycle:>9}] float")
+    assert f"tile {ev.tile}" in str(ev)
 
 
 def test_unknown_kind_rejected():
-    chip = Chip(make_config("sf", core="ooo4", cols=2, rows=2, scale=32))
-    with pytest.raises(ValueError):
-        Tracer(chip, kinds=("teleport",))
+    with pytest.raises(ValueError, match="teleport"):
+        attach(_chip().sim).record(("float", "teleport"))
 
 
 def test_tracing_does_not_change_results():
-    def run(with_tracer):
-        chip = Chip(make_config("sf", core="ooo4", cols=2, rows=2, scale=32))
-        if with_tracer:
-            Tracer(chip)
+    def run(with_log):
+        chip = _chip()
+        if with_log:
+            attach(chip.sim).record()
         programs = build_programs("hotspot", chip.num_cores, scale=32)
         return chip.run(programs).cycles
 
