@@ -1,43 +1,28 @@
 #!/usr/bin/env python
-"""Kernel benchmark: dispatch throughput + end-to-end figure points.
+"""Kernel benchmark: end-to-end figure points.
 
 Writes ``BENCH_kernel.json`` at the repo root (or ``--out``). The
 committed copy is the performance baseline CI's bench-smoke job diffs
 against: the S5 determinism hash per figure point must match exactly,
 and events/sec must not regress by more than 20%.
 
-Two measurement sections:
-
-``kernel_stress``
-    Pure scheduler throughput (events/sec) for each backend — a storm
-    of self-rescheduling actors, no simulation model attached — at
-    several queue depths. This isolates what the calendar queue
-    replaced: heap push/pop is O(log n) against the ring's O(1), so
-    the ratio grows with depth (~2.3x shallow, >3x at 32k actors).
-
-``figure_points``
-    Full fast-profile (4x4, scale 16) simulation points. Each point
-    runs twice: a *hash pass* with the sanitizer attached (recording
-    the S5 trace hash that pins determinism across kernel changes)
-    and a *perf pass* without it (wall-clock, events executed,
-    events/sec — the numbers a simulation user actually sees).
+``figure_points`` are full fast-profile (4x4, scale 16) simulation
+points. Each point runs twice: a *hash pass* with the sanitizer
+attached (recording the S5 trace hash that pins determinism across
+kernel changes) and a *perf pass* without it (wall-clock, events
+executed, events/sec — the numbers a simulation user actually sees).
 
 ``seed_baseline`` embeds the pre-PR numbers (heap kernel, pre-slot-
 array memory system) measured on the same machine class, so the JSON
 carries its own reference: ``speedup_vs_seed`` per point.
 
 ``trajectory`` accumulates across runs instead of being overwritten:
-each invocation appends one entry (git SHA + date + per-point
-events/sec + trace hash), so the committed JSON records how kernel
-performance moved PR over PR rather than only its latest value.
-
-On a ``--check`` S5 hash mismatch the script doesn't stop at "hashes
-differ": it runs the two-pass divergence localizer between the heap
-and calendar backends on each mismatching point and writes
-``DIVERGENCE_kernel.json`` naming the first divergent (cycle, event,
-handler) — or recording that the backends agree, which means the
-hash change is semantic (a handler/model change) rather than a
-scheduling bug.
+each invocation appends one entry (git SHA + dirty flag + date +
+per-point events/sec + trace hash), so the committed JSON records how
+kernel performance moved PR over PR rather than only its latest value.
+The SHA is ``HEAD`` at measure time; ``dirty`` says whether ``src/``
+or ``benchmarks/`` differed from it, i.e. whether the measured tree
+is a later, not-yet-committed change on top of that SHA.
 
 Usage::
 
@@ -104,59 +89,9 @@ FULL_POINTS = ["mv/sf", "mv/base", "conv3d/sf", "bfs/sf",
 QUICK_POINTS = ["mv/sf", "conv3d/sf", "mv/sf@8x8",
                 "stencil_tiled/sf_smart"]
 
-STRESS_DEPTHS_FULL = [64, 1024, 8192, 32768]
-STRESS_DEPTHS_QUICK = [64, 1024]
-
 
 # ----------------------------------------------------------------------
-# section 1: raw scheduler throughput
-# ----------------------------------------------------------------------
-def stress_backend(backend: str, n_actors: int, target_events: int) -> Dict:
-    """Self-rescheduling actor storm; returns events/sec for one
-    backend. The horizon is sized so every depth runs a comparable
-    number of events."""
-    os.environ["REPRO_KERNEL"] = backend
-    from repro.sim.kernel import Simulator
-
-    sim = Simulator()
-
-    def tick(period: int) -> None:
-        sim.schedule(period, tick, period)
-
-    for i in range(n_actors):
-        sim.schedule(i % 7, tick, 1 + (i % 5))
-    # Each cycle runs ~n_actors * mean(1/period) events.
-    per_cycle = sum(1.0 / (1 + (i % 5)) for i in range(n_actors))
-    horizon = max(64, int(target_events / per_cycle))
-    t0 = time.perf_counter()
-    sim.run(until=horizon)
-    wall = time.perf_counter() - t0
-    return {
-        "backend": backend,
-        "actors": n_actors,
-        "events": sim.events_executed,
-        "wall_s": round(wall, 4),
-        "events_per_s": int(sim.events_executed / wall),
-    }
-
-
-def run_stress(depths: List[int], target_events: int) -> List[Dict]:
-    rows = []
-    for depth in depths:
-        heap = stress_backend("heap", depth, target_events)
-        cal = stress_backend("calendar", depth, target_events)
-        rows.append({
-            "actors": depth,
-            "heap_events_per_s": heap["events_per_s"],
-            "calendar_events_per_s": cal["events_per_s"],
-            "ratio": round(cal["events_per_s"] / heap["events_per_s"], 3),
-            "events": cal["events"],
-        })
-    return rows
-
-
-# ----------------------------------------------------------------------
-# section 2: end-to-end figure points
+# end-to-end figure points
 # ----------------------------------------------------------------------
 def _build_chip(workload: str, config: str, params: Dict):
     """Fresh chip + programs for one measurement pass (a Chip cannot
@@ -200,7 +135,6 @@ def run_point(name: str, hash_pass: bool, calls_pass: bool = True) -> Dict:
     workload, config = base_name.split("/")
     profile = dict(PROFILE, **GEOMETRY_OVERRIDES[name]) if variant else PROFILE
 
-    os.environ.pop("REPRO_KERNEL", None)  # default backend (calendar)
     params = run_params(workload, config, **profile)
 
     trace_hash: Optional[int] = None
@@ -264,21 +198,29 @@ def run_point(name: str, hash_pass: bool, calls_pass: bool = True) -> Dict:
 # ----------------------------------------------------------------------
 # trajectory bookkeeping
 # ----------------------------------------------------------------------
-def git_sha() -> str:
+def git_state() -> Dict:
+    """``HEAD`` and whether the measured sources differ from it."""
     import subprocess
 
-    try:
+    def git(*args: str) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=REPO_ROOT,
+            ["git", "-C", REPO_ROOT, *args],
             capture_output=True, text=True, check=True,
         ).stdout.strip()
-    except Exception:
-        return "unknown"
+
+    try:
+        return {
+            "git_sha": git("rev-parse", "--short", "HEAD"),
+            "dirty": bool(git("status", "--porcelain", "--",
+                              "src", "benchmarks")),
+        }
+    except (OSError, subprocess.CalledProcessError):
+        return {"git_sha": "unknown", "dirty": None}
 
 
 def trajectory_entry(figure_points: List[Dict], quick: bool) -> Dict:
     return {
-        "git_sha": git_sha(),
+        **git_state(),
         "date": time.strftime("%Y-%m-%d"),
         "quick": quick,
         "points": {
@@ -317,7 +259,7 @@ def append_trajectory(out_path: str, entry: Dict) -> List[Dict]:
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
-                    help="CI smoke subset: fewer points, fewer depths")
+                    help="CI smoke subset: fewer points")
     ap.add_argument("--out", default=DEFAULT_OUT,
                     help="output JSON path (default: repo-root "
                          "BENCH_kernel.json)")
@@ -330,15 +272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
 
     points = QUICK_POINTS if args.quick else FULL_POINTS
-    depths = STRESS_DEPTHS_QUICK if args.quick else STRESS_DEPTHS_FULL
-    target = 300_000 if args.quick else 2_000_000
-
-    print(f"kernel stress ({len(depths)} depths)...")
-    stress = run_stress(depths, target)
-    for row in stress:
-        print(f"  actors={row['actors']:>6}: heap={row['heap_events_per_s']:>9,} "
-              f"calendar={row['calendar_events_per_s']:>9,} ev/s "
-              f"({row['ratio']}x)")
 
     figure_points = []
     for name in points:
@@ -356,7 +289,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "profile": PROFILE,
         "quick": args.quick,
         "kernel": "calendar",
-        "kernel_stress": stress,
         "figure_points": figure_points,
         "seed_baseline": SEED_BASELINE,
         "trajectory": append_trajectory(
@@ -368,10 +300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {args.out}")
 
     if args.check:
-        divergence_out = os.path.join(
-            os.path.dirname(os.path.abspath(args.out)),
-            "DIVERGENCE_kernel.json")
-        return check_against(args.check, figure_points, divergence_out)
+        return check_against(args.check, figure_points)
     return 0
 
 
@@ -382,47 +311,10 @@ REGRESSION_TOLERANCE = 0.20  # fail if events/sec drops more than this
 CALLS_TOLERANCE = 0.15
 
 
-def localize_mismatches(mismatched: List[Dict], out_path: str) -> None:
-    """Run the divergence localizer for each hash-mismatched point and
-    write the findings as a CI artifact."""
-    from repro.obs.divergence import localize_backends
-
-    findings = []
-    for entry in mismatched:
-        name = f"{entry['workload']}/{entry['config']}"
-        print(f"  [check] localizing {name} (heap vs calendar)...")
-        divergence = localize_backends(
-            entry["workload"], entry["config"],
-            **entry.get("profile", PROFILE))
-        if divergence is None:
-            note = ("backends agree: the hash change is semantic "
-                    "(handler/model change), not a scheduling bug")
-            print(f"  [check] {name}: {note}")
-            findings.append({"point": name, "backend_divergence": None,
-                             "note": note, **entry["hashes"]})
-        else:
-            print(f"  [check] {name}: {divergence.describe()}")
-            findings.append({
-                "point": name,
-                "backend_divergence": divergence.to_dict(),
-                "note": divergence.describe(), **entry["hashes"],
-            })
-    with open(out_path, "w") as fh:
-        json.dump({"mismatches": findings}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"  [check] wrote {out_path}")
-
-
-def check_against(
-    baseline_path: str,
-    figure_points: List[Dict],
-    divergence_out: Optional[str] = None,
-) -> int:
+def check_against(baseline_path: str, figure_points: List[Dict]) -> int:
     """CI gate: the S5 hash per shared point must match the committed
     baseline exactly (determinism is not a tolerance band), and
-    events/sec must be within REGRESSION_TOLERANCE of it.  Hash
-    mismatches trigger the divergence localizer (see module
-    docstring)."""
+    events/sec must be within REGRESSION_TOLERANCE of it."""
     with open(baseline_path) as fh:
         baseline = json.load(fh)
     base_points = {
@@ -430,7 +322,6 @@ def check_against(
         for p in baseline.get("figure_points", [])
     }
     failures = []
-    mismatched: List[Dict] = []
     for point in figure_points:
         name = point.get("name", f"{point['workload']}/{point['config']}")
         base = base_points.get(name)
@@ -443,15 +334,6 @@ def check_against(
                     f"{name}: S5 trace hash {point['trace_hash']} != "
                     f"baseline {base['trace_hash']} (determinism broken)"
                 )
-                mismatched.append({
-                    "workload": point["workload"],
-                    "config": point["config"],
-                    "profile": point.get("profile", PROFILE),
-                    "hashes": {
-                        "current_hash": point["trace_hash"],
-                        "baseline_hash": base["trace_hash"],
-                    },
-                })
             elif point.get("trace_events") != base.get("trace_events"):
                 failures.append(
                     f"{name}: trace events {point.get('trace_events')} != "
@@ -476,8 +358,6 @@ def check_against(
                     f"{int(CALLS_TOLERANCE * 100)}% above baseline "
                     f"{base['calls_per_event']} (handler-layer bloat)"
                 )
-    if mismatched and divergence_out:
-        localize_mismatches(mismatched, divergence_out)
     if failures:
         for f in failures:
             print(f"  [check] FAIL {f}", file=sys.stderr)

@@ -84,7 +84,7 @@ def _bench_profile_mode(request, monkeypatch):
     from repro.harness import runner
 
     for record in runner._MEMO.values():
-        for key, value in record.stats.as_dict().items():
+        for key, value in record.stats.to_dict().items():
             if key.startswith("telemetry."):
                 assert key in _DETERMINISTIC_TELEMETRY_KEYS, (
                     f"unexpected telemetry stat {key!r} in a cached run "

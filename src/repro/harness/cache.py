@@ -31,7 +31,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 CACHE_SCHEMA = 1
@@ -90,9 +90,6 @@ class CacheCounters:
     stale: int = 0  # schema/fingerprint mismatch (counted in misses too)
     errors: int = 0  # unreadable/corrupt files (counted in misses too)
     stores: int = 0
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.stale = self.errors = self.stores = 0
 
 
 class RunCache:

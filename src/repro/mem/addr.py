@@ -10,7 +10,6 @@ when its next address maps to a different bank under this interleaving.
 from __future__ import annotations
 
 LINE_SIZE = 64
-LINE_SHIFT = 6
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 
@@ -20,41 +19,9 @@ def line_addr(addr: int) -> int:
     return addr & ~(LINE_SIZE - 1)
 
 
-def line_offset(addr: int) -> int:
-    """Byte offset of ``addr`` within its cache line."""
-    return addr & (LINE_SIZE - 1)
-
-
-def line_index(addr: int) -> int:
-    """Cache-line number of ``addr``."""
-    return addr >> LINE_SHIFT
-
-
-def page_addr(addr: int) -> int:
-    """Align ``addr`` down to its page base."""
-    return addr & ~(PAGE_SIZE - 1)
-
-
 def page_index(addr: int) -> int:
     """Page number of ``addr``."""
     return addr >> PAGE_SHIFT
-
-
-def same_line(a: int, b: int) -> bool:
-    return line_addr(a) == line_addr(b)
-
-
-def same_page(a: int, b: int) -> bool:
-    return page_addr(a) == page_addr(b)
-
-
-def lines_covered(addr: int, size: int) -> range:
-    """Line numbers touched by the byte range [addr, addr + size)."""
-    if size <= 0:
-        raise ValueError("size must be positive")
-    first = line_index(addr)
-    last = line_index(addr + size - 1)
-    return range(first, last + 1)
 
 
 class NucaMap:
@@ -80,17 +47,3 @@ class NucaMap:
     def bank_of(self, addr: int) -> int:
         """L3 bank holding ``addr``."""
         return (addr // self.interleave) % self.num_banks
-
-    def chunk_base(self, addr: int) -> int:
-        """Base address of the interleave chunk containing ``addr``."""
-        return addr & ~(self.interleave - 1)
-
-    def chunk_end(self, addr: int) -> int:
-        """First address after the chunk containing ``addr``."""
-        return self.chunk_base(addr) + self.interleave
-
-    def same_bank(self, a: int, b: int) -> bool:
-        return self.bank_of(a) == self.bank_of(b)
-
-    def __repr__(self) -> str:
-        return f"NucaMap(num_banks={self.num_banks}, interleave={self.interleave})"

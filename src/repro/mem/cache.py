@@ -102,14 +102,6 @@ class CacheLine:
             f"stream_id={self.stream_id}, prefetched={self.prefetched})"
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CacheLine):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name in CacheLine.__slots__
-        )
-
 
 class CacheArray:
     """A set-associative array of :class:`CacheLine`.
@@ -265,7 +257,4 @@ class CacheArray:
         return [ln for ln in self._slots if ln.valid]
 
     def occupancy(self) -> int:
-        return len(self._where)
-
-    def __len__(self) -> int:
         return len(self._where)

@@ -13,7 +13,6 @@ as non-blocking prefetch fills through the normal L1->L2 path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.mem.addr import LINE_SIZE
@@ -58,14 +57,6 @@ class L1Request:
         self.op_id = op_id
         self.on_done = on_done
         self.count = count
-
-    def __repr__(self) -> str:
-        return (
-            f"L1Request(addr={self.addr:#x}, is_write={self.is_write}, "
-            f"prefetch={self.prefetch}, stream_id={self.stream_id}, "
-            f"element={self.element}, floating={self.floating}, "
-            f"count={self.count})"
-        )
 
 
 class L1Cache:

@@ -22,7 +22,6 @@ SE_core's history table (SS IV-D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.mem.addr import LINE_SIZE, NucaMap
@@ -61,12 +60,6 @@ class L2AccessResult:
         self.latency_paid = latency_paid
         self.dropped = dropped
         self.uncached = uncached
-
-    def __repr__(self) -> str:
-        return (
-            f"L2AccessResult(addr={self.addr:#x}, writable={self.writable}, "
-            f"dropped={self.dropped}, uncached={self.uncached})"
-        )
 
 
 class L2Request:

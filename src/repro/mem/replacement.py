@@ -13,25 +13,18 @@ A policy manages one set of ``ways`` lines. The cache array calls
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 
 class ReplacementPolicy:
-    """Per-set replacement state. One instance per cache set."""
+    """Per-set replacement state. One instance per cache set.
+
+    Subclasses implement ``on_fill(way)``, ``on_hit(way)`` and
+    ``victim(valid) -> way``, where ``valid[w]`` is False for empty
+    ways (which are always preferred)."""
 
     def __init__(self, ways: int) -> None:
         self.ways = ways
-
-    def on_fill(self, way: int) -> None:
-        raise NotImplementedError
-
-    def on_hit(self, way: int) -> None:
-        raise NotImplementedError
-
-    def victim(self, valid: List[bool]) -> int:
-        """Pick the way to evict. ``valid[w]`` is False for empty ways
-        (which are always preferred)."""
-        raise NotImplementedError
 
 
 class LruPolicy(ReplacementPolicy):

@@ -1,6 +1,6 @@
 """The run observatory CLI: ``python -m repro.obs`` (DESIGN.md §11).
 
-Four subcommands:
+Three subcommands:
 
 - ``run`` — simulate one point with telemetry on and capture a
   self-contained *run directory* (``record.json`` + trace/interval/
@@ -10,10 +10,7 @@ Four subcommands:
   HTML);
 - ``attribute`` — simulate one point with the attribution (+spans)
   pillars and render the cycle-accounting report: the CPI stack and
-  the critical-path bottleneck table (DESIGN.md §15);
-- ``localize`` — replay one figure point under two kernel backends
-  and report the first divergent ``(cycle, event, handler)``, or
-  confirm the backends agree.
+  the critical-path bottleneck table (DESIGN.md §15).
 
 Quick start::
 
@@ -47,7 +44,7 @@ def _add_point_args(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Run observatory: capture, diff and localize runs.",
+        description="Run observatory: capture, diff and attribute runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -85,16 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write the raw cpi.*/crit.* counters")
     att.add_argument("--top", type=int, default=10,
                      help="bottleneck edges to list (default 10)")
-
-    loc = sub.add_parser(
-        "localize",
-        help="first divergent event between two kernel backends")
-    _add_point_args(loc)
-    loc.add_argument("--backend-a", default="heap")
-    loc.add_argument("--backend-b", default="calendar")
-    loc.add_argument("--checkpoint-every", type=int, default=1024)
-    loc.add_argument("--json", dest="json_out", default=None,
-                     help="also write the divergence record as JSON")
     return parser
 
 
@@ -196,39 +183,13 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_localize(args: argparse.Namespace) -> int:
-    from repro.obs.divergence import localize_backends
-
-    divergence = localize_backends(
-        args.workload, args.config,
-        backend_a=args.backend_a, backend_b=args.backend_b,
-        checkpoint_every=args.checkpoint_every,
-        core=args.core, cols=args.cols, rows=args.rows,
-        scale=args.scale, link_bits=args.link_bits,
-        l3_interleave=args.l3_interleave, seed=args.seed,
-    )
-    if divergence is None:
-        print(f"[obs] backends {args.backend_a}/{args.backend_b} agree "
-              f"on {args.workload}/{args.config}")
-        return 0
-    print(f"[obs] {divergence.describe()}")
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(divergence.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"[obs] wrote {args.json_out}")
-    return 2
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "diff":
         return _cmd_diff(args)
-    if args.command == "attribute":
-        return _cmd_attribute(args)
-    return _cmd_localize(args)
+    return _cmd_attribute(args)
 
 
 if __name__ == "__main__":

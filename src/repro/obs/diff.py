@@ -182,15 +182,6 @@ def tile_kinds(a: RunRecord, b: RunRecord) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# interval series
-# ----------------------------------------------------------------------
-def interval_series(
-    samples: List[Dict[str, Any]], column: str,
-) -> List[float]:
-    return [float(s.get(column, 0.0)) for s in samples]
-
-
-# ----------------------------------------------------------------------
 # top-k streams by lifetime (from trace stream spans)
 # ----------------------------------------------------------------------
 def top_streams(

@@ -7,12 +7,12 @@ dispatches; PR 6 turned it into a CI gate. A bare mismatch is the
 least actionable failure in the repo — this module makes it
 localizable with a two-pass replay (DESIGN.md §11):
 
-1. **Checkpoint pass**: run both variants (kernel backend A/B, commit
-   N vs N-1, policy on/off) with a :class:`TraceRecorder` attached.
-   The recorder feeds the sanitizer's own S5 hash
-   (:class:`~repro.sim.sanitizer.S5Trace`) from the same ``dispatch``
-   probe and snapshots the prefix hash every ``checkpoint_every``
-   events.
+1. **Checkpoint pass**: run both variants (calendar queue vs heap
+   oracle, commit N vs N-1, policy on/off) with a
+   :class:`TraceRecorder` attached. The recorder feeds the sanitizer's
+   own S5 hash (:class:`~repro.sim.sanitizer.S5Trace`) from the same
+   ``dispatch`` probe and snapshots the prefix hash every
+   ``checkpoint_every`` events.
 2. **Window pass**: a prefix-hash mismatch is monotone (once the
    streams diverge the hashes stay different), so binary-search the
    checkpoint arrays for the first disagreeing checkpoint, then
@@ -26,7 +26,6 @@ instead of two giant opaque hashes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -44,8 +43,8 @@ class TraceRecorder:
     """Records the S5 event stream from the ``dispatch`` probe.
 
     Attach to a fresh :class:`~repro.sim.kernel.Simulator` *before*
-    running it. Works identically on both kernel backends: their
-    ``run()`` loops fire the ``dispatch`` probe for every event.
+    running it. Works on any scheduler whose ``run()`` loop fires the
+    ``dispatch`` probe for every event.
     Composes with the sanitizer, which hashes the same stream with the
     same :class:`~repro.sim.sanitizer.S5Trace`.
     """
@@ -208,70 +207,3 @@ def localize(
     result = done(win_a)
     result.index = start
     return result
-
-
-# ----------------------------------------------------------------------
-# figure-point variants (bench-smoke / kernel-equivalence wiring)
-# ----------------------------------------------------------------------
-def figure_point_variant(
-    workload: str,
-    config: str,
-    backend: str,
-    core: str = "ooo8",
-    cols: int = 4,
-    rows: int = 4,
-    scale: int = 16,
-    link_bits: int = 256,
-    l3_interleave: Optional[int] = None,
-    seed: int = 0,
-) -> RunVariant:
-    """A :data:`RunVariant` that runs one figure point under the named
-    kernel backend (mirrors ``benchmarks/bench_kernel.py``'s direct
-    Chip construction — no caches, no harness)."""
-
-    def run(attach: Callable[[Any], TraceRecorder]) -> TraceRecorder:
-        from repro.sim.kernel import ENV_KERNEL
-        from repro.system.chip import Chip
-        from repro.system.configs import make_config
-        from repro.workloads.base import build_programs
-
-        prev = os.environ.get(ENV_KERNEL)
-        os.environ[ENV_KERNEL] = backend
-        try:
-            system = make_config(
-                config, core=core, cols=cols, rows=rows, scale=scale,
-                link_bits=link_bits, l3_interleave=l3_interleave,
-            )
-            chip = Chip(system)
-            recorder = attach(chip.sim)
-            programs = build_programs(
-                workload, chip.num_cores, scale=scale, seed=seed,
-            )
-            chip.run(programs)
-            return recorder
-        finally:
-            if prev is None:
-                os.environ.pop(ENV_KERNEL, None)
-            else:
-                os.environ[ENV_KERNEL] = prev
-
-    return run
-
-
-def localize_backends(
-    workload: str,
-    config: str,
-    backend_a: str = "heap",
-    backend_b: str = "calendar",
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    **point_kwargs: Any,
-) -> Optional[Divergence]:
-    """Localize a kernel-backend divergence on one figure point.
-    Returns ``None`` when the backends agree (then a baseline hash
-    mismatch is semantic — a handler or model change — not a
-    scheduling bug)."""
-    return localize(
-        figure_point_variant(workload, config, backend_a, **point_kwargs),
-        figure_point_variant(workload, config, backend_b, **point_kwargs),
-        checkpoint_every=checkpoint_every,
-    )

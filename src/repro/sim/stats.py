@@ -116,11 +116,6 @@ class Stats:
             self._flush()
         return iter(sorted(self._values.items()))
 
-    def as_dict(self) -> Dict[str, float]:
-        if self._cells:
-            self._flush()
-        return dict(self._values)
-
     # Serialization (the disk run-cache stores stats as plain JSON).
     def to_dict(self) -> Dict[str, float]:
         if self._cells:

@@ -164,6 +164,3 @@ class FloatPlan:
         return " ".join(
             f"{lv}@{s}" for s, lv in zip(self._starts, self._levels)
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FloatPlan({self.describe()})"

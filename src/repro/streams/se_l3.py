@@ -721,10 +721,6 @@ class SEL3:
                 payload_bits=body.bits(), dst_port="se_l2", body=body,
             ))
 
-    def dealloc_range(self, key: StreamKey) -> None:
-        """Stream committed its stream_end: forget its range data."""
-        self.ranges.pop(key, None)
-
     def flush_floating(self) -> None:
         """Context switch (SS IV-E): discard all floating streams."""
         for stream in list(self.streams.values()):

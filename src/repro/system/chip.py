@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.mem.addr import NucaMap
 from repro.mem.dram import DramSystem
@@ -26,7 +26,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
 from repro.system.params import SystemParams
 from repro.system.tile import Tile
-from repro.workloads.kernel import CoreProgram, KernelPhase
+from repro.workloads.kernel import CoreProgram
 
 
 @dataclass
@@ -43,19 +43,6 @@ class RunResult:
         return sum(
             self.stats.get(f"noc.flit_hops.{k}") for k in TRAFFIC_CLASSES
         )
-
-    @property
-    def noc_flits(self) -> float:
-        return sum(
-            self.stats.get(f"noc.flits.{k}") for k in TRAFFIC_CLASSES
-        )
-
-    def traffic_breakdown(self) -> Dict[str, float]:
-        """Flit-hops by traffic class (Figure 15's bands)."""
-        return {
-            kind: self.stats.get(f"noc.flit_hops.{kind}")
-            for kind in TRAFFIC_CLASSES
-        }
 
     def noc_utilization(self) -> float:
         mesh = Mesh(self.params.cols, self.params.rows)

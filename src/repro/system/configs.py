@@ -13,6 +13,8 @@ ss               stream-specialized core (decoupled-stream ISA,
 sf               stream floating (1 kB L3 interleaving by default)
 sf_aff           floating with only affine streams (Figure 15)
 sf_ind           affine + indirect floating, no confluence
+sf_sgc           full sf plus stream-grain coherence tracking
+                 (SS V-B)
 sf_smart         sf with the adaptive float policy (windowed
                  counters, length/locality gates, revocation)
 sf_plan          sf_smart plus per-range FloatPlans (probation L2

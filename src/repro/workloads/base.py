@@ -21,7 +21,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Type
+from typing import Dict, List, Type
 
 import numpy as np
 
@@ -80,22 +80,15 @@ class Workload:
         self.rng = np.random.default_rng(seed)
         self.layout = Layout()
 
-    @property
-    def name(self) -> str:
-        return self.META.name
-
     def build(self) -> Dict[int, CoreProgram]:
         """Programs for every core (same phase count everywhere)."""
         programs = self._build()
         lengths = {len(p) for p in programs.values()}
         if len(lengths) > 1:
             raise AssertionError(
-                f"{self.name}: cores disagree on phase count ({lengths})"
+                f"{self.META.name}: cores disagree on phase count ({lengths})"
             )
         return programs
-
-    def _build(self) -> Dict[int, CoreProgram]:
-        raise NotImplementedError
 
 
 _REGISTRY: Dict[str, Type[Workload]] = {}

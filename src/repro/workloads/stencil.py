@@ -16,7 +16,7 @@ inside the allocation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.streams.isa import StreamSpec
 from repro.streams.pattern import AffinePattern
@@ -39,11 +39,8 @@ def row_stream(sid: int, base: int, row0: int, n_rows: int, row_bytes: int,
 
 
 class StencilWorkload(Workload):
-    """Base for row-wise stencils; subclasses set dims and compute."""
-
-    #: grid rows / row bytes / time steps — set by subclass
-    def _dims(self):  # pragma: no cover - abstract
-        raise NotImplementedError
+    """Base for row-wise stencils; subclasses define ``_dims()``
+    returning (grid rows, row bytes, time steps) and set compute."""
 
     #: arithmetic ops per line iteration
     COMPUTE_OPS = 10

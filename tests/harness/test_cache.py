@@ -53,7 +53,7 @@ def test_stats_roundtrip():
     s.add("a.b", 3)
     s.add("a.c", 0.125)
     restored = Stats.from_dict(json.loads(json.dumps(s.to_dict())))
-    assert restored.as_dict() == s.as_dict()
+    assert restored.to_dict() == s.to_dict()
 
 
 def test_energy_roundtrip():
@@ -75,7 +75,7 @@ def test_runrecord_roundtrip():
     assert restored.key == rec.key
     assert restored.seed == 3
     assert restored.cycles == rec.cycles
-    assert restored.stats.as_dict() == rec.stats.as_dict()
+    assert restored.stats.to_dict() == rec.stats.to_dict()
     assert restored.energy == rec.energy
     assert restored.flit_hops == rec.flit_hops
 
@@ -83,7 +83,7 @@ def test_runrecord_roundtrip():
 def test_real_run_roundtrips_exactly():
     rec = run_once("nn", "base", **KW)
     restored = RunRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
-    assert restored.stats.as_dict() == rec.stats.as_dict()
+    assert restored.stats.to_dict() == rec.stats.to_dict()
     assert restored.energy.total == rec.energy.total
     assert restored.cycles == rec.cycles
 
@@ -127,7 +127,7 @@ def test_put_get_roundtrip(tmp_path):
     got = cache.get(rec.params)
     assert got is not None
     assert got.key == rec.key
-    assert got.stats.as_dict() == rec.stats.as_dict()
+    assert got.stats.to_dict() == rec.stats.to_dict()
     assert cache.counters.stores == 1
     assert cache.counters.hits == 1
 

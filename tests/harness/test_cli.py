@@ -171,7 +171,9 @@ def test_cli_telemetry_parallel_jobs(tmp_path, capsys):
 
     # Same run serially: report text is byte-identical.
     clear_cache()
-    assert main(args) == 0
+    assert main(args + [
+        "--interval-out", str(tmp_path / "serial.intervals.jsonl"),
+    ]) == 0
     serial_out = capsys.readouterr().out
 
     def report_lines(out):

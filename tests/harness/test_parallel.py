@@ -33,7 +33,7 @@ def fresh_cache():
 
 def snapshot(records):
     return {
-        key: (rec.cycles, tuple(sorted(rec.stats.as_dict().items())),
+        key: (rec.cycles, tuple(sorted(rec.stats.to_dict().items())),
               rec.energy.total)
         for key, rec in records.items()
     }

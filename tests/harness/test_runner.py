@@ -71,7 +71,7 @@ def test_disk_cache_hit_across_memo_clears(tmp_path, monkeypatch):
     assert COUNTERS.disk_hits == 1
     assert second is not first
     assert second.cycles == first.cycles
-    assert second.stats.as_dict() == first.stats.as_dict()
+    assert second.stats.to_dict() == first.stats.to_dict()
     assert second.energy.total == first.energy.total
 
 
@@ -84,8 +84,8 @@ def test_disk_cache_distinguishes_seeds(tmp_path, monkeypatch):
     b2 = run_once("nn", "base", seed=1, **KW)
     assert COUNTERS.disk_hits == 2 and COUNTERS.simulated == 0
     assert a2.seed == 0 and b2.seed == 1
-    assert a2.stats.as_dict() == a.stats.as_dict()
-    assert b2.stats.as_dict() == b.stats.as_dict()
+    assert a2.stats.to_dict() == a.stats.to_dict()
+    assert b2.stats.to_dict() == b.stats.to_dict()
 
 
 def test_use_cache_false_bypasses_disk(tmp_path, monkeypatch):

@@ -46,7 +46,7 @@ def _run(monkeypatch, workload, config, fastpath):
         "cycles": result.cycles,
         "events": chip.sim.events_executed,
         "inlined": chip.sim.events_inlined,
-        "stats": chip.stats.as_dict(),
+        "stats": chip.stats.to_dict(),
     }
 
 

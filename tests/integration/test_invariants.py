@@ -89,7 +89,7 @@ def test_determinism(config):
     _, first = run_chip("bfs", config)
     _, second = run_chip("bfs", config)
     assert first.cycles == second.cycles
-    assert first.stats.as_dict() == second.stats.as_dict()
+    assert first.stats.to_dict() == second.stats.to_dict()
 
 
 def test_request_response_conservation():

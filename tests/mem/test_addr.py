@@ -6,45 +6,27 @@ from hypothesis import strategies as st
 
 from repro.mem.addr import (
     LINE_SIZE,
-    PAGE_SIZE,
     NucaMap,
     line_addr,
-    line_index,
-    line_offset,
-    lines_covered,
-    page_addr,
-    same_line,
-    same_page,
+    page_index,
 )
 
 
 def test_line_alignment():
     assert line_addr(0x1234) == 0x1200
-    assert line_offset(0x1234) == 0x34
-    assert line_index(0x1240) == 0x49
+    assert line_addr(0x1240) == 0x1240
 
 
 def test_page_alignment():
-    assert page_addr(0x12345) == 0x12000
+    assert page_index(0x12345) == 0x12
+    assert page_index(0xFFF) == 0
 
 
 def test_same_line_and_page():
-    assert same_line(0x100, 0x13F)
-    assert not same_line(0x100, 0x140)
-    assert same_page(0x1000, 0x1FFF)
-    assert not same_page(0x1000, 0x2000)
-
-
-def test_lines_covered_spanning():
-    # 8 bytes at the very end of a line touch two lines.
-    covered = lines_covered(LINE_SIZE - 4, 8)
-    assert list(covered) == [0, 1]
-    assert list(lines_covered(0, LINE_SIZE)) == [0]
-
-
-def test_lines_covered_rejects_empty():
-    with pytest.raises(ValueError):
-        lines_covered(0, 0)
+    assert line_addr(0x100) == line_addr(0x13F)
+    assert line_addr(0x100) != line_addr(0x140)
+    assert page_index(0x1000) == page_index(0x1FFF)
+    assert page_index(0x1000) != page_index(0x2000)
 
 
 @given(st.integers(min_value=0, max_value=2**48 - 1))
@@ -63,13 +45,12 @@ class TestNucaMap:
         nuca = NucaMap(num_banks=4, interleave=1024)
         assert nuca.bank_of(0) == nuca.bank_of(1023)
         assert nuca.bank_of(1024) == 1
-        assert nuca.chunk_base(1500) == 1024
-        assert nuca.chunk_end(1500) == 2048
+        assert nuca.bank_of(4096) == 0
 
     def test_same_bank(self):
         nuca = NucaMap(num_banks=16, interleave=256)
-        assert nuca.same_bank(0, 255)
-        assert not nuca.same_bank(0, 256)
+        assert nuca.bank_of(0) == nuca.bank_of(255)
+        assert nuca.bank_of(0) != nuca.bank_of(256)
 
     def test_rejects_sub_line_interleave(self):
         with pytest.raises(ValueError):
@@ -89,5 +70,8 @@ class TestNucaMap:
 
     @given(st.integers(min_value=0, max_value=2**40))
     def test_chunk_contains_addr(self, addr):
+        """Every address of an interleave chunk maps to one bank."""
         nuca = NucaMap(num_banks=8, interleave=1024)
-        assert nuca.chunk_base(addr) <= addr < nuca.chunk_end(addr)
+        base = addr & ~1023
+        assert nuca.bank_of(addr) == nuca.bank_of(base) \
+            == nuca.bank_of(base + 1023)

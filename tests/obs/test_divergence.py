@@ -168,7 +168,7 @@ def test_recorder_matches_sanitizer_s5_hash():
     recorder = TraceRecorder(chip.sim, checkpoint_every=4096)
     programs = build_programs("mv", chip.num_cores, scale=8, seed=0)
     result = chip.run(programs)
-    stats = result.stats.as_dict()
+    stats = result.stats.to_dict()
     assert stats.get("sanitizer.trace_events", 0) > 0
     assert recorder.events == stats["sanitizer.trace_events"]
     assert recorder.crc == stats["sanitizer.trace_hash"]

@@ -145,7 +145,6 @@ def test_float_decisions_snapshot_policy_inputs():
     Table-II history row, pattern class and position."""
     import os
 
-    from repro.sim.kernel import ENV_KERNEL  # noqa: F401  (doc import)
     from repro.system.chip import Chip
     from repro.system.configs import make_config
     from repro.workloads.base import build_programs

@@ -93,14 +93,3 @@ def test_run_max_events_bound():
     sim.schedule(0, reschedule)
     sim.run(max_events=100)
     assert len(count) == 100
-
-
-def test_step_and_peek():
-    sim = Simulator()
-    assert sim.peek_time() is None
-    assert sim.step() is False
-    sim.schedule(4, lambda: None)
-    assert sim.peek_time() == 4
-    assert sim.step() is True
-    assert sim.now == 4
-    assert sim.events_executed == 1

@@ -1,11 +1,13 @@
-"""Backend-level tests for the two scheduler implementations.
+"""Backend-level tests for the scheduler.
 
-Every test here runs against both the calendar queue (the default)
-and the single-heap reference (``REPRO_KERNEL=heap``): the backends
-must be observably identical, and the regression tests for the two
-historical kernel bugs — ``run(until=N)`` leaving ``now`` behind on
-queue drain, and ``schedule_at`` silently truncating fractional times
-— must hold on each.
+The shared-contract tests run against both the calendar queue
+(:class:`repro.sim.Simulator`) and the single-heap reference
+(:class:`heap_oracle.HeapOracle`): the two must be observably
+identical, and the regression tests for the two historical kernel bugs
+— ``run(until=N)`` leaving ``now`` behind on queue drain, and
+``schedule_at`` silently truncating fractional times — must hold on
+each. The ``test_calendar_*`` tests pin the calendar queue's own
+mechanics.
 
 Tests marked ``no_sanitize`` additionally exercise the run loop with
 no ``dispatch`` probe subscriber (the tier-1 default attaches the
@@ -15,42 +17,12 @@ sanitizer, which subscribes one).
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.kernel import (
-    CalendarSimulator,
-    ENV_KERNEL,
-    HeapSimulator,
-    kernel_from_env,
-)
+from tests.sim.heap_oracle import HeapOracle
 
 
-@pytest.fixture(params=["calendar", "heap"])
-def backend(request, monkeypatch):
-    monkeypatch.setenv(ENV_KERNEL, request.param)
-    return request.param
-
-
-@pytest.fixture
-def sim(backend):
-    return Simulator()
-
-
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-def test_env_selects_backend(backend, sim):
-    expected = HeapSimulator if backend == "heap" else CalendarSimulator
-    assert type(sim) is expected
-
-
-def test_unknown_kernel_env_rejected(monkeypatch):
-    monkeypatch.setenv(ENV_KERNEL, "fibonacci")
-    with pytest.raises(ValueError, match="fibonacci"):
-        kernel_from_env()
-
-
-def test_default_is_calendar(monkeypatch):
-    monkeypatch.delenv(ENV_KERNEL, raising=False)
-    assert kernel_from_env() == "calendar"
+@pytest.fixture(params=[Simulator, HeapOracle], ids=["calendar", "heap"])
+def sim(request):
+    return request.param()
 
 
 # ----------------------------------------------------------------------
@@ -168,8 +140,7 @@ def test_count_inlined_events(sim):
 # calendar-specific mechanics
 # ----------------------------------------------------------------------
 @pytest.fixture
-def cal(monkeypatch):
-    monkeypatch.setenv(ENV_KERNEL, "calendar")
+def cal():
     return Simulator()
 
 
@@ -231,8 +202,9 @@ def test_calendar_dense_reschedule_storm(cal):
     assert len(ticks) == expected
 
 
-def test_calendar_step_matches_run_order(monkeypatch):
-    monkeypatch.setenv(ENV_KERNEL, "calendar")
+def test_calendar_step_matches_run_order():
+    """Single-stepping with ``run(max_events=1)`` runs the same order
+    as one full drain, across the ring and the overflow heap."""
     run_order = []
     sim = Simulator()
     for d, tag in ((3, "a"), (3, "b"), (1, "c"), (5000, "z")):
@@ -243,7 +215,7 @@ def test_calendar_step_matches_run_order(monkeypatch):
     sim2 = Simulator()
     for d, tag in ((3, "a"), (3, "b"), (1, "c"), (5000, "z")):
         sim2.schedule(d, step_order.append, tag)
-    while sim2.step():
-        pass
+    while sim2.events_pending:
+        sim2.run(max_events=1)
     assert step_order == run_order == ["c", "a", "b", "z"]
     assert sim2.now == sim.now == 5000

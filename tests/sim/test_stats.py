@@ -107,7 +107,7 @@ def test_stats_to_from_dict_roundtrip():
     s.add("noc.flits.data", 12)
     s.set("l2.hits", 0.5)
     restored = Stats.from_dict(s.to_dict())
-    assert restored.as_dict() == s.as_dict()
+    assert restored.to_dict() == s.to_dict()
     assert restored["noc.flits.data"] == 12
     # The restored object is independent and still a working Stats.
     restored.add("noc.flits.data", 1)
@@ -134,7 +134,7 @@ def test_reads_have_no_side_effects():
     assert s["phantom"] == 0
     assert s.get("phantom") == 0
     assert "phantom" not in s
-    assert s.as_dict() == {}
+    assert s.to_dict() == {}
 
 
 def test_histogram_percentile():

@@ -1,10 +1,7 @@
 """Unit tests for the L2 stream engine (SE_L2): buffering, credits,
 followers, interception, aliasing."""
 
-import pytest
-
-from repro.streams.isa import StreamSpec
-from repro.streams.pattern import AffinePattern
+from repro.obs.telemetry import ENV_TELEMETRY
 from tests.streams.conftest import StreamRig, dense_spec
 
 BASE = 0x40_0000
@@ -95,6 +92,15 @@ class TestFollowers:
         # leader's elements once, not twice.
         assert rig.stats["se_l2.floats"] == 1
         assert rig.stats["se_l2.data_arrivals"] <= 140
+
+    def test_follow_verdict_in_provenance(self, monkeypatch):
+        monkeypatch.setenv(ENV_TELEMETRY, "provenance")
+        rig = StreamRig()
+        self.configure_pair(rig)
+        rig.run()
+        follows = rig.sim.telemetry.provenance.by_verdict("follow")
+        assert [(r.sid, r.reason, r.inputs["leader_sid"], r.inputs["delta"])
+                for r in follows] == [(1, "constant_offset", 0, 4)]
 
     def test_far_offset_does_not_follow(self, rig):
         # Offset beyond half the buffer share: separate float.
