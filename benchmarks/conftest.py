@@ -52,7 +52,6 @@ def pytest_collection_modifyitems(items):
 # are deterministic event/sample counts; host wall-clock must never
 # appear here or cached results would differ run to run.
 _DETERMINISTIC_TELEMETRY_KEYS = {
-    "telemetry.bus_events",
     "telemetry.spans_opened",
     "telemetry.spans_closed",
     "telemetry.spans_dropped",

@@ -2,8 +2,9 @@
 """Watch a floated stream's life: float -> migrate -> ... -> end.
 
 Records the floated-stream events of an SF chip running the mv kernel
-from the telemetry bus and prints the first float/sink/migration/end
-events, then the per-kind totals. Useful both for understanding the mechanism and for
+(``attach(sim).record()`` logs them straight from the stream-engine
+probes) and prints the first float/sink/migration/end events, then
+the per-kind totals. Useful both for understanding the mechanism and for
 debugging new workloads: a stream that floats and immediately sinks,
 or that migrates every few elements, shows up here at a glance.
 

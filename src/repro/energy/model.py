@@ -70,19 +70,6 @@ class EnergyBreakdown:
             + self.l3 + self.noc + self.dram + self.stream_engines
         )
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "core_dynamic": self.core_dynamic,
-            "core_static": self.core_static,
-            "l1": self.l1,
-            "l2": self.l2,
-            "l3": self.l3,
-            "noc": self.noc,
-            "dram": self.dram,
-            "stream_engines": self.stream_engines,
-            "total": self.total,
-        }
-
     # Serialization (the disk run-cache stores breakdowns as JSON).
     def to_dict(self) -> Dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

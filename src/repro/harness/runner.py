@@ -20,7 +20,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.harness.cache import ENV_CACHE_DIR, RunCache
-from repro.obs.telemetry import ENV_TELEMETRY
+from repro.obs.telemetry import ENV_TELEMETRY, pillars_with
 from repro.noc.message import TRAFFIC_CLASSES
 from repro.sim.stats import Stats
 from repro.system.chip import Chip, RunResult
@@ -274,15 +274,19 @@ def simulate(params: Dict[str, Any]) -> RunRecord:
         l3_interleave=params["l3_interleave"],
     )
     obs = params.get("obs")
-    if obs and not os.environ.get(ENV_TELEMETRY, "").strip():
-        # Point-requested pillars: telemetry attaches inside
-        # Simulator.__init__, so the env only needs to cover chip
-        # construction. An explicit REPRO_TELEMETRY wins.
-        os.environ[ENV_TELEMETRY] = obs
+    if obs:
+        # Point-requested pillars join any REPRO_TELEMETRY already
+        # names: telemetry attaches inside Simulator.__init__, so the
+        # env only needs to cover chip construction.
+        prev = os.environ.get(ENV_TELEMETRY)
+        os.environ[ENV_TELEMETRY] = pillars_with(obs)
         try:
             chip = Chip(system)
         finally:
-            del os.environ[ENV_TELEMETRY]
+            if prev is None:
+                del os.environ[ENV_TELEMETRY]
+            else:
+                os.environ[ENV_TELEMETRY] = prev
     else:
         chip = Chip(system)
     programs = build_programs(

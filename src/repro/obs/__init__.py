@@ -1,5 +1,6 @@
-"""Observability layer: the probe seam, telemetry bus, spans, interval
-metrics, kernel profiler and artifact export (DESIGN.md §8).
+"""Observability layer: the probe seam and the telemetry pillars that
+subscribe to it — spans, interval metrics, kernel profiler, decision
+provenance, cycle accounting — plus artifact export (DESIGN.md §8).
 
 Only the stdlib-only modules are imported here — ``sim.kernel``
 imports this package at module level, and the heavier submodules
@@ -12,7 +13,7 @@ from repro.obs.telemetry import (
     ENV_INTERVAL,
     ENV_TELEMETRY,
     ENV_TELEMETRY_DIR,
-    BusEvent,
+    StreamEvent,
     Telemetry,
     TelemetryConfig,
     attach,
@@ -22,12 +23,12 @@ from repro.obs.telemetry import (
 )
 
 __all__ = [
-    "BusEvent",
     "ENV_INTERVAL",
     "ENV_TELEMETRY",
     "ENV_TELEMETRY_DIR",
     "PROBES",
     "Probes",
+    "StreamEvent",
     "Telemetry",
     "TelemetryConfig",
     "attach",

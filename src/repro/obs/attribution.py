@@ -9,7 +9,7 @@ iteration was bound on:
 - finished by the scheduled compute-completion event → ``compute``;
 - finished by a load completion → the load's *journey* (assembled
   from the ``l1_miss``/``l2_miss``/``l3_demand``/``dram``/``l1_fill``
-  bus events for its line) splits the segment across
+  probes for its line) splits the segment across
   ``wait_l2`` / ``wait_noc_req`` / ``wait_l3`` / ``wait_dram`` /
   ``wait_noc_resp``; floated-stream elements split into
   ``credit_starve`` (the SE_L3 had not issued the element's GetU
@@ -26,16 +26,19 @@ sums equal total core cycles — holds exactly; :meth:`check` asserts
 it sanitizer-style at the end of every run. Everything here is
 simulated-cycle arithmetic: deterministic, cache- and ``--jobs``-safe.
 
-The accountant reads the model through the probe seam: bus events for
-the journeys, the ``core_*`` probes for the commit front. Probes fire
-before any fused tail call (DESIGN.md §12), so a fill event precedes
-the waiter callbacks it wakes whether fusion is on or off — which is
-what lets a finishing load correlate to the latest completion.
+The accountant subscribes to the probe seam itself: the cache, DRAM
+and GetU probes for the journeys, the ``core_*`` probes for the
+commit front, ``built`` for the cores. Probes fire before any fused
+tail call (DESIGN.md §12), so a fill precedes the waiter callbacks it
+wakes whether fusion is on or off — which is what lets a finishing
+load correlate to the latest completion.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.mem.addr import line_addr
 
 BUCKETS = (
     "compute", "l1_hit", "wait_l2", "wait_noc_req", "wait_l3",
@@ -53,7 +56,7 @@ MAX_GETU_MARKS = 65_536  # remembered GetU issue cycles for credit split
 
 
 class _Journey:
-    """One line fetch as seen on the bus: waypoints, not hops."""
+    """One line fetch as the probes see it: waypoints, not hops."""
 
     __slots__ = ("start", "floating", "l2_done", "l3_seen", "l3_lat",
                  "l3_outcome", "dram_at", "dram_done")
@@ -88,10 +91,10 @@ class _TileState:
 
 
 class CycleAccountant:
-    """Assembles the per-core CPI stack from bus events + core probes."""
+    """Assembles the per-core CPI stack from the probes it subscribes to."""
 
-    def __init__(self, telemetry) -> None:
-        self.telemetry = telemetry
+    def __init__(self, sim) -> None:
+        self.sim = sim
         self._tiles: Dict[int, _TileState] = {}
         self._cores: Dict[int, Any] = {}
         # (tile, line) -> open journey; line -> journey keys (for DRAM
@@ -101,16 +104,21 @@ class CycleAccountant:
         # (requester, line) -> GetU issue cycle (credit-starve split).
         self._getu: Dict[Tuple[int, int], int] = {}
         self.journeys_dropped = 0
-        for kind in ("l1_miss", "l1_fill", "l2_miss", "l3_demand",
-                     "dram", "getu"):
-            telemetry.subscribe(kind, getattr(self, f"_on_{kind}"))
+        probes = sim.probes
+        for name in ("built", "l1_miss", "l1_fill", "l2_miss", "l3_demand",
+                     "dram", "l3_getu"):
+            probes.subscribe(name, getattr(self, f"_on_{name}"))
+        probes.subscribe("core_phase", self.phase_begin)
+        probes.subscribe("core_phase_done", self.phase_end)
+        probes.subscribe("core_iter_finish", self.iter_finish)
 
     # ------------------------------------------------------------------
-    # commit-front replication (core probes, subscribed by Telemetry)
+    # commit-front replication (core probes)
     # ------------------------------------------------------------------
-    def add_core(self, core) -> None:
-        self._tiles.setdefault(core.tile, _TileState())
-        self._cores[core.tile] = core
+    def _on_built(self, role: str, comp) -> None:
+        if role == "core":
+            self._tiles.setdefault(comp.tile, _TileState())
+            self._cores[comp.tile] = comp
 
     def phase_begin(self, core, phase) -> None:
         ts = self._tiles[core.tile]
@@ -206,72 +214,72 @@ class CycleAccountant:
             buckets[legs[-1][2]] += rest
 
     # ------------------------------------------------------------------
-    # journey assembly from bus events
+    # journey assembly from the cache, DRAM and GetU probes
     # ------------------------------------------------------------------
-    def _on_l1_miss(self, ev) -> None:
-        key = (ev.tile, ev.data["addr"])
+    def _on_l1_miss(self, l1, req, base: int, fresh: bool) -> None:
+        key = (l1.tile, base)
         journey = self._journeys.get(key)
         if journey is None:
             if len(self._journeys) >= MAX_JOURNEYS:
                 self.journeys_dropped += 1
                 return
-            journey = _Journey(ev.cycle, bool(ev.data.get("floating")))
+            journey = _Journey(self.sim.now, bool(req.floating))
             self._journeys[key] = journey
-            self._line_index.setdefault(key[1], []).append(key)
-        elif ev.data.get("floating"):
+            self._line_index.setdefault(base, []).append(key)
+        elif req.floating:
             journey.floating = True
 
-    def _on_l2_miss(self, ev) -> None:
-        journey = self._journeys.get((ev.tile, ev.data["addr"]))
+    def _on_l2_miss(self, l2, req, base: int, fresh: bool, via: str) -> None:
+        journey = self._journeys.get((l2.tile, base))
         if journey is None or journey.l2_done is not None:
             return
-        if ev.data.get("via") in ("overflow", "prefetch_drop"):
+        if via in ("overflow", "prefetch_drop"):
             return  # parked at the L2: still wait_l2, nothing sent yet
-        journey.l2_done = ev.cycle
+        journey.l2_done = self.sim.now
 
-    def _on_l3_demand(self, ev) -> None:
-        if ev.data.get("op") not in ("GetS", "GetX"):
+    def _on_l3_demand(self, bank, msg, outcome: str) -> None:
+        if msg.op not in ("GetS", "GetX"):
             return
-        journey = self._journeys.get(
-            (ev.data.get("requester"), ev.data["addr"]))
+        journey = self._journeys.get((msg.requester, line_addr(msg.addr)))
         if journey is None or journey.dram_at is not None:
             return
-        journey.l3_seen = ev.cycle
-        journey.l3_lat = int(ev.data.get("lat", 0))
-        journey.l3_outcome = ev.data.get("outcome", "")
+        journey.l3_seen = self.sim.now
+        journey.l3_lat = int(bank.latency)
+        journey.l3_outcome = outcome
 
-    def _on_dram(self, ev) -> None:
-        if ev.data.get("op") != "MemRead":
+    def _on_dram(self, ctrl, msg, done: int) -> None:
+        if msg.op != "MemRead":
             return
-        for key in self._line_index.get(ev.data["addr"], ()):
+        for key in self._line_index.get(line_addr(msg.addr), ()):
             journey = self._journeys.get(key)
             if journey is not None and journey.dram_at is None:
-                journey.dram_at = ev.cycle
-                journey.dram_done = ev.data.get("done")
+                journey.dram_at = self.sim.now
+                journey.dram_done = done
 
-    def _on_getu(self, ev) -> None:
+    def _on_l3_getu(self, bank, msg) -> None:
         if len(self._getu) >= MAX_GETU_MARKS:
             self._getu.clear()  # precision loss only, never growth
-        self._getu[(ev.data.get("requester"), ev.data["addr"])] = ev.cycle
+        self._getu[(msg.requester, line_addr(msg.addr))] = self.sim.now
 
-    def _on_l1_fill(self, ev) -> None:
-        key = (ev.tile, ev.data["addr"])
-        if ev.data.get("reason") == "drop":
+    def _on_l1_fill(self, l1, base: int, reason: str) -> None:
+        if reason == "drop":
             return  # L2 rejected the prefetch; demand waiters re-issue
+        key = (l1.tile, base)
         journey = self._journeys.pop(key, None)
-        keys = self._line_index.get(key[1])
+        keys = self._line_index.get(base)
         if keys is not None:
             try:
                 keys.remove(key)
             except ValueError:
                 pass
             if not keys:
-                del self._line_index[key[1]]
+                del self._line_index[base]
         if journey is None:
             return
-        ts = self._tiles.get(ev.tile)
+        ts = self._tiles.get(l1.tile)
         if ts is not None:
-            ts.last_comp = (ev.cycle, self._legs(journey, ev.cycle, key))
+            now = self.sim.now
+            ts.last_comp = (now, self._legs(journey, now, key))
 
     def _legs(self, j: _Journey, cf: int,
               key: Tuple[int, int]) -> List[tuple]:

@@ -14,7 +14,8 @@ form: ``{"traceEvents": [...]}``) openable in Perfetto or
   simulated cycles and their hop list in ``args.hops`` as
   ``[name, cycle, tile, detail]`` rows;
 - NoC hops are ``ph: "s"``/``"f"`` flow arrows anchored on dur-1
-  slices at the departure and arrival tracks, ``id``-ed by packet.
+  slices at the departure and arrival tracks, ``id``-ed by the
+  arrow's send order within the point.
 
 Everything emitted is simulated-time data — export is deterministic
 for a deterministic run.
@@ -95,7 +96,7 @@ def chrome_trace_events(
             "name": _span_name(span), "cat": span.kind, "args": args,
         })
     for noc in spans.noc_events:
-        flow_id = f"{pid}.{noc['pid']}"
+        flow_id = f"{pid}.{noc['id']}"
         src_tid = tid_for(noc["src"], 3)
         dst_tid = tid_for(noc["dst"], 3)
         name = f"{noc['kind']} -> {noc['dst']}:{noc['port']}"
@@ -308,7 +309,7 @@ class TelemetrySink:
                 for event in events:
                     event["pid"] = self.points
                     if "id" in event:
-                        # Flow-arrow ids are "<pid>.<packet>"; keep
+                        # Flow-arrow ids are "<pid>.<arrow>"; keep
                         # them unique across merged points.
                         suffix = str(event["id"]).split(".", 1)[-1]
                         event["id"] = f"{self.points}.{suffix}"

@@ -9,17 +9,20 @@ derived rates:
 - ``noc_util`` — flit-hops / (links x interval cycles);
 - ``l3_mpki`` — L3 misses per thousand core ops in the interval;
 - ``streams_alive`` — floated streams alive at the sample instant
-  (gauge, from the telemetry bus's float/sink/end bookkeeping);
+  (gauge: floated on ``se_floated``, retired on ``se_sunk`` or
+  ``se_l3_end``, whichever comes first);
 - ``flits.<class>`` — flits injected per traffic class.
 
-Samples are plain dicts (JSONL/CSV-ready; see
+Given a probe table, the sampler subscribes itself: ``built`` binds
+the chip, ``dispatched`` steps it, and the three stream probes keep
+the gauge. Samples are plain dicts (JSONL/CSV-ready; see
 :func:`repro.obs.export.write_intervals`). Everything here is
 simulated-time arithmetic — deterministic across hosts and runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.noc.message import TRAFFIC_CLASSES
 
@@ -38,12 +41,12 @@ TRACKED = (
 class IntervalSampler:
     """Samples bound Stats every ``period`` simulated cycles."""
 
-    def __init__(self, period: int,
-                 alive: Optional[Callable[[], int]] = None) -> None:
+    def __init__(self, period: int, probes=None) -> None:
         if period <= 0:
             raise ValueError(f"interval period must be positive, got {period}")
         self.period = period
-        self._alive = alive or (lambda: 0)
+        # Floated streams alive, as (requesting tile, sid) pairs.
+        self._alive: Set[Tuple[int, Any]] = set()
         self.samples: List[Dict[str, float]] = []
         self._stats = None
         self._links = 1
@@ -51,6 +54,12 @@ class IntervalSampler:
         self._next = period
         self._last_cycle = 0
         self._last: Dict[str, float] = {name: 0.0 for name in TRACKED}
+        if probes is not None:
+            probes.subscribe("built", self._on_built)
+            probes.subscribe("dispatched", self.on_step)
+            probes.subscribe("se_floated", self._on_se_floated)
+            probes.subscribe("se_sunk", self._on_se_sunk)
+            probes.subscribe("se_l3_end", self._on_se_l3_end)
 
     def bind(self, stats, links: int, cores: int) -> None:
         """Attach the chip's Stats tree and mesh geometry."""
@@ -58,8 +67,25 @@ class IntervalSampler:
         self._links = max(1, links)
         self._cores = max(1, cores)
 
-    def on_step(self, now: int) -> None:
-        """Kernel heartbeat; samples when the period boundary passes."""
+    def _on_built(self, role: str, comp) -> None:
+        if role == "chip":
+            self.bind(comp.stats, links=comp.mesh.num_links,
+                      cores=comp.mesh.num_tiles)
+
+    # Gauge bookkeeping: set ops are idempotent, so sink-then-end
+    # double closes are harmless.
+    def _on_se_floated(self, se, stream) -> None:
+        self._alive.add((se.tile, stream.sid))
+
+    def _on_se_sunk(self, se, stream) -> None:
+        self._alive.discard((se.tile, stream.sid))
+
+    def _on_se_l3_end(self, se3, body) -> None:
+        self._alive.discard((body.requester, body.sid))
+
+    def on_step(self, now: int, fn: Any = None) -> None:
+        """Kernel heartbeat (the ``dispatched`` probe); samples when the
+        period boundary passes."""
         if now >= self._next and self._stats is not None:
             self._sample(now)
             # Skip ahead past idle gaps rather than emitting a backlog
@@ -90,7 +116,7 @@ class IntervalSampler:
             "l3_mpki": (
                 round(delta["l3.misses"] / (ops / 1000.0), 6) if ops else 0.0
             ),
-            "streams_alive": self._alive(),
+            "streams_alive": len(self._alive),
         }
         for name in TRACKED:
             sample[name.replace(".", "_")] = delta[name]

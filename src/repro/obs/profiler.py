@@ -31,7 +31,7 @@ from typing import Any, Dict, List
 class KernelProfiler:
     """Aggregates host time and event counts per callback qualname."""
 
-    def __init__(self) -> None:
+    def __init__(self, probes=None) -> None:
         self._acc: Dict[str, List[float]] = {}  # name -> [count, seconds]
         self.events = 0
         # Handler time recorded inside the current dispatch, to be
@@ -39,6 +39,11 @@ class KernelProfiler:
         self._nested_pending = 0.0
         self._dispatch_t0 = 0.0
         self._deliver_t0 = 0.0
+        if probes is not None:
+            probes.subscribe("dispatch", self.on_dispatch)
+            probes.subscribe("dispatched", self.on_dispatched)
+            probes.subscribe("noc_deliver", self.on_deliver)
+            probes.subscribe("noc_delivered", self.on_delivered)
 
     # -- probe subscribers ----------------------------------------------
     def on_dispatch(self, when: int, fn: Any) -> None:
@@ -105,18 +110,3 @@ class KernelProfiler:
             "total_seconds": round(self.total_seconds, 6),
             "top": self.top(n),
         }
-
-    def report(self, n: int = 20) -> str:
-        """Human-readable top-N table."""
-        lines = [
-            f"kernel profile: {self.events} events over "
-            f"{self.total_seconds:.3f}s host time",
-            f"{'callback':<40} {'events':>10} {'seconds':>10} "
-            f"{'us/event':>10}",
-        ]
-        for row in self.top(n):
-            lines.append(
-                f"{row['callback']:<40} {row['events']:>10} "
-                f"{row['seconds']:>10.3f} {row['us_per_event']:>10.3f}"
-            )
-        return "\n".join(lines)

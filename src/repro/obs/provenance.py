@@ -1,16 +1,16 @@
 """Decision provenance ledger: every float/no-float/sink/revoke/
-migrate/confluence/config verdict with its complete input snapshot.
+follow/migrate/confluence/config verdict with its complete input
+snapshot.
 
-The telemetry layer (PR 5) records *what* happened; this pillar
-records *why* (DESIGN.md §11). Each policy decision made anywhere in
-the three-level stream engine — SE_core float/sink, SE_L2 follower
-registration, SE_L3 configure/migrate/confluence — is published on
-the bus as a ``decision`` event (or enriched ``migrate``/
-``confluence`` events) carrying the exact state the policy saw:
-per-stream history (Table II), pattern class, bank locality, epoch,
-credits. The ledger collects them into an ordered, bounded record
-list exportable as queryable JSONL and as Chrome-trace instant
-events on the PR-5 stream tracks.
+Spans record *what* happened; this pillar records *why* (DESIGN.md
+§11). The ledger subscribes to the policy probes of the three-level
+stream engine — SE_core float/sink/end, SE_L2 follower registration,
+SE_L3 configure/migrate/confluence — and appends one
+:class:`ProvenanceRecord` per verdict, carrying the exact state the
+policy saw: per-stream history (Table II), pattern class, bank
+locality, epoch, credits. The ordered, bounded record list exports as
+queryable JSONL and as Chrome-trace instant events on the stream
+tracks.
 
 The ledger also keeps the per-tile and per-link activity counters the
 differential observatory's heatmaps need (L3-bank demand/GetU/DRAM
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+MAX_DECISIONS = 100_000  # ledger cap (drops counted)
 
 
 @dataclass
@@ -65,70 +67,153 @@ class ProvenanceRecord:
         )
 
 
+def _policy_snapshot(se, stream) -> Dict[str, Any]:
+    """The float/sink policy's complete input state for one stream
+    (Table II history + pattern class + bank locality + progress)
+    — what a provenance record stores as the decision's evidence."""
+    ent = se.history.entry(stream.sid)
+    pattern = stream.spec.pattern
+    snap: Dict[str, Any] = {
+        "requests": ent.requests, "reuses": ent.reuses,
+        "misses": ent.misses, "aliased": ent.aliased,
+        "miss_ratio": round(ent.miss_ratio, 4),
+        "pattern": type(pattern).__name__,
+        "length": stream.spec.length,
+        "next_issue": stream.next_issue,
+        "consecutive_hits": stream.consecutive_hits,
+        # Windowed shadow counters + revocation state (the smart
+        # policy's extra decision inputs; zero under static).
+        "w_requests": ent.w_requests, "w_reuses": ent.w_reuses,
+        "w_misses": ent.w_misses, "w_stores": ent.w_stores,
+        "cooldown": ent.cooldown, "revokes": ent.revokes,
+        "policy": getattr(se, "float_policy", "static"),
+    }
+    if stream.plan is not None:
+        snap["plan"] = stream.plan.describe()
+    footprint = getattr(pattern, "footprint_bytes", None)
+    if footprint is not None:
+        snap["footprint"] = footprint()
+    if se.se_l2 is not None and stream.spec.length > 0:
+        idx = min(stream.next_issue, stream.spec.length - 1)
+        snap["home_bank"] = se.se_l2.nuca.bank_of(pattern.address(idx))
+    return snap
+
+
 class ProvenanceLedger:
-    """Bus subscriber assembling the decision ledger + heatmap data."""
+    """Probe subscriber assembling the decision ledger + heatmap data."""
 
-    # Bus kinds whose per-tile counts feed the L3-bank activity heatmap.
-    TILE_KINDS = ("l3_demand", "getu", "dram")
-
-    def __init__(self, telemetry, config) -> None:
-        self.max_records = config.max_decisions
+    def __init__(self, sim) -> None:
+        self.max_records = MAX_DECISIONS
+        self.sim = sim
         self.records: List[ProvenanceRecord] = []
         self.dropped = 0
         # tile -> {kind: count} (L3-bank occupancy heatmap input).
         self.tile_activity: Dict[int, Dict[str, int]] = {}
         # (src, dst) directed mesh link -> flits (NoC-link heatmap).
         self.link_flits: Dict[Tuple[int, int], int] = {}
-        if telemetry is not None:
-            telemetry.subscribe("decision", self._on_decision)
-            telemetry.subscribe("migrate", self._on_migrate)
-            telemetry.subscribe("confluence", self._on_confluence)
-            for kind in self.TILE_KINDS:
-                telemetry.subscribe(kind, self._on_tile_activity)
+        probes = sim.probes
+        for name in ("se_float_decision", "se_sink_decision", "se_end",
+                     "se_l2_follow", "se_l3_configure", "se_l3_migrate",
+                     "se_l3_confluence", "l3_demand", "l3_getu", "dram"):
+            probes.subscribe(name, getattr(self, f"_on_{name}"))
+        probes.subscribe("noc_links", self.record_links)
 
-    # ------------------------------------------------------------------
-    # bus handlers
-    # ------------------------------------------------------------------
-    def _append(self, record: ProvenanceRecord) -> None:
+    def _append(self, tile: int, verdict: str, sid: Optional[int],
+                reason: str, inputs: Dict[str, Any],
+                requester: Optional[int] = None) -> None:
         if len(self.records) >= self.max_records:
             self.dropped += 1
             return
-        self.records.append(record)
-
-    def _on_decision(self, ev) -> None:
-        self._append(ProvenanceRecord(
-            cycle=ev.cycle, tile=ev.tile,
-            verdict=ev.data.get("verdict", "?"),
-            sid=ev.data.get("sid"),
-            requester=ev.data.get("requester"),
-            reason=ev.data.get("reason", ""),
-            inputs=dict(ev.data.get("inputs", {})),
+        self.records.append(ProvenanceRecord(
+            cycle=self.sim.now, tile=tile, verdict=verdict, sid=sid,
+            requester=requester, reason=reason, inputs=inputs,
         ))
 
-    def _on_migrate(self, ev) -> None:
-        self._append(ProvenanceRecord(
-            cycle=ev.cycle, tile=ev.tile, verdict="migrate",
-            sid=ev.data.get("sid"), requester=ev.data.get("requester"),
-            reason="next_elem_remote",
-            inputs={
-                "elem": ev.data.get("elem"),
-                "to_bank": ev.data.get("to_bank"),
-                "epoch": ev.data.get("epoch"),
-                "credits": ev.data.get("credits"),
-            },
-        ))
+    # ------------------------------------------------------------------
+    # SE_core verdicts
+    # ------------------------------------------------------------------
+    def _on_se_float_decision(self, se, stream, reason: str, plan) -> None:
+        inputs = _policy_snapshot(se, stream)
+        if plan is not None:
+            inputs["plan"] = plan.describe()
+        self._append(se.tile, "float", stream.sid, reason, inputs)
 
-    def _on_confluence(self, ev) -> None:
-        self._append(ProvenanceRecord(
-            cycle=ev.cycle, tile=ev.tile, verdict="confluence",
-            sid=ev.data.get("sid"), requester=ev.data.get("requester"),
-            reason="same_shape_same_block",
-            inputs={"group_size": ev.data.get("size")},
-        ))
+    def _on_se_sink_decision(self, se, stream, reason: str) -> None:
+        # A smart-policy revocation is its own verdict: the policy
+        # actively undid a float it now judges bad (the reason names
+        # the trigger).
+        verdict = "revoke" if reason.startswith("revoke") else "sink"
+        self._append(se.tile, verdict, stream.sid, reason,
+                     _policy_snapshot(se, stream))
 
-    def _on_tile_activity(self, ev) -> None:
-        per_tile = self.tile_activity.setdefault(ev.tile, {})
-        per_tile[ev.kind] = per_tile.get(ev.kind, 0) + 1
+    def _on_se_end(self, se, sids) -> None:
+        # Terminal no-float verdicts: a load stream that retires without
+        # ever floating records why the policy never fired.
+        for sid in sids:
+            stream = se.streams.get(sid)
+            if (
+                stream is not None and not stream.floating
+                and stream.spec.kind == "load" and stream.parent is None
+            ):
+                self._append(se.tile, "no_float", sid, "never_qualified",
+                             _policy_snapshot(se, stream))
+
+    # ------------------------------------------------------------------
+    # SE_L2 and SE_L3 verdicts
+    # ------------------------------------------------------------------
+    def _on_se_l2_follow(self, se, spec, leader) -> None:
+        self._append(se.tile, "follow", spec.sid, "constant_offset", {
+            "leader_sid": leader.sid,
+            "delta": leader.followers[spec.sid].delta,
+            "pattern": type(spec.pattern).__name__,
+            "length": spec.length,
+            "epoch": leader.epoch,
+        })
+
+    def _on_se_l3_configure(self, se3, body, start_idx: int,
+                            migrated: bool, verdict: str) -> None:
+        spec = body.spec
+        inputs = {
+            "start_idx": start_idx, "credits": body.credits,
+            "epoch": body.epoch, "migrated": migrated,
+            "pattern": type(spec.pattern).__name__,
+            "length": spec.length,
+            "resident_streams": len(se3.streams),
+        }
+        if body.plan is not None:
+            inputs["plan"] = body.plan.describe()
+        self._append(se3.tile, f"config_{verdict}", spec.sid,
+                     "migrate" if migrated else "float_config", inputs,
+                     requester=body.requester)
+
+    def _on_se_l3_migrate(self, se3, stream, to_bank: int) -> None:
+        self._append(se3.tile, "migrate", stream.spec.sid,
+                     "next_elem_remote", {
+                         "elem": stream.next_idx, "to_bank": to_bank,
+                         "epoch": stream.epoch, "credits": stream.credits,
+                     }, requester=stream.requester)
+
+    def _on_se_l3_confluence(self, se3, stream) -> None:
+        self._append(se3.tile, "confluence", stream.spec.sid,
+                     "same_shape_same_block",
+                     {"group_size": len(stream.group.members)},
+                     requester=stream.requester)
+
+    # ------------------------------------------------------------------
+    # tile activity (L3-bank heatmap)
+    # ------------------------------------------------------------------
+    def _count(self, tile: int, kind: str) -> None:
+        per_tile = self.tile_activity.setdefault(tile, {})
+        per_tile[kind] = per_tile.get(kind, 0) + 1
+
+    def _on_l3_demand(self, bank, msg, outcome: str) -> None:
+        self._count(bank.tile, "l3_demand")
+
+    def _on_l3_getu(self, bank, msg) -> None:
+        self._count(bank.tile, "getu")
+
+    def _on_dram(self, ctrl, msg, done: int) -> None:
+        self._count(ctrl.tile, "dram")
 
     # ------------------------------------------------------------------
     # link accounting (the noc_links probe subscriber)

@@ -1,4 +1,5 @@
-"""Request-lifecycle spans built from telemetry bus events.
+"""Request-lifecycle spans, assembled from the probes the collector
+subscribes to.
 
 Three span families (DESIGN.md §8):
 
@@ -15,7 +16,7 @@ Three span families (DESIGN.md §8):
   ``(tile, sid)`` plus an incarnation ordinal: opens at the SE_core
   float decision, accumulates a hop per bank-to-bank migration and
   per confluence join, closes at sink (core side) or EndStream
-  retirement (L3 side), whichever the bus sees first.
+  retirement (L3 side), whichever comes first.
 
 Spans record simulated cycles only — they are deterministic and cheap
 (no wall clock, no system calls). The collector enforces a global
@@ -29,7 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.mem.addr import line_addr
+
 Key = Tuple[Any, ...]
+
+MAX_SPANS = 200_000  # open+closed span cap (drops counted)
+MAX_NOC_EVENTS = 20_000  # exported NoC flow arrows cap
 
 
 @dataclass
@@ -81,11 +87,14 @@ class Span:
 
 
 class SpanCollector:
-    """Subscribes to the bus and assembles spans; exporter input."""
+    """Subscribes to the request and stream probes and assembles
+    spans; exporter input. Without a simulator it is a bare span
+    store (what synthetic and golden tests build on)."""
 
-    def __init__(self, telemetry, config) -> None:
-        self.max_spans = config.max_spans
-        self.max_noc_events = config.max_noc_events
+    def __init__(self, sim=None) -> None:
+        self.max_spans = MAX_SPANS
+        self.max_noc_events = MAX_NOC_EVENTS
+        self.sim = sim
         self.spans: List[Span] = []
         self._open: Dict[Key, Span] = {}
         # line address -> open mem-span keys, for hops (L3/DRAM) that
@@ -98,12 +107,12 @@ class SpanCollector:
         self.dropped = 0
         self.noc_events: List[Dict[str, Any]] = []
         self.noc_dropped = 0
-        if telemetry is not None:
-            for kind in ("l1_miss", "l1_fill", "l2_miss", "l2_data",
-                         "l3_demand", "dram", "getu", "datau",
-                         "float", "migrate", "confluence", "sink", "end",
-                         "noc"):
-                telemetry.subscribe(kind, getattr(self, f"_on_{kind}"))
+        if sim is not None:
+            for name in ("l1_miss", "l1_fill", "l2_miss", "l2_data",
+                         "l3_demand", "dram", "l3_getu", "se_l2_datau",
+                         "se_floated", "se_l3_migrate", "se_l3_confluence",
+                         "se_sunk", "se_l3_end", "noc_send"):
+                sim.probes.subscribe(name, getattr(self, f"_on_{name}"))
 
     # ------------------------------------------------------------------
     # span plumbing (also the public API for synthetic/golden tests)
@@ -137,83 +146,75 @@ class SpanCollector:
     # ------------------------------------------------------------------
     # mem spans
     # ------------------------------------------------------------------
-    def _on_l1_miss(self, ev) -> None:
-        if not ev.data.get("fresh", True):
+    def _on_l1_miss(self, l1, req, base: int, fresh: bool) -> None:
+        if not fresh:
             return  # merged into an in-flight MSHR: same span
-        key = ("mem", ev.tile, ev.data["addr"])
-        span = self.open(
-            "mem", key, ev.tile, ev.cycle,
-            addr=ev.data["addr"], write=ev.data.get("write", False),
-            prefetch=ev.data.get("prefetch", False),
-        )
+        key = ("mem", l1.tile, base)
+        span = self.open("mem", key, l1.tile, self.sim.now, addr=base,
+                         write=req.is_write, prefetch=req.prefetch)
         if span is not None:
-            self._by_line.setdefault(ev.data["addr"], []).append(key)
+            self._by_line.setdefault(base, []).append(key)
 
-    def _on_l2_miss(self, ev) -> None:
-        self.hop(("mem", ev.tile, ev.data["addr"]), "l2_miss",
-                 ev.cycle, ev.tile, detail=ev.data.get("via", ""))
+    def _on_l2_miss(self, l2, req, base: int, fresh: bool, via: str) -> None:
+        self.hop(("mem", l2.tile, base), "l2_miss", self.sim.now, l2.tile,
+                 detail=via)
 
-    def _on_l3_demand(self, ev) -> None:
-        requester = ev.data.get("requester")
-        op = ev.data.get("op", "")
-        outcome = ev.data.get("outcome", "")
-        self.hop(("mem", requester, ev.data["addr"]), "l3", ev.cycle,
-                 ev.tile, detail=f"{op}:{outcome}" if outcome else op)
+    def _on_l3_demand(self, bank, msg, outcome: str) -> None:
+        self.hop(("mem", msg.requester, line_addr(msg.addr)), "l3",
+                 self.sim.now, bank.tile,
+                 detail=f"{msg.op}:{outcome}" if outcome else msg.op)
 
-    def _on_dram(self, ev) -> None:
+    def _on_dram(self, ctrl, msg, done: int) -> None:
         # DRAM messages carry the home bank as requester, so attribute
         # the hop to every open mem span for the line.
-        detail = ev.data.get("op", "")
-        done = ev.data.get("done")
-        if done is not None:
-            detail = f"{detail} done@{done}"
-        for key in self._by_line.get(ev.data["addr"], ()):  # usually 1
-            self.hop(key, "dram", ev.cycle, ev.tile, detail=detail)
+        detail = msg.op if done is None else f"{msg.op} done@{done}"
+        now = self.sim.now
+        for key in self._by_line.get(line_addr(msg.addr), ()):  # usually 1
+            self.hop(key, "dram", now, ctrl.tile, detail=detail)
 
-    def _on_l2_data(self, ev) -> None:
-        self.hop(("mem", ev.tile, ev.data["addr"]), "l2_data",
-                 ev.cycle, ev.tile)
+    def _on_l2_data(self, l2, base: int, src: int) -> None:
+        self.hop(("mem", l2.tile, base), "l2_data", self.sim.now, l2.tile)
 
-    def _on_l1_fill(self, ev) -> None:
-        key = ("mem", ev.tile, ev.data["addr"])
-        self.close(key, ev.cycle)
-        keys = self._by_line.get(ev.data["addr"])
+    def _on_l1_fill(self, l1, base: int, reason: str) -> None:
+        key = ("mem", l1.tile, base)
+        self.close(key, self.sim.now)
+        keys = self._by_line.get(base)
         if keys is not None:
             try:
                 keys.remove(key)
             except ValueError:
                 pass
             if not keys:
-                del self._by_line[ev.data["addr"]]
+                del self._by_line[base]
 
     # ------------------------------------------------------------------
     # elem spans
     # ------------------------------------------------------------------
     @staticmethod
-    def _elem_keys(requester, sid, element) -> List[Key]:
+    def _elem_key(requester, sid, element) -> Key:
         # Coalesced sublines arrive as an (start, end) range covering
         # several elements — the GetU and DataU both carry the range,
         # so a single span keyed on the range start is enough.
         first = element[0] if isinstance(element, tuple) else element
-        return [("elem", requester, sid, first)]
+        return ("elem", requester, sid, first)
 
-    def _on_getu(self, ev) -> None:
-        requester = ev.data.get("requester")
-        sid = ev.data.get("sid")
-        for key in self._elem_keys(requester, sid, ev.data.get("element")):
-            span = self.open(
-                "elem", key, requester, ev.cycle,
-                sid=sid, element=key[3], bank=ev.tile,
-                category=ev.data.get("category", ""),
-            )
-            if span is not None:
-                span.hops.append(Hop("getu", ev.cycle, ev.tile))
+    def _on_l3_getu(self, bank, msg) -> None:
+        key = self._elem_key(msg.requester, msg.stream_id, msg.element)
+        now = self.sim.now
+        span = self.open(
+            "elem", key, msg.requester, now, sid=msg.stream_id,
+            element=key[3], bank=bank.tile, category=msg.source,
+        )
+        if span is not None:
+            span.hops.append(Hop("getu", now, bank.tile))
 
-    def _on_datau(self, ev) -> None:
-        for key in self._elem_keys(ev.tile, ev.data.get("sid"),
-                                   ev.data.get("element")):
-            self.hop(key, "datau", ev.cycle, ev.tile)
-            self.close(key, ev.cycle)
+    def _on_se_l2_datau(self, se, sid, element, src: int) -> None:
+        if element is None:
+            return  # elem spans key on the element index
+        key = self._elem_key(se.tile, sid, element)
+        now = self.sim.now
+        self.hop(key, "datau", now, se.tile)
+        self.close(key, now)
 
     # ------------------------------------------------------------------
     # stream lifecycle spans
@@ -222,54 +223,58 @@ class SpanCollector:
         n = self._incarnation.get((tile, sid), 0)
         return ("stream", tile, sid, n)
 
-    def _on_float(self, ev) -> None:
-        sid = ev.data.get("sid")
-        key = self._stream_key(ev.tile, sid)
+    def _on_se_floated(self, se, stream) -> None:
+        now = self.sim.now
         span = self.open(
-            "stream", key, ev.tile, ev.cycle,
-            sid=sid, float_elem=ev.data.get("elem"),
+            "stream", self._stream_key(se.tile, stream.sid), se.tile, now,
+            sid=stream.sid, float_elem=stream.float_start,
         )
         if span is not None:
-            span.hops.append(Hop("float", ev.cycle, ev.tile, ev.detail))
+            span.hops.append(Hop(
+                "float", now, se.tile,
+                f"sid {stream.sid} @elem {stream.float_start}"))
 
-    def _on_migrate(self, ev) -> None:
-        key = self._stream_key(ev.data.get("requester"), ev.data.get("sid"))
-        self.hop(key, "migrate", ev.cycle, ev.tile,
-                 detail=f"-> bank {ev.data.get('to_bank')}")
+    def _on_se_l3_migrate(self, se3, stream, to_bank: int) -> None:
+        self.hop(self._stream_key(stream.requester, stream.spec.sid),
+                 "migrate", self.sim.now, se3.tile,
+                 detail=f"-> bank {to_bank}")
 
-    def _on_confluence(self, ev) -> None:
-        key = self._stream_key(ev.data.get("requester"), ev.data.get("sid"))
-        self.hop(key, "confluence", ev.cycle, ev.tile,
-                 detail=f"group of {ev.data.get('size')}")
+    def _on_se_l3_confluence(self, se3, stream) -> None:
+        self.hop(self._stream_key(stream.requester, stream.spec.sid),
+                 "confluence", self.sim.now, se3.tile,
+                 detail=f"group of {len(stream.group.members)}")
 
-    def _close_stream(self, tile, sid, name: str, ev) -> None:
+    def _close_stream(self, tile, sid, name: str, at_tile: int) -> None:
         key = self._stream_key(tile, sid)
         span = self._open.get(key)
         if span is None:
             return  # already closed by the other side (sink vs end)
-        span.hops.append(Hop(name, ev.cycle, ev.tile))
-        self.close(key, ev.cycle)
+        now = self.sim.now
+        span.hops.append(Hop(name, now, at_tile))
+        self.close(key, now)
         self._incarnation[(tile, sid)] = key[3] + 1
 
-    def _on_sink(self, ev) -> None:
-        self._close_stream(ev.tile, ev.data.get("sid"), "sink", ev)
+    def _on_se_sunk(self, se, stream) -> None:
+        self._close_stream(se.tile, stream.sid, "sink", se.tile)
 
-    def _on_end(self, ev) -> None:
-        self._close_stream(ev.data.get("requester"), ev.data.get("sid"),
-                           "end", ev)
+    def _on_se_l3_end(self, se3, body) -> None:
+        self._close_stream(body.requester, body.sid, "end", se3.tile)
 
     # ------------------------------------------------------------------
     # NoC events (flow arrows)
     # ------------------------------------------------------------------
-    def _on_noc(self, ev) -> None:
+    def _on_noc_send(self, packet, when: int) -> None:
+        # Injection cycle (now) and arrival cycle: exactly the pair a
+        # Chrome-trace flow arrow needs.
         if len(self.noc_events) >= self.max_noc_events:
             self.noc_dropped += 1
             return
+        # Flow ids number the point's arrows in send order; packet ids
+        # come from a process-wide counter and depend on earlier runs.
         self.noc_events.append({
-            "src": ev.tile, "dst": ev.data.get("dst"),
-            "port": ev.data.get("port"), "kind": ev.data.get("cls"),
-            "pid": ev.data.get("pid"), "depart": ev.cycle,
-            "arrive": ev.data.get("arrive", ev.cycle),
+            "src": packet.src, "dst": packet.dst, "port": packet.dst_port,
+            "kind": packet.kind, "id": len(self.noc_events),
+            "depart": self.sim.now, "arrive": when,
         })
 
     # ------------------------------------------------------------------

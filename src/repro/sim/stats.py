@@ -15,17 +15,15 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 class Stats:
     """A flat map of dotted counter names to numeric values.
 
-    Supports increment (:meth:`add`), max-tracking (:meth:`maximize`),
-    prefix queries (:meth:`group`) and merging (:meth:`merge`). Values
-    are ints or floats; missing counters read as 0.
+    Supports increment (:meth:`add`), overwrite (:meth:`set`) and
+    prefix queries (:meth:`group`). Values are ints or floats; missing
+    counters read as 0.
     """
 
     __slots__ = ("_values", "_cells")
 
     def __init__(self) -> None:
-        # A plain dict: reads must never insert keys. The previous
-        # defaultdict let maximize/get materialize a 0 baseline as a
-        # read side-effect, so a first *negative* maximize was lost.
+        # A plain dict: reads must never insert keys.
         self._values: Dict[str, float] = {}
         # Interned counter cells (DESIGN.md §12): ``counter(name)``
         # hands out a one-element list whose slot the hot path
@@ -40,7 +38,7 @@ class Stats:
         Hot handlers hoist ``cell = stats.counter("x")`` once and pay
         a single ``cell[0] += n`` per event; the pending delta folds
         into the value map on any read. Do not mix with :meth:`set`
-        or :meth:`maximize` on the same name.
+        on the same name.
         """
         cell = self._cells.get(name)
         if cell is None:
@@ -67,13 +65,6 @@ class Stats:
         """Overwrite counter ``name``."""
         self._values[name] = value
 
-    def maximize(self, name: str, value: float) -> None:
-        """Keep the maximum *seen* value in ``name`` — the first value
-        always records, even when negative."""
-        prev = self._values.get(name)
-        if prev is None or value > prev:
-            self._values[name] = value
-
     def get(self, name: str, default: float = 0) -> float:
         if self._cells:
             self._flush()
@@ -99,17 +90,6 @@ class Stats:
             for name, value in self._values.items()
             if name.startswith(prefix + ".")
         }
-
-    def total(self, prefix: str) -> float:
-        """Sum of all counters under ``prefix.``."""
-        return sum(self.group(prefix).values())
-
-    def merge(self, other: "Stats") -> None:
-        """Add every counter from ``other`` into this object."""
-        if other._cells:
-            other._flush()
-        for name, value in other._values.items():
-            self.add(name, value)
 
     def items(self) -> Iterator[Tuple[str, float]]:
         if self._cells:

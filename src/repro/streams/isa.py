@@ -107,17 +107,3 @@ class StreamEnd:
     """Deconstruct streams after the loop (enables early termination)."""
 
     sids: List[int]
-
-
-@dataclass
-class MigrationPacket:
-    """SE_L3 -> SE_L3 stream hand-off (SS IV-A: like a config packet
-    plus the current iteration and remaining flow-control credits)."""
-
-    spec: StreamSpec
-    next_idx: int
-    credits: int
-    requester: int
-
-    def bits(self) -> int:
-        return self.spec.config_bits() + AFFINE_FIELDS["iter"] + 16

@@ -163,6 +163,11 @@ class SEL3:
         # Credits that raced ahead of their stream's migration here:
         # key -> (epoch, count).
         self.pending_credits: Dict[StreamKey, Tuple[int, int]] = {}
+        # Newest epoch whose EndStream passed this bank, per key. A
+        # credit that trails its stream's end here (forwarded along a
+        # longer path than the end took) is stale: no stream of that
+        # epoch will arrive to claim it.
+        self.ended: Dict[StreamKey, int] = {}
         self._rr: Deque[StreamKey] = deque()  # round-robin order
         self._pump_armed = False
         # Interned counter cells for the per-element hot path.
@@ -609,7 +614,10 @@ class SEL3:
             self.net.send_new(
                 self.tile, fwd[0], STREAM, body.bits(), "se_l3", body=body,
             )
-        elif fwd is not None and fwd[1] > body.epoch:
+        elif (
+            fwd is not None and fwd[1] > body.epoch
+            or self.ended.get(key, -1) >= body.epoch
+        ):
             self.stats.add("se_l3.stale_credits")
         else:
             # The credit raced ahead of the stream's migration to this
@@ -630,6 +638,9 @@ class SEL3:
         if p is not None:
             p(self, body)
         key = (body.requester, body.sid)
+        ended = self.ended
+        if key not in ended or ended[key] < body.epoch:
+            ended[key] = body.epoch
         pending = self.pending_credits.get(key)
         if pending is not None and pending[0] <= body.epoch:
             del self.pending_credits[key]

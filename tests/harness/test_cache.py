@@ -64,9 +64,11 @@ def test_energy_roundtrip():
 
 
 def test_energy_from_dict_ignores_total():
-    # as_dict() includes the derived total; from_dict must not choke.
+    # A payload carrying the derived total (or any unknown key) must
+    # not choke from_dict.
     bd = EnergyBreakdown(l1=4.0)
-    assert EnergyBreakdown.from_dict(bd.as_dict()) == bd
+    payload = dict(bd.to_dict(), total=bd.total, bogus=1.0)
+    assert EnergyBreakdown.from_dict(payload) == bd
 
 
 def test_runrecord_roundtrip():

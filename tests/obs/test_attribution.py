@@ -103,6 +103,18 @@ def test_record_carries_cpi_counters():
         tel[f"cpi.{b}"] for b in BUCKETS)
 
 
+def test_point_pillars_join_env_pillars(monkeypatch):
+    """A point's own pillars attach even when REPRO_TELEMETRY names
+    others (``pytest benchmarks --profile`` sets it to ``profile``):
+    the record cached under ``obs="attribution"`` must carry its CPI
+    stack."""
+    monkeypatch.setenv(ENV_TELEMETRY, "profile")
+    record = run_once(obs="attribution", use_cache=False, **GOLDEN_POINT)
+    assert record.telemetry["profiled_events"] > 0
+    assert record.telemetry["cpi.total_cycles"] > 0
+    assert os.environ[ENV_TELEMETRY] == "profile"
+
+
 # ----------------------------------------------------------------------
 # golden CPI stack + critical-path profile (byte-stable, jobs-safe)
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden_trace.json")
 
 def synthetic_collector() -> SpanCollector:
     """A tiny fixed span set (what the golden file pins)."""
-    collector = SpanCollector(None, TelemetryConfig(spans=True))
+    collector = SpanCollector()
     mem = ("mem", 0, 0x1000)
     collector.open("mem", mem, 0, 10, addr=0x1000, write=False,
                    prefetch=False)
@@ -46,7 +46,7 @@ def synthetic_collector() -> SpanCollector:
     collector.hop(still_open, "l2_miss", 204, 3)
     collector.noc_events.append({
         "src": 1, "dst": 2, "port": "se_l2", "kind": "data",
-        "pid": 42, "depart": 120, "arrive": 141,
+        "id": 42, "depart": 120, "arrive": 141,
     })
     return collector
 
@@ -155,6 +155,27 @@ def test_sink_merges_points_and_validates(tmp_path, monkeypatch):
         assert [h[1] for h in hops] == sorted(h[1] for h in hops)
 
 
+def test_real_point_export_repeats_in_one_process():
+    """Exporting the same point twice in one process yields the same
+    events: flow-arrow ids may not depend on what simulated earlier
+    (packet ids come from a process-wide counter)."""
+    from repro.obs.telemetry import Telemetry
+    from repro.system.chip import Chip
+    from repro.system.configs import make_config
+    from repro.workloads.base import build_programs
+
+    def export():
+        chip = Chip(make_config("sf", core="ooo8", cols=2, rows=2,
+                                scale=64))
+        tel = Telemetry(chip.sim, TelemetryConfig(spans=True))
+        chip.run(build_programs("mv", chip.num_cores, scale=64, seed=0))
+        return chrome_trace_events(tel.spans, pid=1, point="mv-sf")
+
+    first = export()
+    assert any(e["ph"] == "s" for e in first)
+    assert export() == first
+
+
 class _SummaryOnlyTelemetry:
     """Stand-in with no live pillars — only a summary() to inspect."""
 
@@ -178,7 +199,7 @@ def _params():
 def test_sink_warns_on_nonzero_drop_counters(capsys):
     sink = TelemetrySink()
     sink.collect(_SummaryOnlyTelemetry(
-        {"bus_events": 10, "spans_dropped": 3, "cpi.journeys_dropped": 2,
+        {"spans_opened": 10, "spans_dropped": 3, "cpi.journeys_dropped": 2,
          "noc_dropped": 0}), _params())
     [warning] = sink.drop_warnings
     assert "spans_dropped=3" in warning
@@ -191,7 +212,7 @@ def test_sink_warns_on_nonzero_drop_counters(capsys):
 def test_sink_quiet_without_drops(capsys):
     sink = TelemetrySink()
     sink.collect(_SummaryOnlyTelemetry(
-        {"bus_events": 10, "spans_dropped": 0}), _params())
+        {"spans_opened": 10, "spans_dropped": 0}), _params())
     assert sink.drop_warnings == []
     assert capsys.readouterr().err == ""
 

@@ -2,11 +2,13 @@
 
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs.export import write_intervals
 from repro.obs.interval import IntervalSampler
+from repro.obs.probes import Probes
 from repro.obs.telemetry import ENV_INTERVAL, ENV_TELEMETRY
 from repro.sim.stats import Stats
 
@@ -71,13 +73,17 @@ def test_noc_util_uses_link_count():
 
 
 def test_streams_alive_gauge_is_sampled():
-    stats = Stats()
-    alive = {"n": 3}
-    sampler = IntervalSampler(10, alive=lambda: alive["n"])
-    sampler.bind(stats, links=1, cores=1)
-    sampler.on_step(10)
-    alive["n"] = 1
-    sampler.on_step(20)
+    probes = Probes()
+    sampler = IntervalSampler(10, probes)
+    sampler.bind(Stats(), links=1, cores=1)
+    streams = [SimpleNamespace(sid=sid) for sid in range(3)]
+    for stream in streams:
+        probes.se_floated(SimpleNamespace(tile=0), stream)
+    probes.dispatched(10, None)
+    probes.se_sunk(SimpleNamespace(tile=0), streams[0])
+    probes.se_l3_end(SimpleNamespace(tile=3),
+                     SimpleNamespace(requester=0, sid=1))
+    probes.dispatched(20, None)
     assert [s["streams_alive"] for s in sampler.samples] == [3, 1]
 
 

@@ -1,7 +1,10 @@
 """Kernel profiler tests: attribution, ranking, report format."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.obs.export import TelemetrySink
 from repro.obs.profiler import KernelProfiler
 from repro.obs.telemetry import ENV_TELEMETRY
 from repro.sim import Simulator
@@ -42,15 +45,23 @@ def test_top_is_bounded_and_sorted():
 
 
 def test_report_renders_table():
+    """The CLI's ``--profile`` table: one block per collected point."""
     profiler = KernelProfiler()
 
     def cb():
         pass
 
     profiler.record(cb, 0.001)
-    text = profiler.report(5)
-    assert "kernel profile: 1 events" in text
-    assert "cb" in text and "us/event" in text
+    telemetry = SimpleNamespace(spans=None, sampler=None, provenance=None,
+                                profiler=profiler, summary=lambda: {})
+    sink = TelemetrySink(profile_out="unused.json")
+    sink.collect(telemetry, dict(workload="mv", config="sf", core="ooo8",
+                                 cols=2, rows=2, scale=64, seed=0))
+    lines = sink.profile_report().splitlines()
+    assert lines[0] == "== mv-sf-ooo8-2x2-s64 =="
+    assert "us/event" in lines[1]
+    assert lines[2].split()[:2] == ["test_report_renders_table.<locals>.cb",
+                                    "1"]
 
 
 def test_payload_schema():

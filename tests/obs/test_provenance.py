@@ -3,6 +3,7 @@ verdict recording with input snapshots, export artifacts, and the
 zero-cost-off contract."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,12 +15,37 @@ from repro.obs.export import (
 from repro.obs.provenance import ProvenanceLedger, ProvenanceRecord
 from repro.obs.telemetry import ENV_TELEMETRY, Telemetry, TelemetryConfig
 from repro.sim import Simulator
+from repro.streams.pattern import AffinePattern
 
 
-def _telemetry(max_decisions=100_000):
-    sim = Simulator()
-    return Telemetry(sim, TelemetryConfig(
-        provenance=True, max_decisions=max_decisions))
+def _telemetry():
+    return Telemetry(Simulator(), TelemetryConfig(provenance=True))
+
+
+# Small stand-ins for the components and streams the probes carry.
+def _se(tile, requests=0, misses=0):
+    entry = SimpleNamespace(
+        requests=requests, reuses=0, misses=misses, aliased=False,
+        miss_ratio=misses / requests if requests else 0.0,
+        w_requests=0, w_reuses=0, w_misses=0, w_stores=0, cooldown=0,
+        revokes=0,
+    )
+    return SimpleNamespace(tile=tile, se_l2=None,
+                           history=SimpleNamespace(entry=lambda sid: entry))
+
+
+def _stream(sid):
+    pattern = AffinePattern(base=0, strides=(64,), lengths=(64,),
+                            elem_size=64)
+    return SimpleNamespace(
+        sid=sid, spec=SimpleNamespace(pattern=pattern, length=64),
+        next_issue=0, consecutive_hits=0, plan=None,
+    )
+
+
+def _l3_stream(requester, sid, **fields):
+    return SimpleNamespace(requester=requester, spec=SimpleNamespace(sid=sid),
+                           **fields)
 
 
 # ----------------------------------------------------------------------
@@ -29,24 +55,29 @@ def test_ledger_collects_decision_events():
     tel = _telemetry()
     ledger = tel.provenance
     assert isinstance(ledger, ProvenanceLedger)
-    tel.publish("decision", tile=2, verdict="float", sid=7,
-                reason="history", inputs={"miss_ratio": 0.9})
-    tel.publish("decision", tile=0, verdict="sink", sid=7,
-                reason="cache_hits")
+    probes = tel.sim.probes
+    probes.se_float_decision(_se(2, requests=10, misses=9), _stream(7),
+                             "history", None)
+    probes.se_sink_decision(_se(0), _stream(7), "cache_hits")
     assert len(ledger.records) == 2
     rec = ledger.records[0]
     assert rec.verdict == "float" and rec.sid == 7 and rec.tile == 2
     assert rec.reason == "history"
-    assert rec.inputs == {"miss_ratio": 0.9}
+    assert rec.inputs["miss_ratio"] == 0.9
+    assert rec.inputs["requests"] == 10
+    assert rec.inputs["pattern"] == "AffinePattern"
+    assert rec.inputs["footprint"] == 64 * 64
     assert ledger.verdict_counts() == {"float": 1, "sink": 1}
     assert [r.verdict for r in ledger.by_verdict("sink")] == ["sink"]
 
 
 def test_ledger_bounded_with_drop_counter():
-    tel = _telemetry(max_decisions=3)
-    for i in range(5):
-        tel.publish("decision", tile=0, verdict="float", sid=i)
+    tel = _telemetry()
     ledger = tel.provenance
+    ledger.max_records = 3
+    for i in range(5):
+        tel.sim.probes.se_float_decision(_se(0), _stream(i), "history",
+                                         None)
     assert len(ledger.records) == 3
     assert ledger.dropped == 2
     assert ledger.summary()["decisions_dropped"] == 2
@@ -54,12 +85,17 @@ def test_ledger_bounded_with_drop_counter():
 
 def test_ledger_migrate_and_confluence_enrichment():
     tel = _telemetry()
-    tel.publish("migrate", tile=1, sid=3, elem=40, to_bank=2, epoch=1,
-                credits=5)
-    tel.publish("confluence", tile=2, sid=9, size=4)
+    probes = tel.sim.probes
+    probes.se_l3_migrate(
+        SimpleNamespace(tile=1),
+        _l3_stream(0, 3, next_idx=40, epoch=1, credits=5), 2)
+    probes.se_l3_confluence(
+        SimpleNamespace(tile=2),
+        _l3_stream(1, 9, group=SimpleNamespace(members=[0, 1, 2, 3])))
     ledger = tel.provenance
     migrate, confluence = ledger.records
     assert migrate.verdict == "migrate"
+    assert (migrate.tile, migrate.requester, migrate.sid) == (1, 0, 3)
     assert migrate.inputs == {"elem": 40, "to_bank": 2, "epoch": 1,
                               "credits": 5}
     assert confluence.verdict == "confluence"
@@ -68,14 +104,17 @@ def test_ledger_migrate_and_confluence_enrichment():
 
 def test_tile_activity_and_link_accounting():
     tel = _telemetry()
-    tel.publish("l3_demand", tile=1, addr=0x100)
-    tel.publish("l3_demand", tile=1, addr=0x140)
-    tel.publish("dram", tile=0, addr=0x100)
-    ledger = tel.provenance
-    ledger.record_links([(0, 1), (1, 3)], 4)
-    ledger.record_links([(0, 1)], 2)
-    summary = ledger.summary()
+    probes = tel.sim.probes
+    bank = SimpleNamespace(tile=1)
+    probes.l3_demand(bank, None, "hit")
+    probes.l3_demand(bank, None, "queued")
+    probes.l3_getu(bank, None)
+    probes.dram(SimpleNamespace(tile=0), None, 120)
+    probes.noc_links([(0, 1), (1, 3)], 4)
+    probes.noc_links([(0, 1)], 2)
+    summary = tel.provenance.summary()
     assert summary["tile.1.l3_demand"] == 2
+    assert summary["tile.1.getu"] == 1
     assert summary["tile.0.dram"] == 1
     assert summary["link.0>1.flits"] == 6
     assert summary["link.1>3.flits"] == 4
@@ -233,10 +272,9 @@ def test_revocation_reaches_the_ledger():
 # ----------------------------------------------------------------------
 def _tiny_ledger():
     tel = _telemetry()
-    tel.publish("decision", tile=1, verdict="float", sid=4,
-                reason="history", inputs={"epoch": 0})
-    tel.publish("decision", tile=0, verdict="sink", sid=4,
-                reason="alias_store")
+    probes = tel.sim.probes
+    probes.se_float_decision(_se(1), _stream(4), "history", None)
+    probes.se_sink_decision(_se(0), _stream(4), "alias_store")
     return tel
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.spans import SpanCollector
-from repro.obs.telemetry import ENV_TELEMETRY, TelemetryConfig
+from repro.obs.telemetry import ENV_TELEMETRY
 from tests.mem.conftest import MiniHierarchy
 
 BASE = 0x20_0000
@@ -122,7 +122,7 @@ def test_noc_events_capture_arrivals(sf_chip):
 # standalone collector API (what the golden export test builds on)
 # ----------------------------------------------------------------------
 def test_collector_standalone_open_hop_close():
-    collector = SpanCollector(None, TelemetryConfig(spans=True))
+    collector = SpanCollector()
     key = ("mem", 0, 0x1000)
     collector.open("mem", key, 0, 10, addr=0x1000)
     collector.hop(key, "l2_miss", 14, 0)

@@ -1,9 +1,11 @@
-"""Telemetry layer tests: enablement matrix, event bus, probes.
+"""Telemetry layer tests: enablement matrix, pillars on the probe seam.
 
 Mirrors ``tests/sim/test_sanitizer.py``'s enablement coverage: the
 layer must be a strict no-op with no probe subscribed when off, and
 attach the requested pillars (and only those) when on.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.obs.telemetry import (
     enabled_by_env,
 )
 from repro.sim import Simulator
+from repro.sim.stats import Stats
 from tests.mem.conftest import MiniHierarchy
 
 BASE = 0x20_0000
@@ -88,7 +91,6 @@ def test_env_attach_installs_hooks(monkeypatch):
     hier.read(0, BASE, results)
     hier.run()
     assert results
-    assert tel.bus_events > 0
     assert tel.spans.opened > 0
     assert tel.spans.closed == tel.spans.opened
 
@@ -101,43 +103,34 @@ def test_step_hook_only_for_interval_or_profile(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# event bus
+# streams-alive gauge (interval sampler)
 # ----------------------------------------------------------------------
 @pytest.mark.no_sanitize
-def test_publish_reaches_subscribers_in_order():
-    sim = Simulator()
-    tel = Telemetry(sim, TelemetryConfig())
-    seen = []
-    tel.subscribe("float", lambda ev: seen.append(("a", ev)))
-    tel.subscribe("float", lambda ev: seen.append(("b", ev)))
-    tel.publish("float", tile=3, detail="sid 1", sid=1)
-    assert [tag for tag, _ in seen] == ["a", "b"]
-    ev = seen[0][1]
-    assert ev.kind == "float" and ev.tile == 3 and ev.data["sid"] == 1
-    assert tel.bus_events == 1
-
-
-@pytest.mark.no_sanitize
-def test_subscribe_unknown_kind_rejected():
-    tel = Telemetry(Simulator(), TelemetryConfig())
-    with pytest.raises(ValueError, match="unknown telemetry kind"):
-        tel.subscribe("nope", lambda ev: None)
-
-
-@pytest.mark.no_sanitize
 def test_streams_alive_gauge_tracks_float_sink_end():
-    tel = Telemetry(Simulator(), TelemetryConfig())
-    tel.publish("float", tile=0, sid=1)
-    tel.publish("float", tile=1, sid=1)
-    assert tel.streams_alive == 2
-    tel.publish("sink", tile=0, sid=1)
-    assert tel.streams_alive == 1
+    sim = Simulator()
+    tel = Telemetry(sim, TelemetryConfig(interval=10))
+    tel.sampler.bind(Stats(), links=1, cores=1)
+    probes = sim.probes
+    alive = []
+
+    def sample():
+        probes.dispatched(10 * (len(alive) + 1), None)
+        alive.append(tel.sampler.samples[-1]["streams_alive"])
+
+    probes.se_floated(SimpleNamespace(tile=0), SimpleNamespace(sid=1))
+    probes.se_floated(SimpleNamespace(tile=1), SimpleNamespace(sid=1))
+    sample()
+    probes.se_sunk(SimpleNamespace(tile=0), SimpleNamespace(sid=1))
+    sample()
     # end after sink for the same stream is idempotent...
-    tel.publish("end", tile=9, requester=0, sid=1)
-    assert tel.streams_alive == 1
+    probes.se_l3_end(SimpleNamespace(tile=9),
+                     SimpleNamespace(requester=0, sid=1))
+    sample()
     # ...and end alone retires the other one.
-    tel.publish("end", tile=9, requester=1, sid=1)
-    assert tel.streams_alive == 0
+    probes.se_l3_end(SimpleNamespace(tile=9),
+                     SimpleNamespace(requester=1, sid=1))
+    sample()
+    assert alive == [2, 1, 1, 0]
 
 
 def test_telemetry_does_not_change_simulation(monkeypatch):
@@ -155,4 +148,4 @@ def test_telemetry_does_not_change_simulation(monkeypatch):
         hier2.read(k % 4, BASE + k * 64, results2)
     hier2.run()
     assert (hier2.sim.now, results2) == plain
-    assert hier2.sim.telemetry.bus_events > 0
+    assert hier2.sim.telemetry.spans.opened > 0

@@ -1,4 +1,5 @@
-"""Event tracing: ring-buffer logs of telemetry bus events."""
+"""Event tracing: ring-buffer logs of floated-stream lifecycle events,
+taken straight from the stream-engine probes."""
 
 from collections import Counter
 

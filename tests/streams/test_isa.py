@@ -6,7 +6,6 @@ import pytest
 from repro.streams.isa import (
     AFFINE_CONFIG_BITS,
     INDIRECT_CONFIG_BITS,
-    MigrationPacket,
     StreamSpec,
     config_packet_bits,
 )
@@ -74,9 +73,3 @@ def test_affine_rejects_parent():
 
 def test_spec_length():
     assert affine_spec(length=37).length == 37
-
-
-def test_migration_packet_bits_exceed_config():
-    spec = affine_spec()
-    packet = MigrationPacket(spec=spec, next_idx=5, credits=3, requester=0)
-    assert packet.bits() > spec.config_bits()

@@ -183,6 +183,21 @@ class TestEndAndFlush:
         rig.run()
         assert rig.stats["se_l2.end_acks"] == 1
 
+    def test_credit_trailing_its_end_is_dropped(self, rig):
+        """A credit forwarded along a longer path than its stream's
+        EndStream can reach a bank after the end reclaimed the
+        forwarding entry there: it is stale, not parked until drain
+        (found by the smart-policy protocol fuzz)."""
+        for body in (EndStream(requester=0, sid=7, epoch=1),
+                     Credit(requester=0, sid=7, count=16, epoch=1)):
+            rig.net.send(Packet(
+                src=0, dst=1, kind=STREAM, payload_bits=body.bits(),
+                dst_port="se_l3", body=body,
+            ))
+            rig.run()
+        assert not rig.se_l3s[1].pending_credits
+        assert rig.stats["se_l3.stale_credits"] == 1
+
     def test_flush_floating_discards_all(self, rig):
         rig.se_cores[0].configure([dense_spec(0, BASE, 256)])
         rig.sim.run(until=rig.sim.now + 200)
