@@ -3,8 +3,10 @@
 The tier-1 suite runs with the runtime invariant sanitizer enabled
 (DESIGN.md §7): every :class:`~repro.sim.kernel.Simulator` constructed
 during a test attaches checkers, so protocol bugs fail the offending
-test at the cycle they happen. Perf-sensitive tests (the benchmark
-figures) opt out with the ``no_sanitize`` marker.
+test at the cycle they happen. The sanitizer leaves handler fusion and
+packet pooling on, so the checkers run the one configuration the
+benchmarks ship. Perf-sensitive tests (the benchmark figures) opt out
+with the ``no_sanitize`` marker.
 """
 
 import pytest

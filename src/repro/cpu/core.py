@@ -89,7 +89,6 @@ class Core:
         self._phase_sids: List[int] = []
         self.ops_committed = 0
         self.finish_time = 0
-        self._fast = getattr(sim, "fastpath", False)
         self._probes = sim.probes.bind("core", self)
 
     # ------------------------------------------------------------------
@@ -291,7 +290,7 @@ class Core:
         self._outstanding_stores -= 1
         if self._store_waiters:
             sim = self.sim
-            if self._fast and sim.can_inline():
+            if sim.can_inline():
                 # Tail fusion (DESIGN.md §12): nothing else pending
                 # this cycle, so the zero-delay wakeup runs now.
                 sim.count_inlined_events(1)

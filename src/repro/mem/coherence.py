@@ -46,11 +46,6 @@ from repro.mem.addr import LINE_SIZE, line_addr
 
 _LINE_MASK = ~(LINE_SIZE - 1)  # line_addr(), inlined for the hot paths
 
-# Ops whose packets carry a full line (or subline) of data.
-DATA_OPS = frozenset(
-    {"Data", "DataU", "PutM", "DownData", "MemWrite", "MemData"}
-)
-
 
 class CohMsg:
     """A coherence-protocol message body (rides inside a NoC packet)."""
@@ -115,67 +110,6 @@ class CohMsg:
             f"data_bytes={self.data_bytes}, stream_id={self.stream_id}, "
             f"element={self.element})"
         )
-
-    @property
-    def carries_data(self) -> bool:
-        return self.op in DATA_OPS
-
-
-# ----------------------------------------------------------------------
-# Transient-message free-list (DESIGN.md §12).
-#
-# Messages whose receiving handler consumes them fully and synchronously
-# (never queues, forwards, or stores them) can cycle through a pool
-# instead of being allocated fresh per hop. That is true for bodies the
-# L2 and DRAM controllers receive — their handlers return before the
-# next event runs — but NOT for L3-bound bodies (the bank re-schedules
-# the body behind its access latency), multicast bodies (shared across
-# deliveries), or requests (parked in MSHR meta). Release is gated on
-# ``sim.pooling`` by the caller; acquire is unconditional (an empty
-# pool degrades to a plain allocation).
-_MSG_POOL: list = []
-
-
-def acquire_msg(
-    op: str,
-    addr: int,
-    requester: int,
-    source: str = "core",
-    grant: str = "",
-    dirty: bool = False,
-    data_bytes: int = 64,
-    stream_id: Optional[int] = None,
-    element: Optional[int] = None,
-    se_info: object = None,
-    writeback_to_dram: bool = False,
-) -> CohMsg:
-    """A :class:`CohMsg` from the free-list (or fresh when empty)."""
-    pool = _MSG_POOL
-    if not pool:
-        return CohMsg(
-            op, addr, requester, source, grant, dirty, data_bytes,
-            stream_id, element, se_info, writeback_to_dram,
-        )
-    msg = pool.pop()
-    msg.op = op
-    msg.addr = addr
-    msg.requester = requester
-    msg.source = source
-    msg.grant = grant
-    msg.dirty = dirty
-    msg.data_bytes = data_bytes
-    msg.stream_id = stream_id
-    msg.element = element
-    msg.se_info = se_info
-    msg.writeback_to_dram = writeback_to_dram
-    msg.seen = False
-    return msg
-
-
-def release_msg(msg: CohMsg) -> None:
-    """Return a fully-consumed transient message to the free-list."""
-    msg.se_info = None
-    _MSG_POOL.append(msg)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import List
 
 from repro.mem.addr import PAGE_SHIFT
 from repro.noc.message import CTRL, DATA, Packet, data_payload_bits
-from repro.mem.coherence import CohMsg, release_msg
+from repro.mem.coherence import CohMsg
 from repro.noc.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
@@ -41,7 +41,6 @@ class DramController:
         self.access_latency = access_latency
         self.cycles_per_line = cycles_per_line
         self._busy_until = 0
-        self._pooling = getattr(sim, "pooling", False)
         self._c_reads = stats.counter("dram.reads")
         self._c_writes = stats.counter("dram.writes")
         net.register(tile, "dram", self.handle)
@@ -71,10 +70,6 @@ class DramController:
         p = self._probes.dram
         if p is not None:
             p(self, msg, done)
-        if self._pooling:
-            # MemRead/MemWrite are consumed fully above (the MemData
-            # response copies what it needs), so the body recycles.
-            release_msg(msg)
 
     def _service(self) -> int:
         """Reserve the channel for one line; returns completion cycle."""

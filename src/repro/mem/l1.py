@@ -87,7 +87,6 @@ class L1Cache:
         self._avoid_inflight = self.mshr._entries.__contains__
         self._overflow: List[L1Request] = []
         self.prefetcher = None  # L1 stride or Bingo, wired by the tile
-        self._fast = getattr(sim, "fastpath", False)
         self._c_hits = stats.counter("l1.hits")
         self._c_misses = stats.counter("l1.misses")
         l2.on_l1_invalidate = self.invalidate
@@ -218,7 +217,7 @@ class L1Cache:
             self._miss(L1Request(addr=base, is_write=True))
         sim = self.sim
         p = self._probes.l1_fill
-        if self._fast and sim.can_inline():
+        if sim.can_inline():
             # Fused wakeup (DESIGN.md §12): with nothing else pending
             # this cycle, the zero-delay waiter callbacks would run
             # immediately after this handler in queue order — so run

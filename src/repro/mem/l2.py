@@ -26,7 +26,7 @@ from typing import Callable, List, Optional
 
 from repro.mem.addr import LINE_SIZE, NucaMap
 from repro.mem.cache import CacheArray, EXCLUSIVE, MODIFIED, SHARED
-from repro.mem.coherence import CohMsg, acquire_msg, release_msg
+from repro.mem.coherence import CohMsg
 from repro.mem.mshr import MshrFile
 from repro.noc.message import CTRL, DATA, Packet, control_payload_bits, data_payload_bits
 from repro.noc.network import Network
@@ -133,8 +133,6 @@ class L2Cache:
         self.on_l1_downgrade: Optional[Callable[[int], None]] = None
         self.prefetcher = None  # L2 stride prefetcher (trained on misses)
         self.bulk = None  # optional bulk-prefetch request grouper
-        self._fast = getattr(sim, "fastpath", False)
-        self._pooling = getattr(sim, "pooling", False)
         # A line-sized Data response always serializes to the same flit
         # count; compute it once instead of building a throwaway Packet
         # per response (DESIGN.md §12).
@@ -241,8 +239,6 @@ class L2Cache:
                 self.bulk.enqueue(home, msg, entry)
             else:
                 via = "getx" if req.is_write else "gets"
-                # Body stays a plain allocation: L3-bound requests may
-                # be parked in the bank's MSHR meta, so they never pool.
                 info = self.net.send_new(
                     self.tile, home, CTRL, control_payload_bits(), "l3",
                     body=msg,
@@ -270,10 +266,6 @@ class L2Cache:
             self._forward(pkt, msg)
         else:
             raise ValueError(f"L2 got unexpected op {op!r}")
-        if self._pooling:
-            # Every op above is consumed fully and synchronously: the
-            # body can cycle back to the transient-message pool.
-            release_msg(msg)
 
     def _data(self, pkt: Packet, msg: CohMsg) -> None:
         base = msg.addr & _LINE_MASK
@@ -292,7 +284,7 @@ class L2Cache:
         writable = bool(line) and line.state in (MODIFIED, EXCLUSIVE)
         sim = self.sim
         p = self._probes.l2_data
-        if self._fast and sim.can_inline():
+        if sim.can_inline():
             # Fused response (DESIGN.md §12): the zero-delay waiter
             # callbacks run synchronously after _data fully completes
             # (overflow drain and data probe included), exactly where
@@ -398,7 +390,7 @@ class L2Cache:
         elif not msg.writeback_to_dram:
             self.net.send_new(
                 self.tile, msg.requester, CTRL, control_payload_bits(), "l2",
-                body=acquire_msg("InvAck", base, self.tile),
+                body=CohMsg("InvAck", base, self.tile),
             )
 
     def _forward(self, pkt: Packet, msg: CohMsg) -> None:

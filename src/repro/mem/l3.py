@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.mem.addr import LINE_SIZE, NucaMap
 from repro.mem.cache import CacheArray, EXCLUSIVE, MODIFIED, SHARED
-from repro.mem.coherence import CohMsg, Directory, acquire_msg
+from repro.mem.coherence import CohMsg, Directory
 from repro.mem.dram import DramSystem
 from repro.mem.mshr import MshrFile
 from repro.noc.message import CTRL, DATA, Packet, control_payload_bits, data_payload_bits
@@ -223,13 +223,12 @@ class L3Bank:
                 # Uncontended GetS shortcut: no directory entry means
                 # no sharers and no owner, so the grant is exactly the
                 # idle-entry branch of _satisfy (EXCLUSIVE, clean) —
-                # taken inline with a pooled message and packet shell.
+                # taken inline with a pooled packet shell.
                 self.dir.entry(base).owner = msg.requester
                 self.net.send_new(
                     self.tile, msg.requester, DATA,
                     data_payload_bits(LINE_SIZE), "l2",
-                    body=acquire_msg("Data", base, msg.requester,
-                                     grant=EXCLUSIVE),
+                    body=CohMsg("Data", base, msg.requester, grant=EXCLUSIVE),
                 )
                 return "hit"
             self._satisfy(msg, line_dirty=line.dirty)
@@ -247,7 +246,7 @@ class L3Bank:
         dram_tile = self.dram.controller_tile(base)
         self.net.send_new(
             self.tile, dram_tile, CTRL, control_payload_bits(), "dram",
-            body=acquire_msg("MemRead", addr=base, requester=self.tile),
+            body=CohMsg("MemRead", addr=base, requester=self.tile),
         )
         return "miss"
 
@@ -264,8 +263,7 @@ class L3Bank:
         self.stats.add("l3.forwards")
         self.net.send_new(
             self.tile, owner, CTRL, control_payload_bits(), "l2",
-            body=acquire_msg(fwd_op, base, msg.requester,
-                             data_bytes=msg.data_bytes),
+            body=CohMsg(fwd_op, base, msg.requester, data_bytes=msg.data_bytes),
         )
 
     def _satisfy(self, msg: CohMsg, line_dirty: bool) -> None:
@@ -308,7 +306,7 @@ class L3Bank:
                 self.stats.add("l3.invalidations")
                 self.net.send_new(
                     self.tile, sharer, CTRL, control_payload_bits(), "l2",
-                    body=acquire_msg("Inv", base, msg.requester),
+                    body=CohMsg("Inv", base, msg.requester),
                 )
             grant = MODIFIED
             ent.sharers.clear()
@@ -316,8 +314,8 @@ class L3Bank:
         self.net.send_new(
             self.tile, msg.requester, DATA,
             data_payload_bits(LINE_SIZE), "l2",
-            body=acquire_msg("Data", base, msg.requester, grant=grant,
-                             dirty=line_dirty and grant == MODIFIED),
+            body=CohMsg("Data", base, msg.requester, grant=grant,
+                        dirty=line_dirty and grant == MODIFIED),
         )
 
     def send_data_u(self, dst: int, msg: CohMsg, dsts: Optional[List[int]] = None) -> None:
@@ -337,8 +335,6 @@ class L3Bank:
                 payload_bits=payload, dst_port="se_l2", body=body,
             )
         else:
-            # Unicast DataU: pooled packet shell, but the body stays a
-            # plain allocation — the SE_L2 may park it on a stream.
             target = dsts[0] if dsts else dst
             self.net.send_new(
                 self.tile, target, DATA, payload, "se_l2", body=body,
@@ -438,7 +434,7 @@ class L3Bank:
         self.dir.remove(base, msg.requester)
         self.net.send_new(
             self.tile, msg.requester, CTRL, control_payload_bits(), "l2",
-            body=acquire_msg("PutAck", base, msg.requester),
+            body=CohMsg("PutAck", base, msg.requester),
         )
 
     def _fill(self, base: int, dirty: bool) -> None:
@@ -464,13 +460,12 @@ class L3Bank:
                 self.stats.add("l3.back_invalidations")
                 self.net.send_new(
                     self.tile, tile, CTRL, control_payload_bits(), "l2",
-                    body=acquire_msg("Inv", evicted.addr, self.tile,
-                                     writeback_to_dram=True),
+                    body=CohMsg("Inv", evicted.addr, self.tile, writeback_to_dram=True),
                 )
         if evicted.dirty:
             dram_tile = self.dram.controller_tile(evicted.addr)
             self.net.send_new(
                 self.tile, dram_tile, DATA,
                 data_payload_bits(LINE_SIZE), "dram",
-                body=acquire_msg("MemWrite", evicted.addr, self.tile),
+                body=CohMsg("MemWrite", evicted.addr, self.tile),
             )

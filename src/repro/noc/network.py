@@ -76,12 +76,13 @@ class Network:
         # arrival cycle -> [(handler, packet), ...] in send order. A
         # batch exists for a cycle iff its drain event is scheduled.
         self._arrivals: Dict[int, List[Tuple[Handler, Packet]]] = {}
-        # Packet free-list (DESIGN.md §12): with pooling enabled the
-        # network reclaims every delivered packet shell (no handler
-        # retains the Packet object — bodies have their own lifetime)
-        # and send_new() reuses them. The sanitizer vetoes pooling
-        # (sim.pooling): its S3 ledger keeps packets past delivery.
-        self._pooling = getattr(sim, "pooling", False)
+        # Packet free-list (DESIGN.md §12): the network owns a packet
+        # from send to the end of its delivery in _drain_cycle, which
+        # then clears the body and keeps the shell for send_new() to
+        # reuse. No handler or probe subscriber may keep a delivered
+        # Packet; one that needs the body keeps the body. Only the
+        # unfused test oracle turns sim.pooling off.
+        self._pooling = sim.pooling
         self._pkt_free: List[Packet] = []
         self._probes = sim.probes.bind("net", self)
 
@@ -108,7 +109,7 @@ class Network:
         body=None,
         extra_delay: int = 0,
     ) -> DeliveryInfo:
-        """Allocate a packet (from the free-list when pooling is on)
+        """Allocate a packet (from the free-list when it has a shell)
         and send it. Hot senders use this instead of ``send(Packet(...))``
         so delivered shells cycle back instead of being garbage."""
         free = self._pkt_free

@@ -2,12 +2,11 @@
 
 from repro.sim.kernel import Simulator
 from repro.sim.sanitizer import Sanitizer, SanitizerError
-from repro.sim.stats import Histogram, Stats
+from repro.sim.stats import Stats
 
 __all__ = [
     "Simulator",
     "Sanitizer",
     "SanitizerError",
     "Stats",
-    "Histogram",
 ]

@@ -31,7 +31,6 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs import telemetry as _telemetry
 from repro.obs.probes import Probes
-from repro.sim import fastpath as _fastpath
 from repro.sim import sanitizer as _sanitizer
 
 
@@ -57,6 +56,13 @@ class Simulator:
     """
 
     RING = 2048  # bucket count; must be a power of two
+    # Handler fusion (gated by can_inline) and packet-shell pooling are
+    # always on; only tests/sim/unfused_oracle.py turns them off, to keep
+    # the all-events reference. Fusion changes the event stream (hence
+    # the S5 trace hash) but never cycles or architectural stats, and
+    # every probe fires before a fused tail call (DESIGN.md §12).
+    fastpath = True
+    pooling = True
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -79,16 +85,6 @@ class Simulator:
         self.sanitizer = _sanitizer.maybe_attach(self)
         # Same contract for the telemetry layer (REPRO_TELEMETRY).
         self.telemetry = _telemetry.maybe_attach(self)
-        # Handler fast paths (REPRO_FASTPATH, default on) fuse
-        # uncontended event chains into synchronous calls that credit
-        # count_inlined_events(). Fusion changes the *event stream*
-        # (hence the S5 trace hash) but never cycles or architectural
-        # stats (DESIGN.md §12), and every probe fires before a fused
-        # tail call, so observers see the same sequence either way.
-        # Message pooling additionally requires no sanitizer, since
-        # its checkers keep packet references past a delivery.
-        self.fastpath = _fastpath.enabled()
-        self.pooling = self.fastpath and self.sanitizer is None
 
     # -- scheduling ----------------------------------------------------
     # Scheduling is the single hottest simulator entry point, so the
@@ -195,9 +191,11 @@ class Simulator:
         itself schedules lands behind it in FIFO order either way
         (DESIGN.md §12). When another event *is* pending this cycle,
         fusing would jump the queue — callers must fall back to
-        ``schedule(0, ...)``."""
+        ``schedule(0, ...)``. Always False with ``fastpath`` off: this
+        is the only fusion gate."""
         return (
-            not self._inline_depth
+            self.fastpath
+            and not self._inline_depth
             and not self._buckets[self.now & self._mask]
         )
 

@@ -8,8 +8,7 @@ job (grouping, normalizing against a baseline) mechanical.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 
 class Stats:
@@ -116,94 +115,3 @@ class Stats:
         width = max((len(k) for k in self._values), default=0)
         lines = [f"{k:<{width}}  {v:g}" for k, v in sorted(self._values.items())]
         return "\n".join(lines)
-
-
-class Histogram:
-    """A simple bucketed histogram for latency-style distributions."""
-
-    __slots__ = ("bucket_size", "_buckets", "count", "sum", "_min", "_max")
-
-    def __init__(self, bucket_size: int = 16) -> None:
-        if bucket_size <= 0:
-            raise ValueError("bucket_size must be positive")
-        self.bucket_size = bucket_size
-        self._buckets: Dict[int, int] = defaultdict(int)
-        self.count = 0
-        self.sum = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-
-    def record(self, value: float) -> None:
-        self._buckets[int(value) // self.bucket_size] += 1
-        self.count += 1
-        self.sum += value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
-
-    @property
-    def min(self) -> float:
-        """Smallest recorded value (0.0 while empty — never ±inf,
-        which would poison means and is not JSON-serializable)."""
-        return 0.0 if self._min is None else self._min
-
-    @property
-    def max(self) -> float:
-        """Largest recorded value (0.0 while empty)."""
-        return 0.0 if self._max is None else self._max
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def buckets(self) -> List[Tuple[int, int]]:
-        """Sorted (bucket_start, count) pairs."""
-        return sorted(
-            (bucket * self.bucket_size, count)
-            for bucket, count in self._buckets.items()
-        )
-
-    def percentile(self, p: float) -> float:
-        """Value at the ``p``-th percentile (0..100), resolved at
-        bucket granularity: the inclusive upper edge of the bucket
-        holding the ``ceil(count * p / 100)``-th sample, clamped to
-        the recorded min/max. Empty histograms read 0.0."""
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if self.count == 0:
-            return 0.0
-        if p == 0:
-            return self.min
-        rank = max(1, -(-self.count * p // 100))  # ceil without math
-        seen = 0
-        for bucket, count in sorted(self._buckets.items()):
-            seen += count
-            if seen >= rank:
-                upper = (bucket + 1) * self.bucket_size - 1
-                return min(max(float(upper), self.min), self.max)
-        return self.max  # unreachable, defensive
-
-    # Serialization (interval snapshots / span latency distributions
-    # ride in the disk run-cache next to Stats).
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "bucket_size": self.bucket_size,
-            "count": self.count,
-            "sum": self.sum,
-            "min": self._min,
-            "max": self._max,
-            # JSON object keys are strings; store raw bucket indices.
-            "buckets": {str(b): c for b, c in sorted(self._buckets.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "Histogram":
-        hist = cls(bucket_size=int(payload["bucket_size"]))
-        hist.count = int(payload["count"])
-        hist.sum = float(payload["sum"])
-        hist._min = payload.get("min")
-        hist._max = payload.get("max")
-        for bucket, count in payload.get("buckets", {}).items():
-            hist._buckets[int(bucket)] = int(count)
-        return hist

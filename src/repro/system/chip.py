@@ -87,9 +87,9 @@ class Chip:
         """Run per-core programs to completion with phase barriers.
 
         The event loop runs with the cyclic garbage collector paused
-        (restored on exit): the kernel and message pools recycle the
-        hot allocations, so collector passes over the arrival batches
-        and handler closures are pure overhead mid-run.
+        (restored on exit): the NoC's packet free-list and the MSHR slot
+        pools recycle the hot allocations, so collector passes over the
+        arrival batches and handler closures are pure overhead mid-run.
         """
         for core_id in programs:
             if not (0 <= core_id < self.num_cores):

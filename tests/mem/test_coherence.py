@@ -4,19 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mem.coherence import DATA_OPS, CohMsg, DirEntry, Directory
+from repro.mem.coherence import CohMsg, DirEntry, Directory
 
 
 class TestCohMsg:
-    def test_data_ops_carry_data(self):
-        for op in ("Data", "DataU", "PutM", "DownData", "MemWrite", "MemData"):
-            assert CohMsg(op=op, addr=0, requester=0).carries_data
-
-    def test_control_ops_do_not(self):
-        for op in ("GetS", "GetX", "GetU", "PutS", "Inv", "InvAck",
-                   "FwdGetS", "MemRead"):
-            assert not CohMsg(op=op, addr=0, requester=0).carries_data
-
     def test_default_source_is_core(self):
         assert CohMsg(op="GetS", addr=0, requester=0).source == "core"
 

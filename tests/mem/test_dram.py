@@ -44,13 +44,14 @@ def test_page_interleaved_mapping():
 def test_read_latency_and_response():
     sim, stats, net, dram = make_system()
     got = []
-    net.register(5, "l3", lambda pkt: got.append((sim.now, pkt)))
+    # Keep the body: the network recycles a delivered packet's shell.
+    net.register(5, "l3", lambda pkt: got.append((sim.now, pkt.body)))
     read(sim, net, dram, 0x0)
     sim.run()
     assert stats["dram.reads"] == 1
     assert len(got) == 1
-    when, pkt = got[0]
-    assert pkt.body.op == "MemData"
+    when, body = got[0]
+    assert body.op == "MemData"
     assert when >= 100  # at least the access latency
 
 

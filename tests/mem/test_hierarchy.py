@@ -166,7 +166,9 @@ class TestEvictions:
 class TestGetU:
     def _get_u(self, hier, bank_tile, addr, requester):
         got = []
-        hier.net.register(requester, "se_l2", lambda pkt: got.append(pkt))
+        # Keep the body: the network recycles a delivered packet's shell.
+        hier.net.register(requester, "se_l2",
+                          lambda pkt: got.append(pkt.body))
         bank = hier.banks[bank_tile]
         bank.stream_read(
             addr, requester,
@@ -178,7 +180,7 @@ class TestGetU:
     def test_getu_does_not_update_directory(self, hier):
         got = self._get_u(hier, 0, 0x0, requester=1)
         assert len(got) == 1
-        assert got[0].body.op == "DataU"
+        assert got[0].op == "DataU"
         # No sharer recorded, but the line is now cached in L3.
         assert hier.banks[0].dir.peek(0x0) is None
         assert hier.banks[0].array.contains(0x0)

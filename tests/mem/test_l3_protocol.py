@@ -108,15 +108,16 @@ class TestWaitQueue:
 class TestGetUMisc:
     def test_remote_getu_without_se_answers_directly(self, hier):
         got = []
-        hier.net.register(2, "se_l2", lambda pkt: got.append(pkt))
+        # Keep the body: the network recycles a delivered packet's shell.
+        hier.net.register(2, "se_l2", lambda pkt: got.append(pkt.body))
         hier.net.send(Packet(
             src=2, dst=0, kind=CTRL, payload_bits=0, dst_port="l3",
             body=CohMsg(op="GetU", addr=0x0, requester=2, data_bytes=8),
         ))
         hier.run()
         assert len(got) == 1
-        assert got[0].body.op == "DataU"
-        assert got[0].body.data_bytes == 8
+        assert got[0].op == "DataU"
+        assert got[0].data_bytes == 8
 
     def test_getu_after_llc_hit_no_dram(self, hier):
         hier.read(3, 0x0)

@@ -11,7 +11,8 @@ from repro.harness.parallel import run_points
 from repro.harness.runner import clear_cache, params_key, run_once, run_params
 from repro.obs.attribution import BUCKETS
 from repro.obs.telemetry import ENV_TELEMETRY
-from repro.sim.fastpath import ENV_FASTPATH
+from repro.sim.kernel import Simulator
+from tests.sim.unfused_oracle import UnfusedOracle
 
 GOLDEN_JSON = os.path.join(os.path.dirname(__file__),
                            "golden_attribution.json")
@@ -45,18 +46,17 @@ def _golden_record():
 # conservation: every core cycle lands in exactly one bucket
 # ----------------------------------------------------------------------
 def _chip_run(workload, config, monkeypatch, pillars="attribution",
-              fastpath=None, **kw):
-    from repro.system.chip import Chip
+              kernel=Simulator, **kw):
+    import repro.system.chip as chip_module
     from repro.system.configs import make_config
     from repro.workloads.base import build_programs
 
     monkeypatch.setenv(ENV_TELEMETRY, pillars)
-    if fastpath is not None:
-        monkeypatch.setenv(ENV_FASTPATH, fastpath)
+    monkeypatch.setattr(chip_module, "Simulator", kernel)
     kw = dict(KW, **kw)
     scale = kw.pop("scale")
     system = make_config(config, core="ooo8", scale=scale, **kw)
-    chip = Chip(system)
+    chip = chip_module.Chip(system)
     programs = build_programs(workload, chip.num_cores, scale=scale,
                               seed=0)
     chip.run(programs)
@@ -184,27 +184,39 @@ def _span_chains(chip):
     )
 
 
-@pytest.mark.parametrize("fastpath,fused", [(None, True), ("0", False)])
+@pytest.mark.parametrize("fastpath,fused", [(None, True), (0, False)])
 def test_telemetry_keeps_fastpath(fastpath, fused, monkeypatch):
-    monkeypatch.delenv(ENV_FASTPATH, raising=False)
-    chip = _chip_run("mv", "sf", monkeypatch, pillars="spans,attribution",
-                     fastpath=fastpath)
-    # Attaching telemetry leaves handler fusion as REPRO_FASTPATH sets
-    # it (on by default): the pillars observe the path that ships.
-    assert chip.sim.fastpath is fused
+    # fastpath overrides the kernel's class attribute; None keeps the
+    # shipped default.
+    if fastpath is not None:
+        monkeypatch.setattr(Simulator, "fastpath", fastpath)
+    inlined = {}
+    for pillars in ("0", "spans,attribution"):
+        chip = _chip_run("mv", "sf", monkeypatch, pillars=pillars)
+        inlined[pillars] = chip.sim.events_inlined
+    # Attaching telemetry leaves handler fusion as the kernel's
+    # fastpath sets it (on by default): the pillars observe the path
+    # that ships.
+    assert chip.sim.telemetry is not None
+    assert bool(chip.sim.fastpath) is fused
+    assert inlined["spans,attribution"] == inlined["0"]
 
 
 def test_fastpath_setting_does_not_change_attribution(monkeypatch):
-    runs = {}
-    for fastpath in ("1", "0"):
+    runs, inlined = {}, {}
+    for kernel in (Simulator, UnfusedOracle):
         chip = _chip_run("mv", "sf", monkeypatch,
-                         pillars="spans,attribution", fastpath=fastpath)
-        runs[fastpath] = (
+                         pillars="spans,attribution", kernel=kernel)
+        runs[kernel] = (
             chip.sim.now,
             _span_chains(chip),
             chip.sim.telemetry.attribution.summary(),
         )
-    assert runs["1"] == runs["0"]
+        inlined[kernel] = chip.sim.events_inlined
+    # Attaching telemetry leaves handler fusion on: the pillars observe
+    # the path that ships.
+    assert inlined[Simulator] > inlined[UnfusedOracle]
+    assert runs[Simulator] == runs[UnfusedOracle]
 
 
 # ----------------------------------------------------------------------

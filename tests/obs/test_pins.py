@@ -1,5 +1,5 @@
 """Real-run telemetry pins: sha256 digests of everything the pillars
-record on three points.
+record on four points.
 
 Each point runs once with spans, provenance, interval (period 1000)
 and attribution on, and once on a telemetry-off chip that only logs
@@ -10,8 +10,11 @@ the ``str()`` of every logged event. The points, all at 2x2: mv/sf
 (the golden attribution point), stencil_tiled/sf_smart (revocations),
 hotspot/sf_plan (the write-heavy workload: follower and revoke
 verdicts) and conv3d/sf_plan (floats with plans, which hotspot at
-this scale never attaches). Every artifact of these points is the
-same with handler fusion on or off.
+this scale never attaches). Every point runs on the shipping
+:class:`~repro.sim.kernel.Simulator` and again with
+``repro.system.chip.Simulator`` swapped for
+:class:`~tests.sim.unfused_oracle.UnfusedOracle` (handler fusion and
+packet pooling off), and both runs must match the pins.
 
 Regenerate with ``python -m tests.obs.test_pins`` after a deliberate
 change to what telemetry records.
@@ -24,11 +27,14 @@ from typing import Any, Dict
 
 import pytest
 
+import repro.system.chip as chip_module
 from repro.obs.export import chrome_trace_events, provenance_instant_events
 from repro.obs.telemetry import TRACE_KINDS, Telemetry, TelemetryConfig, attach
+from repro.sim.kernel import Simulator
 from repro.system.chip import Chip
 from repro.system.configs import make_config
 from repro.workloads.base import build_programs
+from tests.sim.unfused_oracle import UnfusedOracle
 
 PINS = os.path.join(os.path.dirname(__file__), "golden_pins.json")
 
@@ -72,10 +78,12 @@ def point_digests(name: str) -> Dict[str, str]:
 
 
 @pytest.mark.parametrize("name", sorted(POINTS))
-def test_real_run_telemetry_is_pinned(name):
+def test_real_run_telemetry_is_pinned(name, monkeypatch):
     with open(PINS, encoding="utf-8") as fh:
         want = json.load(fh)[name]
-    assert point_digests(name) == want
+    for kernel in (Simulator, UnfusedOracle):
+        monkeypatch.setattr(chip_module, "Simulator", kernel)
+        assert point_digests(name) == want, kernel.__name__
 
 
 def regenerate_golden() -> None:

@@ -9,11 +9,14 @@ from repro.sim import Simulator, Stats
 
 
 class BankStub:
+    """Records the body of every delivered request (the network
+    recycles a delivered packet's shell)."""
+
     def __init__(self):
         self.received = []
 
     def handle(self, pkt):
-        self.received.append(pkt)
+        self.received.append(pkt.body)
 
 
 def make_env():
@@ -39,7 +42,7 @@ def test_four_requests_become_one_packet():
         grouper.enqueue(1, CohMsg(op="GetS", addr=i * 64, requester=0), e)
     sim.run()
     assert len(bank.received) == 1
-    body = bank.received[0].body
+    body = bank.received[0]
     assert body.op == "GetSBulk"
     assert len(body.se_info) == 4
     assert stats["l2.bulk_groups"] == 1
@@ -54,15 +57,15 @@ def test_timeout_flushes_partial_group():
     grouper.enqueue(1, CohMsg(op="GetS", addr=64, requester=0), entry_for(64))
     sim.run()
     assert len(bank.received) == 1
-    assert bank.received[0].body.op == "GetSBulk"
-    assert len(bank.received[0].body.se_info) == 2
+    assert bank.received[0].op == "GetSBulk"
+    assert len(bank.received[0].se_info) == 2
 
 
 def test_single_request_sent_plain():
     sim, _, _, bank, grouper = make_env()
     grouper.enqueue(1, CohMsg(op="GetS", addr=0, requester=0), entry_for(0))
     sim.run()
-    assert bank.received[0].body.op == "GetS"
+    assert bank.received[0].op == "GetS"
 
 
 def test_flush_all():

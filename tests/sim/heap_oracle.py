@@ -36,7 +36,8 @@ class HeapOracle(Simulator):
         return len(self._queue)
 
     def can_inline(self):
-        return not self._inline_depth and not (self._queue and self._queue[0][0] == self.now)
+        return (self.fastpath and not self._inline_depth
+                and not (self._queue and self._queue[0][0] == self.now))
 
     def run(self, until=None, max_events=None):
         queue = self._queue

@@ -63,6 +63,18 @@ def test_enabled_by_fixture():
     assert sim.probes.dispatch is not None
 
 
+def test_sanitized_chip_runs_the_pooled_path():
+    # The checkers see the configuration every benchmark runs: the
+    # sanitizer leaves packet pooling on, so delivered shells recycle.
+    from repro.system import Chip, make_config
+    from repro.workloads.base import build_programs
+
+    chip = Chip(make_config("sf", core="ooo8", cols=2, rows=2, scale=64))
+    chip.run(build_programs("mv", chip.num_cores, scale=64, seed=0))
+    assert chip.sim.sanitizer is not None
+    assert chip.net._pkt_free
+
+
 def test_clean_run_passes_final_check():
     hier = clean_hierarchy()
     san = hier.sim.sanitizer
