@@ -141,7 +141,7 @@ def run_point(name: str, hash_pass: bool, calls_pass: bool = True) -> Dict:
     trace_events: Optional[int] = None
     if hash_pass:
         os.environ["REPRO_SANITIZE"] = "1"
-        rec = simulate(params)
+        rec, _ = simulate(params)
         trace_hash = int(rec.stats.get("sanitizer.trace_hash"))
         trace_events = int(rec.stats.get("sanitizer.trace_events"))
         assert rec.stats.get("sanitizer.violations", 0) == 0

@@ -63,20 +63,11 @@ _DETERMINISTIC_TELEMETRY_KEYS = {
 
 
 @pytest.fixture(autouse=True)
-def _bench_profile_mode(request, monkeypatch):
-    """``pytest benchmarks/ --profile``: attach the telemetry kernel
-    profiler to every simulation in the run (sanitizer stays off —
-    the ``no_sanitize`` marker above already guarantees that), so
-    slow figures can be attributed to event types without rerunning
-    under cProfile. Without the flag, telemetry stays detached and
-    timings measure the bare simulator.
-    """
-    if request.config.getoption("--profile"):
-        monkeypatch.setenv("REPRO_TELEMETRY", "profile")
-    else:
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+def _check_cached_telemetry():
+    """After each benchmark, check the telemetry counters that reached
+    the run memo."""
     yield
-    # Either way, host time must never leak into cached run records:
+    # Host time must never leak into cached run records:
     # the run cache is keyed on simulation parameters only, so a
     # wall-clock-derived stat would go stale (and poison baseline
     # diffs) silently. Telemetry publishes only deterministic counts.

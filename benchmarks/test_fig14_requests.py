@@ -25,7 +25,6 @@ def test_fig14_request_breakdown(benchmark):
     assert mean_float > 0.3
     # Affine floating dominates over indirect on average.
     mean_affine = sum(f["float_affine"] for f in data.values()) / n
-    mean_ind = sum(f["float_ind"] for f in data.values()) / n
     assert mean_affine > 0.1
     # Indirect floating appears only in the indirect workloads.
     assert data["bfs"]["float_ind"] > 0.3

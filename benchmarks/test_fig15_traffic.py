@@ -27,8 +27,6 @@ def test_fig15_traffic(benchmark):
     base = mean_total(rows, "base")
     bingo = mean_total(rows, "bingo")
     ss = mean_total(rows, "ss")
-    bulk = mean_total(rows, "bulk")
-    stride = mean_total(rows, "stride")
     sf_aff = mean_total(rows, "sf_aff")
     sf = mean_total(rows, "sf")
     assert abs(base - 1.0) < 1e-6
@@ -37,9 +35,11 @@ def test_fig15_traffic(benchmark):
     assert 0.9 < ss < 1.1
     # Bulk prefetch trims the stride prefetcher's *request* traffic
     # (its data placement differs: bulk requires coarser interleave).
-    mean_ctrl = lambda cfg: sum(
-        r.ctrl for r in rows if r.config == cfg
-    ) / sum(1 for r in rows if r.config == cfg)
+    def mean_ctrl(cfg):
+        return sum(
+            r.ctrl for r in rows if r.config == cfg
+        ) / sum(1 for r in rows if r.config == cfg)
+
     assert mean_ctrl("bulk") < mean_ctrl("stride") * 1.02
     # Floating fundamentally reduces traffic; full SF at least as good
     # as affine-only on average.
@@ -50,7 +50,9 @@ def test_fig15_traffic(benchmark):
     stream_share = sum(r.stream for r in sf_rows) / len(sf_rows)
     assert stream_share < 0.10
     # Utilization: SF below Bingo.
-    util = lambda cfg: sum(
-        r.utilization for r in rows if r.config == cfg
-    ) / sum(1 for r in rows if r.config == cfg)
+    def util(cfg):
+        return sum(
+            r.utilization for r in rows if r.config == cfg
+        ) / sum(1 for r in rows if r.config == cfg)
+
     assert util("sf") < util("bingo")

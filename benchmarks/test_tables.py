@@ -8,8 +8,6 @@
   profile actually simulated).
 """
 
-import numpy as np
-
 from repro.streams.history import HistoryEntry
 from repro.streams.isa import (
     AFFINE_CONFIG_BITS,

@@ -14,16 +14,6 @@ import pytest
 from repro.sim.sanitizer import ENV_SANITIZE
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--profile",
-        action="store_true",
-        default=False,
-        help="benchmark runs attach the telemetry kernel profiler "
-             "(sanitizer stays off; see benchmarks/conftest.py)",
-    )
-
-
 @pytest.fixture(autouse=True)
 def _sanitize_by_default(request, monkeypatch):
     """Enable REPRO_SANITIZE for every test unless marked no_sanitize."""

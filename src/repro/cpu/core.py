@@ -24,7 +24,7 @@ loads/stores so the exact same program runs on every system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
 from typing import TYPE_CHECKING
@@ -34,7 +34,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
 from repro.streams.pattern import AffinePattern
 from repro.streams.se_core import SECore
-from repro.workloads.kernel import CoreProgram, Iteration, KernelPhase
+from repro.workloads.kernel import Iteration, KernelPhase
 
 if TYPE_CHECKING:  # avoid the package-init import cycle via repro.system
     from repro.system.params import CoreParams

@@ -14,7 +14,7 @@ DESIGN.md's substitution table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Mapping
 
 from repro.noc.message import TRAFFIC_CLASSES

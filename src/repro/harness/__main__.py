@@ -33,7 +33,6 @@ from repro.harness.runner import (
     configure_disk_cache,
     configure_telemetry,
     reset_disk_cache,
-    reset_telemetry,
 )
 from repro.workloads import ALL_WORKLOADS
 
@@ -98,64 +97,35 @@ def main(argv=None) -> int:
         None if args.no_cache else (args.cache_dir or default_cache_dir())
     )
     parallel.set_progress(lambda line: print(line, file=sys.stderr))
-    from repro.obs.telemetry import ENV_INTERVAL, ENV_TELEMETRY
     from repro.sim.sanitizer import ENV_SANITIZE
     prev_sanitize = os.environ.get(ENV_SANITIZE)
     if args.sanitize:
         os.environ[ENV_SANITIZE] = "1"
-    pillars = []
-    if args.trace_out:
-        pillars.append("spans")
-    if args.interval_stats:
-        pillars.append("interval")
-    if args.profile:
-        pillars.append("profile")
-    if args.provenance_out:
-        pillars.append("provenance")
-    prev_telemetry = os.environ.get(ENV_TELEMETRY)
-    prev_interval = os.environ.get(ENV_INTERVAL)
-    prev_tel_dir = None
-    worker_dir = None
     sink = None
-    if pillars:
-        import tempfile
-
+    if (args.trace_out or args.interval_stats or args.profile
+            or args.provenance_out):
         from repro.obs.export import TelemetrySink
-        from repro.obs.telemetry import ENV_TELEMETRY_DIR
+        from repro.obs.telemetry import DEFAULT_INTERVAL
 
-        os.environ[ENV_TELEMETRY] = ",".join(pillars)
-        if args.interval_stats:
-            os.environ[ENV_INTERVAL] = str(args.interval_stats)
-        # Parent-process simulations feed the in-process sink; fan-out
-        # workers (which reset the sink on start) export per-point
-        # artifacts into a scratch dir the sink merges afterwards —
-        # so --jobs N and telemetry compose.
-        prev_tel_dir = os.environ.get(ENV_TELEMETRY_DIR)
-        worker_dir = tempfile.mkdtemp(prefix="repro-telemetry-")
-        os.environ[ENV_TELEMETRY_DIR] = worker_dir
+        # Telemetry runs skip the disk cache and simulate every point;
+        # each point's artifacts reach the sink in enumeration order,
+        # whichever process simulated it.
         sink = TelemetrySink(
             trace_out=args.trace_out,
-            interval_out=args.interval_out or (
-                "intervals.jsonl" if args.interval_stats else None),
-            profile_out=args.profile_out or (
-                "profile.json" if args.profile else None),
+            interval_out=((args.interval_out or "intervals.jsonl")
+                          if args.interval_stats else None),
+            profile_out=((args.profile_out or "profile.json")
+                         if args.profile else None),
             provenance_out=args.provenance_out,
+            interval=args.interval_stats or DEFAULT_INTERVAL,
         )
         configure_telemetry(sink)
     try:
         rc = _run(args)
         if sink is not None:
-            ingested = sink.ingest_dir(worker_dir)
-            if ingested:
-                print(f"[telemetry] merged {ingested} worker point(s)",
-                      file=sys.stderr)
-            if sink.points == 0 and ingested == 0:
-                print("[telemetry] no points simulated (all cache "
-                      "hits?) — artifacts will be empty; rerun with "
-                      "--no-cache to regenerate", file=sys.stderr)
             for path in sink.write():
                 print(f"[telemetry] wrote {path}", file=sys.stderr)
-            if args.profile and (sink.points or ingested):
+            if args.profile:
                 print(sink.profile_report(), file=sys.stderr)
         return rc
     finally:
@@ -166,27 +136,9 @@ def main(argv=None) -> int:
                 os.environ.pop(ENV_SANITIZE, None)
             else:
                 os.environ[ENV_SANITIZE] = prev_sanitize
-        if pillars:
-            from repro.obs.telemetry import ENV_TELEMETRY_DIR
-
-            if prev_telemetry is None:
-                os.environ.pop(ENV_TELEMETRY, None)
-            else:
-                os.environ[ENV_TELEMETRY] = prev_telemetry
-            if prev_interval is None:
-                os.environ.pop(ENV_INTERVAL, None)
-            else:
-                os.environ[ENV_INTERVAL] = prev_interval
-            if prev_tel_dir is None:
-                os.environ.pop(ENV_TELEMETRY_DIR, None)
-            else:
-                os.environ[ENV_TELEMETRY_DIR] = prev_tel_dir
-            if worker_dir is not None:
-                import shutil
-
-                shutil.rmtree(worker_dir, ignore_errors=True)
         parallel.set_progress(None)
-        reset_telemetry()
+        if sink is not None:
+            configure_telemetry(None)
         reset_disk_cache()
 
 

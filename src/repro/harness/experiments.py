@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.parallel import run_points
-from repro.harness.runner import RunRecord, run_once
+from repro.harness.runner import run_once
 from repro.noc.message import TRAFFIC_CLASSES
 from repro.workloads import ALL_WORKLOADS
 

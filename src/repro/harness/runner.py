@@ -9,19 +9,22 @@ memo sits an optional on-disk :class:`~repro.harness.cache.RunCache`
 either.  Both layers key on the *complete* run parameters — including
 ``seed``: two runs of the same point with different seeds are distinct
 entries (this was historically a bug: the memo key omitted the seed
-and silently returned the first seed's record).
+and silently returned the first seed's record).  While a telemetry
+sink is installed (:func:`configure_telemetry`) every point simulates:
+the disk cache is bypassed and the memo lasts one session.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.harness.cache import ENV_CACHE_DIR, RunCache
-from repro.obs.telemetry import ENV_TELEMETRY, pillars_with
 from repro.noc.message import TRAFFIC_CLASSES
+from repro.obs.export import point_artifacts, point_slug
+from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.sim.stats import Stats
 from repro.system.chip import Chip, RunResult
 from repro.system.configs import make_config
@@ -45,7 +48,7 @@ class RunRecord:
     stats: Stats
     energy: EnergyBreakdown
     # Deterministic telemetry summary counters (span/sample/event
-    # totals) when the run simulated with REPRO_TELEMETRY on; None
+    # totals) when the run simulated with telemetry attached; None
     # otherwise. Artifacts themselves go through the telemetry sink.
     telemetry: Optional[Dict[str, float]] = None
     # Telemetry pillars the point itself requests (comma list, e.g.
@@ -210,8 +213,15 @@ def reset_disk_cache() -> None:
 
 
 def disk_cache() -> Optional[RunCache]:
-    """The active disk cache, if any (env-driven unless configured)."""
+    """The active disk cache, if any (env-driven unless configured).
+
+    None while a telemetry sink is installed: a cached point has no
+    artifacts to give the sink, and a record that carries telemetry
+    must not be stored under a key that does not name it.
+    """
     global _DISK, _DISK_ENV_DIR
+    if _SINK is not None:
+        return None
     if _DISK_CONFIGURED:
         return _DISK
     env = os.environ.get(ENV_CACHE_DIR)
@@ -229,77 +239,53 @@ def clear_cache() -> None:
     COUNTERS.reset()
 
 
-# Telemetry sink: when the CLI enables telemetry pillars it installs a
-# sink here (same explicit-beats-env pattern as the disk cache); the
-# runner hands it each fresh simulation's telemetry for aggregation.
-# Without a sink, REPRO_TELEMETRY_DIR (if set) gets per-point files.
-_OBS_SINK = None
+_SINK = None
 
 
 def configure_telemetry(sink) -> None:
-    """Install a :class:`repro.obs.export.TelemetrySink` (or None)."""
-    global _OBS_SINK
-    _OBS_SINK = sink
+    """Install a :class:`repro.obs.export.TelemetrySink` (or None), the
+    one session-wide telemetry setting: each point simulated while it
+    is installed attaches ``sink.config`` and gives the sink its
+    artifacts. Either way the memo is dropped, so no record that
+    carries telemetry outlives its session."""
+    global _SINK
+    _SINK = sink
+    _MEMO.clear()
 
 
-def reset_telemetry() -> None:
-    global _OBS_SINK
-    _OBS_SINK = None
+def telemetry_sink():
+    """The installed telemetry sink, if any."""
+    return _SINK
 
 
-def _export_telemetry(chip: Chip, params: Dict[str, Any]) -> Optional[Dict]:
-    """Collect a finished chip's telemetry into the sink (or the
-    env-dir fallback); returns the deterministic summary counters."""
-    tel = getattr(chip.sim, "telemetry", None)
-    if tel is None:
-        return None
-    if _OBS_SINK is not None:
-        _OBS_SINK.collect(tel, params)
-    else:
-        from repro.obs.export import export_point_artifacts, point_slug
-        from repro.obs.telemetry import ENV_TELEMETRY_DIR
-
-        out_dir = os.environ.get(ENV_TELEMETRY_DIR)
-        if out_dir:
-            export_point_artifacts(tel, out_dir, point_slug(params))
-    return tel.summary()
-
-
-def simulate(params: Dict[str, Any]) -> RunRecord:
-    """Run one point, bypassing every cache layer."""
+def simulate(
+    params: Dict[str, Any], telemetry: Optional[TelemetryConfig] = None,
+) -> Tuple[RunRecord, Optional[Telemetry]]:
+    """Run one point, bypassing every cache layer. Telemetry attaches
+    to the built chip with the point's own ``obs`` pillars, else with
+    ``telemetry``, and comes back with the record (None if neither)."""
     system = make_config(
         params["config"], core=params["core"], cols=params["cols"],
         rows=params["rows"], scale=params["scale"],
         link_bits=params["link_bits"],
         l3_interleave=params["l3_interleave"],
     )
+    chip = Chip(system)
     obs = params.get("obs")
     if obs:
-        # Point-requested pillars join any REPRO_TELEMETRY already
-        # names: telemetry attaches inside Simulator.__init__, so the
-        # env only needs to cover chip construction.
-        prev = os.environ.get(ENV_TELEMETRY)
-        os.environ[ENV_TELEMETRY] = pillars_with(obs)
-        try:
-            chip = Chip(system)
-        finally:
-            if prev is None:
-                del os.environ[ENV_TELEMETRY]
-            else:
-                os.environ[ENV_TELEMETRY] = prev
-    else:
-        chip = Chip(system)
+        telemetry = TelemetryConfig.parse(obs)
+    tel = Telemetry(chip.sim, telemetry) if telemetry is not None else None
     programs = build_programs(
         params["workload"], chip.num_cores, scale=params["scale"],
         seed=params["seed"],
     )
     result: RunResult = chip.run(programs)
     energy = EnergyModel().evaluate(result.stats, result.cycles, system)
-    telemetry = _export_telemetry(chip, params)
-    return RunRecord(
+    record = RunRecord(
         cycles=result.cycles, stats=result.stats, energy=energy,
-        telemetry=telemetry, **params,
+        telemetry=tel.summary() if tel is not None else None, **params,
     )
+    return record, tel
 
 
 def run_once(
@@ -333,7 +319,10 @@ def run_once(
                 COUNTERS.disk_hits += 1
                 _MEMO[key] = record
                 return record
-    record = simulate(params)
+    sink = _SINK
+    record, tel = simulate(params, None if sink is None else sink.config)
+    if sink is not None:
+        sink.add(point_artifacts(tel, point_slug(params)))
     COUNTERS.simulated += 1
     if use_cache:
         _MEMO[key] = record

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.mem.addr import PAGE_SHIFT
-from repro.noc.message import CTRL, DATA, Packet, data_payload_bits
+from repro.noc.message import DATA, Packet, data_payload_bits
 from repro.mem.coherence import CohMsg
 from repro.noc.network import Network
 from repro.sim.kernel import Simulator

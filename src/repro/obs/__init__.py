@@ -9,30 +9,13 @@ back into ``sim.kernel``. Import those from their modules.
 """
 
 from repro.obs.probes import PROBES, Probes
-from repro.obs.telemetry import (
-    ENV_INTERVAL,
-    ENV_TELEMETRY,
-    ENV_TELEMETRY_DIR,
-    StreamEvent,
-    Telemetry,
-    TelemetryConfig,
-    attach,
-    config_from_env,
-    enabled_by_env,
-    maybe_attach,
-)
+from repro.obs.telemetry import StreamEvent, Telemetry, TelemetryConfig, attach
 
 __all__ = [
-    "ENV_INTERVAL",
-    "ENV_TELEMETRY",
-    "ENV_TELEMETRY_DIR",
     "PROBES",
     "Probes",
     "StreamEvent",
     "Telemetry",
     "TelemetryConfig",
     "attach",
-    "config_from_env",
-    "enabled_by_env",
-    "maybe_attach",
 ]

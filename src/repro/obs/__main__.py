@@ -86,33 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.harness.runner import run_once
-    from repro.obs.telemetry import (
-        ENV_INTERVAL,
-        ENV_TELEMETRY,
-        ENV_TELEMETRY_DIR,
-    )
+    from repro.harness.runner import run_params, simulate
+    from repro.obs.export import point_artifacts, point_slug, write_point_dir
+    from repro.obs.telemetry import DEFAULT_INTERVAL, TelemetryConfig
 
-    os.makedirs(args.out, exist_ok=True)
-    saved = {name: os.environ.get(name)
-             for name in (ENV_TELEMETRY, ENV_TELEMETRY_DIR, ENV_INTERVAL)}
-    os.environ[ENV_TELEMETRY] = args.telemetry
-    os.environ[ENV_TELEMETRY_DIR] = args.out
-    if args.interval is not None:
-        os.environ[ENV_INTERVAL] = str(args.interval)
-    try:
-        record = run_once(
-            workload=args.workload, config=args.config, core=args.core,
-            cols=args.cols, rows=args.rows, scale=args.scale,
-            link_bits=args.link_bits, l3_interleave=args.l3_interleave,
-            seed=args.seed, use_cache=False,
-        )
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    params = run_params(
+        args.workload, args.config, core=args.core, cols=args.cols,
+        rows=args.rows, scale=args.scale, link_bits=args.link_bits,
+        l3_interleave=args.l3_interleave, seed=args.seed,
+    )
+    record, tel = simulate(params, TelemetryConfig.parse(
+        args.telemetry, args.interval or DEFAULT_INTERVAL))
+    write_point_dir(point_artifacts(tel, point_slug(params)), args.out)
     record_path = os.path.join(args.out, "record.json")
     with open(record_path, "w", encoding="utf-8") as fh:
         json.dump(record.to_dict(), fh, indent=1, sort_keys=True)

@@ -4,7 +4,7 @@ changed (DESIGN.md §11).
 Inputs are the artifacts the rest of the observability stack already
 produces — a :class:`~repro.harness.runner.RunRecord` (JSON) per run,
 optionally accompanied by the per-point telemetry artifacts that
-``python -m repro.obs run`` / ``REPRO_TELEMETRY_DIR`` export
+``python -m repro.obs run`` writes next to it
 (``*.intervals.jsonl``, ``*.trace.json``, ``*.provenance.jsonl``).
 This module only *computes*: headline stat deltas, per-tile heatmap
 matrices (L3-bank activity from ``telemetry.tile.*`` counters,

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.interval import IntervalSampler
 from repro.obs.spans import Span, SpanCollector
+from repro.obs.telemetry import DEFAULT_INTERVAL, TelemetryConfig
 
 _TRACKS = ("mem", "stream-data", "streams", "noc")
 _TRACK_OF_KIND = {"mem": 0, "elem": 1, "stream": 2}
@@ -216,14 +217,45 @@ def write_provenance(path: str, rows: List[Dict[str, Any]]) -> str:
     return path
 
 
-class TelemetrySink:
-    """Aggregates per-point telemetry for the harness CLI.
+def point_artifacts(telemetry, slug: str) -> Dict[str, Any]:
+    """One simulated point's telemetry as plain data: the bundle a
+    fan-out worker returns to the parent and a sink adds.
 
-    The runner calls :meth:`collect` after each fresh simulation (see
-    ``repro.harness.runner.configure_telemetry``); the CLI calls
-    :meth:`write` once the figure completes. Cache hits skip
-    simulation entirely and therefore contribute no telemetry — the
-    CLI warns when that leaves a requested artifact empty.
+    Keys: ``point`` (the slug), ``trace`` (span and NoC trace events,
+    pid 1), ``decisions`` (decision-ledger instant events, pid 1),
+    ``provenance`` (ledger rows), ``intervals`` (samples), ``profile``
+    (the profiler payload) — each ``None`` when its pillar was off —
+    and ``summary`` (:meth:`Telemetry.summary`).
+    """
+    spans = telemetry.spans
+    sampler = telemetry.sampler
+    profiler = telemetry.profiler
+    ledger = telemetry.provenance
+    return {
+        "point": slug,
+        "trace": (None if spans is None
+                  else chrome_trace_events(spans, pid=1, point=slug)),
+        "decisions": (None if ledger is None
+                      else provenance_instant_events(ledger, pid=1,
+                                                     point=slug)),
+        "provenance": None if ledger is None else ledger.to_rows(slug),
+        "intervals": (None if sampler is None
+                      else [{"point": slug, **s} for s in sampler.samples]),
+        "profile": (None if profiler is None
+                    else {"point": slug, **profiler.payload()}),
+        "summary": telemetry.summary(),
+    }
+
+
+class TelemetrySink:
+    """Merges per-point artifact bundles into the requested outputs.
+
+    The harness CLI installs one with
+    ``repro.harness.runner.configure_telemetry``: every point the
+    session simulates then attaches :attr:`config` and the sink
+    :meth:`add`-s its :func:`point_artifacts` bundle, in the order the
+    figure enumerates its points whichever process simulated them. The
+    CLI calls :meth:`write` once the figure completes.
     """
 
     def __init__(
@@ -232,13 +264,13 @@ class TelemetrySink:
         interval_out: Optional[str] = None,
         profile_out: Optional[str] = None,
         provenance_out: Optional[str] = None,
-        top_n: int = 20,
+        interval: int = DEFAULT_INTERVAL,
     ) -> None:
         self.trace_out = trace_out
         self.interval_out = interval_out
         self.profile_out = profile_out
         self.provenance_out = provenance_out
-        self.top_n = top_n
+        self.interval = interval
         self.points = 0
         self._trace_events: List[Dict[str, Any]] = []
         self._samples: List[Dict[str, Any]] = []
@@ -249,10 +281,20 @@ class TelemetrySink:
         # sink surfaces every truncation loudly.
         self.drop_warnings: List[str] = []
 
-    def _check_drops(self, telemetry, slug: str) -> None:
+    @property
+    def config(self) -> TelemetryConfig:
+        """The pillars the requested outputs need."""
+        return TelemetryConfig(
+            spans=bool(self.trace_out),
+            interval=self.interval if self.interval_out else 0,
+            profile=bool(self.profile_out),
+            provenance=bool(self.provenance_out),
+        )
+
+    def _check_drops(self, summary: Dict[str, float], slug: str) -> None:
         dropped = {
             name: value
-            for name, value in telemetry.summary().items()
+            for name, value in summary.items()
             if "dropped" in name and value
         }
         if dropped:
@@ -267,67 +309,25 @@ class TelemetrySink:
             self.drop_warnings.append(message)
             print(message, file=sys.stderr)
 
-    def collect(self, telemetry, params: Dict[str, Any]) -> None:
+    def add(self, bundle: Dict[str, Any]) -> None:
+        """Merge one :func:`point_artifacts` bundle as the next point:
+        its trace events move to pid :attr:`points` and its flow-arrow
+        ids ``"<pid>.<n>"`` follow, so every point keeps one process."""
         self.points += 1
-        slug = point_slug(params)
-        self._check_drops(telemetry, slug)
-        if telemetry.spans is not None and self.trace_out:
-            self._trace_events.extend(chrome_trace_events(
-                telemetry.spans, pid=self.points, point=slug))
-        if telemetry.sampler is not None and self.interval_out:
-            for sample in telemetry.sampler.samples:
-                self._samples.append({"point": slug, **sample})
-        if telemetry.profiler is not None and self.profile_out:
-            self._profiles.append(
-                {"point": slug, **telemetry.profiler.payload(self.top_n)})
-        ledger = getattr(telemetry, "provenance", None)
-        if ledger is not None:
-            if self.provenance_out:
-                self._provenance_rows.extend(ledger.to_rows(slug))
-            if self.trace_out:
-                self._trace_events.extend(provenance_instant_events(
-                    ledger, pid=self.points, point=slug))
-
-    def ingest_dir(self, artifact_dir: str) -> int:
-        """Merge per-point artifacts written by worker processes (via
-        ``REPRO_TELEMETRY_DIR``) into this sink, remapping each
-        point's pid (workers always export with pid 1) so merged
-        traces keep one process per point. Returns the number of
-        points ingested. Files are read in sorted order, so the merge
-        is deterministic regardless of worker scheduling."""
-        slugs = set()
-        for fname in sorted(os.listdir(artifact_dir)):
-            path = os.path.join(artifact_dir, fname)
-            for suffix in (".trace.json", ".intervals.jsonl",
-                           ".profile.json", ".provenance.jsonl"):
-                if fname.endswith(suffix):
-                    slugs.add(fname[: -len(suffix)])
-            if fname.endswith(".trace.json"):
-                with open(path, "r", encoding="utf-8") as fh:
-                    events = json.load(fh)["traceEvents"]
-                self.points += 1
-                for event in events:
-                    event["pid"] = self.points
-                    if "id" in event:
-                        # Flow-arrow ids are "<pid>.<arrow>"; keep
-                        # them unique across merged points.
-                        suffix = str(event["id"]).split(".", 1)[-1]
-                        event["id"] = f"{self.points}.{suffix}"
-                self._trace_events.extend(events)
-            elif fname.endswith(".intervals.jsonl"):
-                with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        if line.strip():
-                            self._samples.append(json.loads(line))
-            elif fname.endswith(".profile.json"):
-                with open(path, "r", encoding="utf-8") as fh:
-                    self._profiles.extend(json.load(fh)["points"])
-            elif fname.endswith(".provenance.jsonl"):
-                with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        if line.strip():
-                            self._provenance_rows.append(json.loads(line))
-        return len(slugs)
+        pid = self.points
+        self._check_drops(bundle["summary"], bundle["point"])
+        if self.trace_out:
+            for event in (bundle["trace"] or []) + (bundle["decisions"] or []):
+                event = dict(event, pid=pid)
+                if "id" in event:
+                    event["id"] = f"{pid}.{event['id'].split('.', 1)[1]}"
+                self._trace_events.append(event)
+        if self.interval_out and bundle["intervals"]:
+            self._samples.extend(bundle["intervals"])
+        if self.profile_out and bundle["profile"] is not None:
+            self._profiles.append(bundle["profile"])
+        if self.provenance_out and bundle["provenance"]:
+            self._provenance_rows.extend(bundle["provenance"])
 
     def profile_report(self) -> str:
         lines = []
@@ -359,29 +359,22 @@ class TelemetrySink:
         return written
 
 
-def export_point_artifacts(telemetry, out_dir: str, slug: str) -> List[str]:
-    """Standalone per-point export for ``REPRO_TELEMETRY_DIR`` use
-    (no CLI sink, e.g. library callers or worker processes)."""
+def write_point_dir(bundle: Dict[str, Any], out_dir: str) -> List[str]:
+    """Write one bundle as a ``python -m repro.obs run`` directory:
+    ``<slug>.trace.json``, ``.intervals.jsonl``, ``.profile.json`` and
+    ``.provenance.jsonl``, one per pillar that ran."""
     os.makedirs(out_dir, exist_ok=True)
-    written: List[str] = []
-    ledger = getattr(telemetry, "provenance", None)
-    if telemetry.spans is not None:
-        events = chrome_trace_events(telemetry.spans, pid=1, point=slug)
-        if ledger is not None:
-            events.extend(provenance_instant_events(ledger, pid=1,
-                                                    point=slug))
-        written.append(write_chrome_trace(
-            os.path.join(out_dir, f"{slug}.trace.json"), events))
-    if telemetry.sampler is not None:
-        written.append(write_intervals(
-            os.path.join(out_dir, f"{slug}.intervals.jsonl"),
-            [{"point": slug, **s} for s in telemetry.sampler.samples]))
-    if telemetry.profiler is not None:
-        written.append(write_profile(
-            os.path.join(out_dir, f"{slug}.profile.json"),
-            [{"point": slug, **telemetry.profiler.payload()}]))
-    if ledger is not None:
-        written.append(write_provenance(
-            os.path.join(out_dir, f"{slug}.provenance.jsonl"),
-            ledger.to_rows(slug)))
-    return written
+
+    def out(key: str, suffix: str) -> Optional[str]:
+        if bundle[key] is None:
+            return None
+        return os.path.join(out_dir, bundle["point"] + suffix)
+
+    sink = TelemetrySink(
+        trace_out=out("trace", ".trace.json"),
+        interval_out=out("intervals", ".intervals.jsonl"),
+        profile_out=out("profile", ".profile.json"),
+        provenance_out=out("provenance", ".provenance.jsonl"),
+    )
+    sink.add(bundle)
+    return sink.write()

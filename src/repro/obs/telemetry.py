@@ -1,15 +1,16 @@
 """Telemetry: the pillars that observe a run through the probe seam.
 
 ``Telemetry`` is the observability counterpart of
-:class:`~repro.sim.sanitizer.Sanitizer` and attaches the same way,
-through the probe seam (:mod:`repro.obs.probes`): when enabled
-(``REPRO_TELEMETRY`` environment variable, the harness's
-``--trace-out`` / ``--interval-stats`` / ``--profile`` flags, an
-explicit ``Telemetry(sim, config)`` call, or :func:`attach` on a built
-chip) it hangs off the shared :class:`~repro.sim.kernel.Simulator`
-and builds the pillars its config asks for. Each pillar subscribes to
-the probes it needs itself. When disabled nothing subscribes, so
-every probe costs one attribute test and no call.
+:class:`~repro.sim.sanitizer.Sanitizer` and observes through the same
+probe seam (:mod:`repro.obs.probes`). It is an argument of a run, not
+of the process: ``Telemetry(sim, config)`` (or :func:`attach`) hangs
+it off a built chip's :class:`~repro.sim.kernel.Simulator` and builds
+the pillars its config asks for; the harness does that for each point
+it simulates when a point names pillars or a telemetry sink is
+installed (``--trace-out`` / ``--interval-stats`` / ``--profile`` /
+``--provenance-out``). Each pillar subscribes to the probes it needs
+itself. Without telemetry nothing subscribes, so every probe costs one
+attribute test and no call.
 
 The pillars are each independently enabled by
 :class:`TelemetryConfig` (DESIGN.md §8):
@@ -34,18 +35,10 @@ of the kinds asked for.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
-
-ENV_TELEMETRY = "REPRO_TELEMETRY"
-ENV_INTERVAL = "REPRO_TELEMETRY_INTERVAL"
-ENV_TELEMETRY_DIR = "REPRO_TELEMETRY_DIR"
-
-_OFF_VALUES = ("", "0", "off", "false", "no")
-_ALL_VALUES = ("1", "on", "true", "yes", "all")
 
 PILLARS = ("spans", "interval", "profile", "provenance", "attribution")
 
@@ -83,56 +76,30 @@ class TelemetryConfig:
     provenance: bool = False  # decision ledger + tile/link activity
     attribution: bool = False  # per-core CPI-stack cycle accounting
 
-
-def enabled_by_env() -> bool:
-    """Is ``REPRO_TELEMETRY`` set to a truthy value?"""
-    return os.environ.get(ENV_TELEMETRY, "").strip().lower() not in _OFF_VALUES
-
-
-def config_from_env() -> Optional[TelemetryConfig]:
-    """Parse ``REPRO_TELEMETRY`` (``1``/``all`` or a comma list of
-    pillars) plus ``REPRO_TELEMETRY_INTERVAL`` into a config."""
-    raw = os.environ.get(ENV_TELEMETRY, "").strip().lower()
-    if raw in _OFF_VALUES:
-        return None
-    if raw in _ALL_VALUES:
-        enabled = set(PILLARS)
-    else:
-        enabled = {p.strip() for p in raw.split(",") if p.strip()}
-        unknown = enabled - set(PILLARS)
-        if unknown:
-            raise ValueError(
-                f"{ENV_TELEMETRY} names unknown pillars {sorted(unknown)}; "
-                f"valid: {PILLARS} (or 1/all)"
-            )
-    interval = 0
-    if "interval" in enabled:
-        interval = int(os.environ.get(ENV_INTERVAL, str(DEFAULT_INTERVAL)))
-    return TelemetryConfig(
-        spans="spans" in enabled,
-        interval=interval,
-        profile="profile" in enabled,
-        provenance="provenance" in enabled,
-        attribution="attribution" in enabled,
-    )
-
-
-def pillars_with(extra: str) -> str:
-    """``REPRO_TELEMETRY``'s value with the comma list ``extra`` added."""
-    raw = os.environ.get(ENV_TELEMETRY, "").strip().lower()
-    if raw in _OFF_VALUES:
-        return extra
-    if raw in _ALL_VALUES:
-        return raw
-    return f"{raw},{extra}"
-
-
-def maybe_attach(sim) -> Optional["Telemetry"]:
-    """Attach a telemetry layer to ``sim`` iff the environment asks."""
-    config = config_from_env()
-    if config is not None:
-        return Telemetry(sim, config)
-    return None
+    @classmethod
+    def parse(cls, pillars: str,
+              interval: int = DEFAULT_INTERVAL) -> "TelemetryConfig":
+        """``all`` (also ``1``/``on``/``true``/``yes``) or a comma list
+        of :data:`PILLARS`; ``interval`` is the sampling period if the
+        interval pillar is named."""
+        raw = pillars.strip().lower()
+        if raw in ("1", "on", "true", "yes", "all"):
+            enabled = set(PILLARS)
+        else:
+            enabled = {p.strip() for p in raw.split(",") if p.strip()}
+            unknown = enabled - set(PILLARS)
+            if unknown:
+                raise ValueError(
+                    f"unknown telemetry pillars {sorted(unknown)}; "
+                    f"valid: {PILLARS} (or all)"
+                )
+        return cls(
+            spans="spans" in enabled,
+            interval=interval if "interval" in enabled else 0,
+            profile="profile" in enabled,
+            provenance="provenance" in enabled,
+            attribution="attribution" in enabled,
+        )
 
 
 def attach(sim) -> "Telemetry":
@@ -166,7 +133,7 @@ class Telemetry:
 
     def __init__(self, sim, config: Optional[TelemetryConfig] = None) -> None:
         # Deferred: the pillars import simulator packages, which import
-        # the kernel, which imports this.
+        # the kernel, which imports this package.
         from repro.obs.interval import IntervalSampler
         from repro.obs.profiler import KernelProfiler
         from repro.obs.spans import SpanCollector
@@ -237,8 +204,8 @@ class Telemetry:
                 stats.set(f"telemetry.{name}", value)
 
     def summary(self) -> Dict[str, float]:
-        """Deterministic run-level counters (recorded alongside the
-        run cache in :class:`~repro.harness.runner.RunRecord`)."""
+        """Deterministic run-level counters (carried by the run's
+        :class:`~repro.harness.runner.RunRecord`)."""
         out: Dict[str, float] = {}
         if self.spans is not None:
             out["spans_opened"] = self.spans.opened

@@ -121,9 +121,3 @@ class BingoPrefetcher:
         elif len(pht) >= self.pht_entries:
             pht.popitem(last=False)
         pht[key] = footprint
-
-    def flush_generations(self) -> None:
-        """Commit all in-flight generations (end-of-run tidiness)."""
-        while self._accum:
-            _, gen = self._accum.popitem(last=False)
-            self._commit(gen)

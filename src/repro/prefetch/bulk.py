@@ -82,7 +82,3 @@ class BulkGrouper:
         info = self.net.send(packet)
         for _msg, entry in queue:
             entry.meta["req_flits"] = info.flits / len(queue)
-
-    def flush_all(self) -> None:
-        for home in list(self._pending):
-            self.flush(home)

@@ -17,7 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.mem.addr import LINE_SIZE, line_addr
+from repro.mem.addr import line_addr
 
 
 @dataclass

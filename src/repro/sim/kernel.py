@@ -29,7 +29,6 @@ import heapq
 from collections import deque
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.obs import telemetry as _telemetry
 from repro.obs.probes import Probes
 from repro.sim import sanitizer as _sanitizer
 
@@ -83,8 +82,8 @@ class Simulator:
         self.probes = Probes()
         # None unless REPRO_SANITIZE enables invariant checking.
         self.sanitizer = _sanitizer.maybe_attach(self)
-        # Same contract for the telemetry layer (REPRO_TELEMETRY).
-        self.telemetry = _telemetry.maybe_attach(self)
+        # None until a run attaches Telemetry(sim, config) (repro.obs).
+        self.telemetry = None
 
     # -- scheduling ----------------------------------------------------
     # Scheduling is the single hottest simulator entry point, so the

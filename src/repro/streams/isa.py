@@ -15,7 +15,7 @@ our workloads' iteration traces already resolve control flow).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from repro.streams.pattern import AffinePattern, IndirectPattern

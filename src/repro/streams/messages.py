@@ -7,8 +7,8 @@ follow Table I (450-bit affine config, +60 bits per indirect stream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.streams.isa import (
     AFFINE_FIELDS,

@@ -18,11 +18,9 @@ The requesting tile's SE_L2:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.mem.addr import LINE_SIZE, NucaMap, line_addr
-
-_LINE_MASK = ~(LINE_SIZE - 1)  # line_addr(), inlined for the hot paths
 from repro.mem.l2 import L2AccessResult, L2Cache, L2Request
 from repro.mem.tlb import Tlb
 from repro.noc.message import STREAM, Packet
@@ -39,6 +37,8 @@ from repro.streams.messages import (
 )
 from repro.streams.pattern import AffinePattern
 from repro.streams.plan import L2, L3, FloatPlan
+
+_LINE_MASK = ~(LINE_SIZE - 1)  # line_addr(), inlined for the hot paths
 
 
 @dataclass

@@ -10,7 +10,7 @@ paper's effects while letting test/benchmark runs finish quickly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 

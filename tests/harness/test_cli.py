@@ -76,12 +76,8 @@ def test_cli_rejects_unknown_core():
 # telemetry flags (--trace-out / --interval-stats / --profile)
 # ----------------------------------------------------------------------
 def test_cli_telemetry_artifacts(tmp_path, capsys):
-    """One run with all three pillars produces the three artifacts,
-    and restores the telemetry env on the way out."""
+    """One run with all three pillars produces the three artifacts."""
     import json
-    import os
-
-    from repro.obs.telemetry import ENV_INTERVAL, ENV_TELEMETRY
 
     trace = tmp_path / "run.trace.json"
     intervals = tmp_path / "run.intervals.jsonl"
@@ -114,17 +110,21 @@ def test_cli_telemetry_artifacts(tmp_path, capsys):
     for path in (trace, intervals, profile):
         assert f"wrote {path}" in err
 
-    # main() restores the environment for in-process callers.
-    assert ENV_TELEMETRY not in os.environ
-    assert ENV_INTERVAL not in os.environ
-
 
 def test_cli_telemetry_parallel_jobs(tmp_path, capsys):
-    """Telemetry composes with --jobs N: fan-out workers export
-    per-point artifacts that the parent sink merges, so the combined
-    trace covers every simulated point and the report text matches a
-    serial telemetry run."""
+    """Telemetry composes with --jobs N: fan-out workers return each
+    point's artifacts to the parent, which merges them in the order
+    the figure enumerates its points — so the trace, interval and
+    provenance files, and the report text, are byte-identical to a
+    serial telemetry run's."""
     import json
+
+    def outputs(tag):
+        return [
+            "--trace-out", str(tmp_path / f"{tag}.trace.json"),
+            "--interval-out", str(tmp_path / f"{tag}.intervals.jsonl"),
+            "--provenance-out", str(tmp_path / f"{tag}.provenance.jsonl"),
+        ]
 
     trace = tmp_path / "par.trace.json"
     intervals = tmp_path / "par.intervals.jsonl"
@@ -136,27 +136,21 @@ def test_cli_telemetry_parallel_jobs(tmp_path, capsys):
         "--workloads", "nn", "mv", "--no-cache",
         "--interval-stats", "5000",
     ]
-    rc = main(args + [
-        "--jobs", "2",
-        "--trace-out", str(trace),
-        "--interval-out", str(intervals),
-        "--provenance-out", str(provenance),
-    ])
+    rc = main(args + ["--jobs", "2"] + outputs("par"))
     assert rc == 0
     captured = capsys.readouterr()
     assert "forcing --jobs 1" not in captured.err
-    assert "merged" in captured.err
 
     events = json.load(open(trace))["traceEvents"]
     point_names = {
         e["args"]["name"] for e in events
         if e["ph"] == "M" and e["name"] == "process_name"
     }
-    # fig2 enumerates multiple configs per workload; every simulated
+    # fig13 enumerates multiple configs per workload; every simulated
     # point must appear as its own trace process, for both workloads.
     assert any(name.startswith("nn-") for name in point_names)
     assert any(name.startswith("mv-") for name in point_names)
-    # Merged points keep distinct pids (worker exports all use pid 1).
+    # Merged points keep distinct pids (every bundle arrives as pid 1).
     pids = {e["pid"] for e in events}
     assert len(pids) == len(point_names)
 
@@ -169,29 +163,56 @@ def test_cli_telemetry_parallel_jobs(tmp_path, capsys):
     assert rows
     assert {"cycle", "tile", "verdict", "inputs", "point"} <= set(rows[0])
 
-    # Same run serially: report text is byte-identical.
+    # Same run serially: report text and artifacts are byte-identical.
     clear_cache()
-    assert main(args + [
-        "--interval-out", str(tmp_path / "serial.intervals.jsonl"),
-    ]) == 0
+    assert main(args + outputs("serial")) == 0
     serial_out = capsys.readouterr().out
 
     def report_lines(out):
         return [l for l in out.splitlines() if not l.startswith("[fig13")]
 
     assert report_lines(serial_out) == report_lines(captured.out)
+    for suffix in ("trace.json", "intervals.jsonl", "provenance.jsonl"):
+        assert (tmp_path / f"serial.{suffix}").read_bytes() == \
+            (tmp_path / f"par.{suffix}").read_bytes(), suffix
 
 
-def test_cli_telemetry_warns_on_all_cache_hits(tmp_path, capsys):
-    """Cached points never simulate, so telemetry has nothing to
-    collect — the CLI must say so instead of writing silently empty
-    artifacts."""
+def test_cli_telemetry_bypasses_the_disk_cache(tmp_path, capsys):
+    """A telemetry run neither stores its records in the disk cache
+    (they carry telemetry the cache key does not name) nor reads
+    cached ones (a cached point has no artifacts to give)."""
+    import json
+
+    from repro.harness.runner import (
+        configure_disk_cache,
+        reset_disk_cache,
+        run_once,
+    )
+
+    cache = str(tmp_path / "cache")
     base = [
         "fig2", "--cols", "2", "--rows", "2", "--scale", "64",
-        "--workloads", "nn", "--cache-dir", str(tmp_path / "cache"),
+        "--workloads", "nn", "--cache-dir", cache,
     ]
-    assert main(base) == 0  # warm the disk cache
+    # A telemetry run on a cold cache leaves nothing a plain run reads.
+    assert main(base + ["--trace-out", str(tmp_path / "cold.json")]) == 0
     capsys.readouterr()
     clear_cache()
-    assert main(base + ["--trace-out", str(tmp_path / "t.trace.json")]) == 0
-    assert "no points simulated" in capsys.readouterr().err
+    configure_disk_cache(cache)
+    try:
+        record = run_once("nn", "base", cols=2, rows=2, scale=64)
+    finally:
+        reset_disk_cache()
+    assert record.telemetry is None
+    assert not [k for k in record.stats.to_dict()
+                if k.startswith("telemetry.")]
+
+    # A telemetry run on a warm cache still simulates every point.
+    clear_cache()
+    assert main(base) == 0  # the plain run above already warmed it
+    assert "1 disk hits, 0 simulated" in capsys.readouterr().out
+    clear_cache()
+    trace = tmp_path / "warm.json"
+    assert main(base + ["--trace-out", str(trace)]) == 0
+    assert "0 disk hits, 1 simulated" in capsys.readouterr().out
+    assert json.load(open(trace))["traceEvents"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.cache import EXCLUSIVE, INVALID, MODIFIED, SHARED, CacheArray
+from repro.mem.cache import EXCLUSIVE, MODIFIED, SHARED, CacheArray
 
 
 def make_cache(size=1024, ways=2, replacement="lru"):

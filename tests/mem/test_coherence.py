@@ -1,10 +1,9 @@
 """Tests for directory bookkeeping and protocol message metadata."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mem.coherence import CohMsg, DirEntry, Directory
+from repro.mem.coherence import CohMsg, Directory
 
 
 class TestCohMsg:

@@ -1,10 +1,6 @@
 """End-to-end protocol tests over the miniature 2x2 hierarchy."""
 
-import pytest
-
 from repro.mem.cache import EXCLUSIVE, MODIFIED, SHARED
-from repro.mem.coherence import CohMsg
-from tests.mem.conftest import MiniHierarchy
 
 
 class TestDemandPath:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.mem.cache import MODIFIED, SHARED
 from repro.mem.coherence import CohMsg
 from repro.noc.message import CTRL, Packet
 from tests.mem.conftest import MiniHierarchy

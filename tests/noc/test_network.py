@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.noc.message import CTRL, DATA, STREAM, Packet, data_payload_bits
+from repro.noc.message import CTRL, DATA, Packet, data_payload_bits
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
 from repro.sim import Simulator, Stats

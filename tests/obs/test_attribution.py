@@ -10,7 +10,7 @@ import pytest
 from repro.harness.parallel import run_points
 from repro.harness.runner import clear_cache, params_key, run_once, run_params
 from repro.obs.attribution import BUCKETS
-from repro.obs.telemetry import ENV_TELEMETRY
+from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.sim.kernel import Simulator
 from tests.sim.unfused_oracle import UnfusedOracle
 
@@ -51,12 +51,13 @@ def _chip_run(workload, config, monkeypatch, pillars="attribution",
     from repro.system.configs import make_config
     from repro.workloads.base import build_programs
 
-    monkeypatch.setenv(ENV_TELEMETRY, pillars)
     monkeypatch.setattr(chip_module, "Simulator", kernel)
     kw = dict(KW, **kw)
     scale = kw.pop("scale")
     system = make_config(config, core="ooo8", scale=scale, **kw)
     chip = chip_module.Chip(system)
+    if pillars is not None:
+        Telemetry(chip.sim, TelemetryConfig.parse(pillars))
     programs = build_programs(workload, chip.num_cores, scale=scale,
                               seed=0)
     chip.run(programs)
@@ -101,18 +102,6 @@ def test_record_carries_cpi_counters():
         assert f"cpi.{bucket}" in tel
     assert tel["cpi.total_cycles"] == sum(
         tel[f"cpi.{b}"] for b in BUCKETS)
-
-
-def test_point_pillars_join_env_pillars(monkeypatch):
-    """A point's own pillars attach even when REPRO_TELEMETRY names
-    others (``pytest benchmarks --profile`` sets it to ``profile``):
-    the record cached under ``obs="attribution"`` must carry its CPI
-    stack."""
-    monkeypatch.setenv(ENV_TELEMETRY, "profile")
-    record = run_once(obs="attribution", use_cache=False, **GOLDEN_POINT)
-    assert record.telemetry["profiled_events"] > 0
-    assert record.telemetry["cpi.total_cycles"] > 0
-    assert os.environ[ENV_TELEMETRY] == "profile"
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +180,7 @@ def test_telemetry_keeps_fastpath(fastpath, fused, monkeypatch):
     if fastpath is not None:
         monkeypatch.setattr(Simulator, "fastpath", fastpath)
     inlined = {}
-    for pillars in ("0", "spans,attribution"):
+    for pillars in (None, "spans,attribution"):
         chip = _chip_run("mv", "sf", monkeypatch, pillars=pillars)
         inlined[pillars] = chip.sim.events_inlined
     # Attaching telemetry leaves handler fusion as the kernel's
@@ -199,7 +188,7 @@ def test_telemetry_keeps_fastpath(fastpath, fused, monkeypatch):
     # that ships.
     assert chip.sim.telemetry is not None
     assert bool(chip.sim.fastpath) is fused
-    assert inlined["spans,attribution"] == inlined["0"]
+    assert inlined["spans,attribution"] == inlined[None]
 
 
 def test_fastpath_setting_does_not_change_attribution(monkeypatch):

@@ -175,23 +175,20 @@ def test_sparkline_shapes():
 # delta parity against raw RunRecords (real simulation)
 # ----------------------------------------------------------------------
 @pytest.mark.slow
-def test_report_deltas_match_raw_records(monkeypatch):
+def test_report_deltas_match_raw_records():
     """Acceptance: a diff of float-on vs float-off runs of a tier-1
     workload reports exactly the numbers recomputed from the raw
     RunRecords — the report is a view, not a second source of
     truth."""
-    from repro.harness.runner import clear_cache, run_params, simulate
+    from repro.harness.runner import run_params, simulate
     from repro.obs.report import _fmt
-    from repro.obs.telemetry import ENV_TELEMETRY
+    from repro.obs.telemetry import TelemetryConfig
 
-    monkeypatch.setenv(ENV_TELEMETRY, "provenance")
-    try:
-        rec_off = simulate(run_params(workload="mv", config="base",
-                                      cols=2, rows=2, scale=8))
-        rec_on = simulate(run_params(workload="mv", config="sf",
-                                     cols=2, rows=2, scale=8))
-    finally:
-        clear_cache()
+    provenance = TelemetryConfig(provenance=True)
+    rec_off, _ = simulate(run_params(workload="mv", config="base",
+                                     cols=2, rows=2, scale=8), provenance)
+    rec_on, _ = simulate(run_params(workload="mv", config="sf",
+                                    cols=2, rows=2, scale=8), provenance)
     a = RunArtifacts(record=rec_off, label="float-off")
     b = RunArtifacts(record=rec_on, label="float-on")
     markdown = render_markdown(diff_runs(a, b))

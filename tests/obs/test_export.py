@@ -8,11 +8,12 @@ import pytest
 from repro.obs.export import (
     TelemetrySink,
     chrome_trace_events,
+    point_artifacts,
     point_slug,
     write_chrome_trace,
 )
 from repro.obs.spans import SpanCollector
-from repro.obs.telemetry import ENV_TELEMETRY, TelemetryConfig
+from repro.obs.telemetry import TelemetryConfig
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_trace.json")
 
@@ -118,25 +119,16 @@ def test_point_slug_is_deterministic():
 # sink (CLI aggregation) + a real run's structural validity
 # ----------------------------------------------------------------------
 @pytest.mark.slow
-def test_sink_merges_points_and_validates(tmp_path, monkeypatch):
-    monkeypatch.setenv(ENV_TELEMETRY, "spans")
-    from repro.harness.runner import (
-        clear_cache,
-        configure_telemetry,
-        reset_telemetry,
-        simulate,
-        run_params,
-    )
+def test_sink_merges_points_and_validates(tmp_path):
+    from repro.harness.runner import configure_telemetry, run_once
 
     sink = TelemetrySink(trace_out=str(tmp_path / "run.trace.json"))
     configure_telemetry(sink)
     try:
         for config in ("base", "sf"):
-            simulate(run_params(workload="nn", config=config, cols=2,
-                                rows=2, scale=64))
+            run_once("nn", config, cols=2, rows=2, scale=64)
     finally:
-        reset_telemetry()
-        clear_cache()
+        configure_telemetry(None)
     assert sink.points == 2
     [path] = sink.write()
     payload = json.load(open(path))
@@ -198,9 +190,9 @@ def _params():
 
 def test_sink_warns_on_nonzero_drop_counters(capsys):
     sink = TelemetrySink()
-    sink.collect(_SummaryOnlyTelemetry(
+    sink.add(point_artifacts(_SummaryOnlyTelemetry(
         {"spans_opened": 10, "spans_dropped": 3, "cpi.journeys_dropped": 2,
-         "noc_dropped": 0}), _params())
+         "noc_dropped": 0}), point_slug(_params())))
     [warning] = sink.drop_warnings
     assert "spans_dropped=3" in warning
     assert "cpi.journeys_dropped=2" in warning
@@ -211,8 +203,8 @@ def test_sink_warns_on_nonzero_drop_counters(capsys):
 
 def test_sink_quiet_without_drops(capsys):
     sink = TelemetrySink()
-    sink.collect(_SummaryOnlyTelemetry(
-        {"spans_opened": 10, "spans_dropped": 0}), _params())
+    sink.add(point_artifacts(_SummaryOnlyTelemetry(
+        {"spans_opened": 10, "spans_dropped": 0}), point_slug(_params())))
     assert sink.drop_warnings == []
     assert capsys.readouterr().err == ""
 

@@ -9,7 +9,7 @@ import pytest
 from repro.obs.export import write_intervals
 from repro.obs.interval import IntervalSampler
 from repro.obs.probes import Probes
-from repro.obs.telemetry import ENV_INTERVAL, ENV_TELEMETRY
+from repro.obs.telemetry import TelemetryConfig
 from repro.sim.stats import Stats
 
 
@@ -197,16 +197,12 @@ def test_csv_jsonl_field_parity(tmp_path):
                 assert float(csv_row[col]) == pytest.approx(json_row[col])
 
 
-def test_interval_pillar_end_to_end(monkeypatch):
+def test_interval_pillar_end_to_end():
     """A chip run with the interval pillar on produces samples whose
     totals reconcile with the final Stats."""
-    monkeypatch.setenv(ENV_TELEMETRY, "interval")
-    monkeypatch.setenv(ENV_INTERVAL, "5000")
-    from repro.harness.runner import clear_cache, simulate, run_params
+    from repro.harness.runner import simulate, run_params
 
-    try:
-        record = simulate(run_params(workload="nn", config="base",
-                                     cols=2, rows=2, scale=64))
-    finally:
-        clear_cache()
+    record, _ = simulate(run_params(workload="nn", config="base",
+                                    cols=2, rows=2, scale=64),
+                         TelemetryConfig(interval=5000))
     assert record.telemetry["interval_samples"] > 1

@@ -4,9 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.obs.export import TelemetrySink
+from repro.obs.export import TelemetrySink, point_artifacts, point_slug
 from repro.obs.profiler import KernelProfiler
-from repro.obs.telemetry import ENV_TELEMETRY
+from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.sim import Simulator
 
 
@@ -55,8 +55,9 @@ def test_report_renders_table():
     telemetry = SimpleNamespace(spans=None, sampler=None, provenance=None,
                                 profiler=profiler, summary=lambda: {})
     sink = TelemetrySink(profile_out="unused.json")
-    sink.collect(telemetry, dict(workload="mv", config="sf", core="ooo8",
-                                 cols=2, rows=2, scale=64, seed=0))
+    sink.add(point_artifacts(telemetry, point_slug(dict(
+        workload="mv", config="sf", core="ooo8", cols=2, rows=2,
+        scale=64, seed=0))))
     lines = sink.profile_report().splitlines()
     assert lines[0] == "== mv-sf-ooo8-2x2-s64 =="
     assert "us/event" in lines[1]
@@ -111,19 +112,18 @@ def test_record_inner_clamps_dispatch_at_zero():
     assert all(slot[1] >= 0 for slot in profiler._acc.values())
 
 
-def test_lane_cached_deliveries_credit_real_handlers(monkeypatch):
+def test_lane_cached_deliveries_credit_real_handlers():
     """Regression: deliveries batched by the NoC lane cache must show
     up under the endpoint handler's __qualname__, not lumped into the
     shared Network dispatch wrapper."""
     from tests.mem.conftest import MiniHierarchy
 
-    monkeypatch.setenv(ENV_TELEMETRY, "profile")
     hier = MiniHierarchy()
+    profiler = Telemetry(hier.sim, TelemetryConfig(profile=True)).profiler
     results = []
     for k in range(8):
         hier.read(k % 4, 0x20_0000 + k * 64, results)
     hier.run()
-    profiler = hier.sim.telemetry.profiler
     assert results
     names = set(profiler._acc)
     handlers = {n for n in names if n.endswith(".handle")}
@@ -136,9 +136,9 @@ def test_lane_cached_deliveries_credit_real_handlers(monkeypatch):
     assert all(slot[1] >= 0 for slot in profiler._acc.values())
 
 
-def test_step_hook_profiles_simulation(monkeypatch):
-    monkeypatch.setenv(ENV_TELEMETRY, "profile")
+def test_step_hook_profiles_simulation():
     sim = Simulator()
+    Telemetry(sim, TelemetryConfig(profile=True))
     hits = []
 
     def tick():

@@ -8,12 +8,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs.export import (
-    export_point_artifacts,
+    point_artifacts,
     provenance_instant_events,
+    write_point_dir,
     write_provenance,
 )
 from repro.obs.provenance import ProvenanceLedger, ProvenanceRecord
-from repro.obs.telemetry import ENV_TELEMETRY, Telemetry, TelemetryConfig
+from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.sim import Simulator
 from repro.streams.pattern import AffinePattern
 
@@ -131,17 +132,17 @@ def test_record_round_trip():
 # enablement / zero-cost-off
 # ----------------------------------------------------------------------
 @pytest.mark.no_sanitize
-def test_provenance_off_means_no_ledger(monkeypatch):
-    monkeypatch.setenv(ENV_TELEMETRY, "spans,interval")
+def test_provenance_off_means_no_ledger():
     sim = Simulator()
+    Telemetry(sim, TelemetryConfig.parse("spans,interval"))
     assert sim.telemetry is not None
     assert sim.telemetry.provenance is None
 
 
 @pytest.mark.no_sanitize
-def test_all_enables_provenance(monkeypatch):
-    monkeypatch.setenv(ENV_TELEMETRY, "all")
+def test_all_enables_provenance():
     sim = Simulator()
+    Telemetry(sim, TelemetryConfig.parse("all"))
     assert sim.telemetry.provenance is not None
 
 
@@ -150,17 +151,11 @@ def test_all_enables_provenance(monkeypatch):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def sf_telemetry_record():
-    import os
+    from repro.harness.runner import run_params, simulate
 
-    from repro.harness.runner import clear_cache, run_params, simulate
-
-    os.environ[ENV_TELEMETRY] = "provenance"
-    try:
-        record = simulate(run_params(workload="mv", config="sf",
-                                     cols=2, rows=2, scale=8))
-    finally:
-        os.environ.pop(ENV_TELEMETRY, None)
-        clear_cache()
+    record, _ = simulate(run_params(workload="mv", config="sf",
+                                    cols=2, rows=2, scale=8),
+                         TelemetryConfig(provenance=True))
     return record
 
 
@@ -182,22 +177,16 @@ def test_real_run_records_decisions(sf_telemetry_record):
 def test_float_decisions_snapshot_policy_inputs():
     """A float verdict must carry the evidence the policy saw: the
     Table-II history row, pattern class and position."""
-    import os
-
     from repro.system.chip import Chip
     from repro.system.configs import make_config
     from repro.workloads.base import build_programs
 
-    os.environ[ENV_TELEMETRY] = "provenance"
-    try:
-        system = make_config("sf", core="ooo8", cols=2, rows=2, scale=8,
-                             link_bits=256, l3_interleave=None)
-        chip = Chip(system)
-        programs = build_programs("mv", chip.num_cores, scale=8, seed=0)
-        chip.run(programs)
-        ledger = chip.sim.telemetry.provenance
-    finally:
-        os.environ.pop(ENV_TELEMETRY, None)
+    system = make_config("sf", core="ooo8", cols=2, rows=2, scale=8,
+                         link_bits=256, l3_interleave=None)
+    chip = Chip(system)
+    ledger = Telemetry(chip.sim, TelemetryConfig(provenance=True)).provenance
+    programs = build_programs("mv", chip.num_cores, scale=8, seed=0)
+    chip.run(programs)
     floats = ledger.by_verdict("float")
     assert floats
     for rec in floats:
@@ -235,23 +224,17 @@ def test_revocation_reaches_the_ledger():
     """The smart policy's revocation must land as a ``revoke`` verdict
     carrying the counters that triggered it (the PR acceptance case:
     the tiled stencil's cache-resident re-sweeps)."""
-    import os
-
     from repro.system.chip import Chip
     from repro.system.configs import make_config
     from repro.workloads.base import build_programs
 
-    os.environ[ENV_TELEMETRY] = "provenance"
-    try:
-        system = make_config("sf_smart", core="ooo8", cols=2, rows=2,
-                             scale=16)
-        chip = Chip(system)
-        programs = build_programs("stencil_tiled", chip.num_cores,
-                                  scale=16, seed=0)
-        chip.run(programs)
-        ledger = chip.sim.telemetry.provenance
-    finally:
-        os.environ.pop(ENV_TELEMETRY, None)
+    system = make_config("sf_smart", core="ooo8", cols=2, rows=2,
+                         scale=16)
+    chip = Chip(system)
+    ledger = Telemetry(chip.sim, TelemetryConfig(provenance=True)).provenance
+    programs = build_programs("stencil_tiled", chip.num_cores,
+                              scale=16, seed=0)
+    chip.run(programs)
     revokes = ledger.by_verdict("revoke")
     assert revokes
     for rec in revokes:
@@ -300,7 +283,7 @@ def test_instant_events_land_on_streams_track():
 
 def test_point_artifacts_include_provenance(tmp_path):
     tel = _tiny_ledger()
-    written = export_point_artifacts(tel, str(tmp_path), "pt")
+    written = write_point_dir(point_artifacts(tel, "pt"), str(tmp_path))
     assert str(tmp_path / "pt.provenance.jsonl") in written
     rows = [json.loads(line)
             for line in open(tmp_path / "pt.provenance.jsonl")]

@@ -3,46 +3,38 @@
 import pytest
 
 from repro.obs.spans import SpanCollector
-from repro.obs.telemetry import ENV_TELEMETRY
+from repro.obs.telemetry import Telemetry, TelemetryConfig
 from tests.mem.conftest import MiniHierarchy
 
 BASE = 0x20_0000
 
 
-@pytest.fixture
-def spans_on(monkeypatch):
-    monkeypatch.setenv(ENV_TELEMETRY, "spans")
+def spans_hierarchy() -> MiniHierarchy:
+    hier = MiniHierarchy()
+    Telemetry(hier.sim, TelemetryConfig(spans=True))
+    return hier
 
 
 @pytest.fixture(scope="module")
 def sf_chip():
     """One telemetry-on sf run shared by the stream-span tests."""
-    import os
-
     from repro.system.chip import Chip
     from repro.system.configs import make_config
     from repro.workloads.base import build_programs
 
-    prev = os.environ.get(ENV_TELEMETRY)
-    os.environ[ENV_TELEMETRY] = "spans"
-    try:
-        system = make_config("sf", core="ooo8", cols=2, rows=2, scale=64)
-        chip = Chip(system)
-        programs = build_programs("nn", chip.num_cores, scale=64, seed=0)
-        chip.run(programs)
-        return chip
-    finally:
-        if prev is None:
-            os.environ.pop(ENV_TELEMETRY, None)
-        else:
-            os.environ[ENV_TELEMETRY] = prev
+    system = make_config("sf", core="ooo8", cols=2, rows=2, scale=64)
+    chip = Chip(system)
+    Telemetry(chip.sim, TelemetryConfig(spans=True))
+    programs = build_programs("nn", chip.num_cores, scale=64, seed=0)
+    chip.run(programs)
+    return chip
 
 
 # ----------------------------------------------------------------------
 # mem spans (demand fetch lifecycle)
 # ----------------------------------------------------------------------
-def test_mem_span_hops_l2_l3_dram(spans_on):
-    hier = MiniHierarchy()
+def test_mem_span_hops_l2_l3_dram():
+    hier = spans_hierarchy()
     results = []
     hier.read(0, BASE, results)
     hier.run()
@@ -60,8 +52,8 @@ def test_mem_span_hops_l2_l3_dram(spans_on):
     assert span.end > span.start
 
 
-def test_merged_miss_shares_one_span(spans_on):
-    hier = MiniHierarchy()
+def test_merged_miss_shares_one_span():
+    hier = spans_hierarchy()
     results = []
     hier.read(0, BASE, results)
     hier.read(0, BASE + 8, results)  # same line: merges into the MSHR
@@ -71,8 +63,8 @@ def test_merged_miss_shares_one_span(spans_on):
     assert len(results) == 2
 
 
-def test_span_cap_counts_drops(spans_on, monkeypatch):
-    hier = MiniHierarchy()
+def test_span_cap_counts_drops():
+    hier = spans_hierarchy()
     tel = hier.sim.telemetry
     tel.spans.max_spans = 2
     results = []

@@ -1,22 +1,15 @@
-"""Telemetry layer tests: enablement matrix, pillars on the probe seam.
+"""Telemetry layer tests: config parsing, pillars on the probe seam.
 
-Mirrors ``tests/sim/test_sanitizer.py``'s enablement coverage: the
-layer must be a strict no-op with no probe subscribed when off, and
-attach the requested pillars (and only those) when on.
+The layer must be a strict no-op with no probe subscribed when no
+``Telemetry`` is attached, and attach the requested pillars (and only
+those) when one is.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro.obs.telemetry import (
-    ENV_INTERVAL,
-    ENV_TELEMETRY,
-    Telemetry,
-    TelemetryConfig,
-    config_from_env,
-    enabled_by_env,
-)
+from repro.obs.telemetry import PILLARS, Telemetry, TelemetryConfig
 from repro.sim import Simulator
 from repro.sim.stats import Stats
 from tests.mem.conftest import MiniHierarchy
@@ -25,11 +18,10 @@ BASE = 0x20_0000
 
 
 # ----------------------------------------------------------------------
-# enablement matrix
+# config parsing and attachment
 # ----------------------------------------------------------------------
 @pytest.mark.no_sanitize
 def test_disabled_without_env():
-    assert not enabled_by_env()
     sim = Simulator()
     assert sim.telemetry is None
     # Zero-cost off: nothing watches the kernel's dispatches (the
@@ -41,49 +33,36 @@ def test_disabled_without_env():
     assert "_miss" not in hier.l1s[0].__dict__
 
 
-@pytest.mark.no_sanitize
-@pytest.mark.parametrize("value", ["", "0", "off", "False", "no"])
-def test_off_values(monkeypatch, value):
-    monkeypatch.setenv(ENV_TELEMETRY, value)
-    assert not enabled_by_env()
-    assert config_from_env() is None
-
-
 @pytest.mark.parametrize("value", ["1", "all", "on", "true"])
-def test_all_values_enable_every_pillar(monkeypatch, value):
-    monkeypatch.setenv(ENV_TELEMETRY, value)
-    config = config_from_env()
-    assert config.spans
-    assert config.interval > 0
-    assert config.profile
+def test_all_values_enable_every_pillar(value):
+    config = TelemetryConfig.parse(value)
+    assert config == TelemetryConfig(spans=True, interval=10_000,
+                                     profile=True, provenance=True,
+                                     attribution=True)
+    assert TelemetryConfig.parse(",".join(PILLARS)) == config
 
 
-def test_pillar_list_parses(monkeypatch):
-    monkeypatch.setenv(ENV_TELEMETRY, "spans,profile")
-    config = config_from_env()
+def test_pillar_list_parses():
+    config = TelemetryConfig.parse("spans,profile")
     assert config.spans and config.profile
     assert config.interval == 0
 
 
-def test_interval_period_from_env(monkeypatch):
-    monkeypatch.setenv(ENV_TELEMETRY, "interval")
-    monkeypatch.setenv(ENV_INTERVAL, "2500")
-    config = config_from_env()
+def test_interval_period_from_env():
+    config = TelemetryConfig.parse("interval", 2500)
     assert config.interval == 2500
     assert not config.spans and not config.profile
 
 
-def test_unknown_pillar_rejected(monkeypatch):
-    monkeypatch.setenv(ENV_TELEMETRY, "spans,bogus")
+def test_unknown_pillar_rejected():
     with pytest.raises(ValueError, match="bogus"):
-        config_from_env()
+        TelemetryConfig.parse("spans,bogus")
 
 
-def test_env_attach_installs_hooks(monkeypatch):
-    monkeypatch.setenv(ENV_TELEMETRY, "spans")
+def test_env_attach_installs_hooks():
     hier = MiniHierarchy()
-    tel = hier.sim.telemetry
-    assert tel is not None
+    tel = Telemetry(hier.sim, TelemetryConfig.parse("spans"))
+    assert hier.sim.telemetry is tel
     assert tel.spans is not None
     assert tel.sampler is None and tel.profiler is None
     # spans alone watches no dispatch; the sanitizer does.
@@ -95,9 +74,9 @@ def test_env_attach_installs_hooks(monkeypatch):
     assert tel.spans.closed == tel.spans.opened
 
 
-def test_step_hook_only_for_interval_or_profile(monkeypatch):
-    monkeypatch.setenv(ENV_TELEMETRY, "profile")
+def test_step_hook_only_for_interval_or_profile():
     sim = Simulator()
+    Telemetry(sim, TelemetryConfig.parse("profile"))
     assert sim.telemetry.profiler is not None
     assert sim.probes.dispatched is not None
 
@@ -133,7 +112,7 @@ def test_streams_alive_gauge_tracks_float_sink_end():
     assert alive == [2, 1, 1, 0]
 
 
-def test_telemetry_does_not_change_simulation(monkeypatch):
+def test_telemetry_does_not_change_simulation():
     results = []
     hier = MiniHierarchy()
     for k in range(8):
@@ -141,9 +120,9 @@ def test_telemetry_does_not_change_simulation(monkeypatch):
     hier.run()
     plain = (hier.sim.now, list(results))
 
-    monkeypatch.setenv(ENV_TELEMETRY, "all")
     results2 = []
     hier2 = MiniHierarchy()
+    Telemetry(hier2.sim, TelemetryConfig.parse("all"))
     for k in range(8):
         hier2.read(k % 4, BASE + k * 64, results2)
     hier2.run()

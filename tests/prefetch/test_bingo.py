@@ -67,17 +67,8 @@ def test_pht_capacity_lru():
     pf = BingoPrefetcher(accumulation_entries=1, pht_entries=2)
     for r in range(4):
         touch_region(pf, r, r * 100 * REGION, [0, 1])
-    pf.flush_generations()
     assert len(pf._pht_long) <= 2
     assert len(pf._pht_short) <= 2
-
-
-def test_flush_generations_commits():
-    pf = BingoPrefetcher()
-    touch_region(pf, 3, 0, [0, 7])
-    pf.flush_generations()
-    out = pf.on_access(3, 0, hit=False)
-    assert out == [7 * 64]
 
 
 def test_none_op_id_ignored():

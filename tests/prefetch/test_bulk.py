@@ -68,14 +68,6 @@ def test_single_request_sent_plain():
     assert bank.received[0].op == "GetS"
 
 
-def test_flush_all():
-    sim, _, _, bank, grouper = make_env()
-    grouper.enqueue(1, CohMsg(op="GetS", addr=0, requester=0), entry_for(0))
-    grouper.flush_all()
-    sim.run()
-    assert len(bank.received) == 1
-
-
 def test_groups_separated_by_bank():
     sim, _, net, bank, grouper = make_env()
     other = BankStub()

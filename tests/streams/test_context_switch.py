@@ -2,7 +2,7 @@
 architectural state; a switch discards all floating streams and the
 program continues correctly through the normal paths."""
 
-from tests.streams.conftest import StreamRig, dense_spec
+from tests.streams.conftest import dense_spec
 
 BASE = 0x40_0000
 

@@ -1,7 +1,7 @@
 """Unit tests for the L2 stream engine (SE_L2): buffering, credits,
 followers, interception, aliasing."""
 
-from repro.obs.telemetry import ENV_TELEMETRY
+from repro.obs.telemetry import Telemetry, TelemetryConfig
 from tests.streams.conftest import StreamRig, dense_spec
 
 BASE = 0x40_0000
@@ -93,9 +93,9 @@ class TestFollowers:
         assert rig.stats["se_l2.floats"] == 1
         assert rig.stats["se_l2.data_arrivals"] <= 140
 
-    def test_follow_verdict_in_provenance(self, monkeypatch):
-        monkeypatch.setenv(ENV_TELEMETRY, "provenance")
+    def test_follow_verdict_in_provenance(self):
         rig = StreamRig()
+        Telemetry(rig.sim, TelemetryConfig(provenance=True))
         self.configure_pair(rig)
         rig.run()
         follows = rig.sim.telemetry.provenance.by_verdict("follow")

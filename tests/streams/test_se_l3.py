@@ -1,8 +1,6 @@
 """Unit tests for the L3 stream engine (SE_L3): issue, migration,
 confluence, indirect chaining, credit forwarding."""
 
-import pytest
-
 from repro.streams.isa import StreamSpec
 from repro.streams.messages import Credit, EndStream, FloatConfig
 from repro.streams.pattern import AffinePattern
@@ -27,7 +25,6 @@ def float_manual(rig, tile, spec, start_idx=0, credits=16, bank=None):
 
 class TestIssue:
     def test_configured_stream_issues_reads(self, rig):
-        spec = dense_spec(0, BASE, 4)  # one interleave chunk (256B)
         # Need an SE_L2 stream to receive; register manually.
         rig.se_cores[0].configure([dense_spec(0, BASE, 256)])
         rig.run()

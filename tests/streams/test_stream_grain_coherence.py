@@ -8,8 +8,6 @@ and re-executes it. Deallocation messages inform visited banks when
 a stream ends.
 """
 
-import pytest
-
 from repro.mem.l1 import L1Request
 from repro.system import Chip, make_config
 from repro.workloads import build_programs

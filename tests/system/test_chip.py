@@ -73,7 +73,6 @@ class TestBarriers:
                                    marked_phase(1, "p2", 1)]),
         }
         chip.run(programs)
-        p1_starts = [t for _c, t in marks["p1"]]
         p2_starts = [t for _c, t in marks["p2"]]
         # Core 1 finished p1 almost immediately, yet its p2 begins
         # only after core 0's long p1 completes.

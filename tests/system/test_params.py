@@ -3,7 +3,7 @@
 import pytest
 
 from repro.system.configs import CONFIG_NAMES, make_config
-from repro.system.params import CORES, IO4, OOO4, OOO8, SystemParams
+from repro.system.params import IO4, OOO4, OOO8, SystemParams
 
 
 class TestTable3Defaults:

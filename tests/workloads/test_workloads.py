@@ -3,10 +3,8 @@ stream programs whose addresses stay within their allocations."""
 
 import pytest
 
-from repro.mem.addr import LINE_SIZE
-from repro.streams.pattern import AffinePattern, IndirectPattern
 from repro.workloads import ALL_WORKLOADS, build_programs, get_workload
-from repro.workloads.base import Layout, Workload
+from repro.workloads.base import Layout
 from repro.workloads.kernel import chunk_range
 
 
