@@ -140,13 +140,11 @@ def run_point(name: str, hash_pass: bool, calls_pass: bool = True) -> Dict:
     trace_hash: Optional[int] = None
     trace_events: Optional[int] = None
     if hash_pass:
-        os.environ["REPRO_SANITIZE"] = "1"
-        rec, _ = simulate(params)
+        rec, _ = simulate(dict(params, sanitize=True))
         trace_hash = int(rec.stats.get("sanitizer.trace_hash"))
         trace_events = int(rec.stats.get("sanitizer.trace_events"))
         assert rec.stats.get("sanitizer.violations", 0) == 0
 
-    os.environ["REPRO_SANITIZE"] = "0"
     # Time via the chip directly: the harness's RunRecord drops the
     # simulator, and events_executed lives there.
     chip, programs = _build_chip(workload, config, params)

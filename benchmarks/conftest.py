@@ -3,16 +3,18 @@
 All benchmarks run the fast profile (4x4 mesh, capacity scale 16 —
 DESIGN.md SS6) and share the harness's run memo, so figures that
 reuse the same simulation points (e.g. Figure 13's SF rows feeding
-Figure 14) never re-simulate.  They additionally share the harness's
-persistent disk cache (``benchmarks/.runcache`` unless
-``REPRO_CACHE_DIR`` overrides it), so a *rerun* of the full suite
-performs zero new simulations; set ``REPRO_JOBS=N`` to fan the
-remaining misses out over N worker processes.
+Figure 14) never re-simulate.  Each benchmark additionally turns on
+the harness's persistent disk cache (``$REPRO_CACHE_DIR``, else
+``benchmarks/.runcache``) for its own duration, so a *rerun* of the
+full suite performs zero new simulations; set ``REPRO_JOBS=N`` to fan
+the remaining misses out over N worker processes.  The fixture is
+scoped to this directory, so tier-1 tests collected in the same
+session never see the cache.
 
 Every benchmark is marked ``slow``: the tier-1 gate is ``pytest
 tests/`` (the default testpaths), and the full suite is ``pytest
 tests/ benchmarks/``; ``-m "not slow"`` deselects the figures
-anywhere.
+anywhere, and tier-1 items keep their own markers.
 
 Each benchmark writes its rendered report (measured values next to
 the paper's) under ``benchmarks/out/`` and prints it, so
@@ -23,13 +25,11 @@ import os
 
 import pytest
 
-OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
+from repro.harness import runner
+from repro.harness.cache import ENV_CACHE_DIR
 
-# Persist simulation results across benchmark sessions (the harness
-# only touches the disk cache when REPRO_CACHE_DIR is set).
-os.environ.setdefault(
-    "REPRO_CACHE_DIR", os.path.join(os.path.dirname(__file__), ".runcache")
-)
+HERE = os.path.dirname(os.path.abspath(__file__))
+OUT_DIR = os.path.join(HERE, "out")
 
 # Fast-profile geometry shared by all figures.
 PROFILE = dict(cols=4, rows=4, scale=16)
@@ -41,10 +41,13 @@ def pytest_collection_modifyitems(items):
     They also opt out of the runtime invariant sanitizer (DESIGN.md
     §7): figure timings must reflect the simulator's real cost, and
     the tier-1 suite already runs every workload with it enabled.
+    The hook sees every item in the session, so it marks only the
+    ones under this directory.
     """
     for item in items:
-        item.add_marker(pytest.mark.slow)
-        item.add_marker(pytest.mark.no_sanitize)
+        if str(item.fspath).startswith(HERE + os.sep):
+            item.add_marker(pytest.mark.slow)
+            item.add_marker(pytest.mark.no_sanitize)
 
 
 # Telemetry summary counters are the only telemetry state that may
@@ -63,16 +66,18 @@ _DETERMINISTIC_TELEMETRY_KEYS = {
 
 
 @pytest.fixture(autouse=True)
-def _check_cached_telemetry():
-    """After each benchmark, check the telemetry counters that reached
-    the run memo."""
+def _run_cache():
+    """Turn the persistent run cache on for one benchmark, then check
+    the telemetry counters that reached the run memo."""
+    runner.configure_disk_cache(
+        os.environ.get(ENV_CACHE_DIR) or os.path.join(HERE, ".runcache")
+    )
     yield
+    runner.configure_disk_cache(None)
     # Host time must never leak into cached run records:
     # the run cache is keyed on simulation parameters only, so a
     # wall-clock-derived stat would go stale (and poison baseline
     # diffs) silently. Telemetry publishes only deterministic counts.
-    from repro.harness import runner
-
     for record in runner._MEMO.values():
         for key, value in record.stats.to_dict().items():
             if key.startswith("telemetry."):

@@ -14,15 +14,16 @@ processes (default: the ``REPRO_JOBS`` environment variable, else
 serial), and results persist in a content-addressed disk cache under
 ``--cache-dir`` (default: ``REPRO_CACHE_DIR``, else
 ``~/.cache/repro-stream-floating``) — a rerun of the same figure
-performs zero new simulations.  Per-point progress and the cache
-hit/miss summary go to stderr; report text goes to stdout, and is
-byte-identical whatever ``--jobs`` is.
+performs zero new simulations.  ``--sanitize`` runs every point under
+the invariant sanitizer; it is part of each point's parameters, so a
+sanitized run never reuses a record the sanitizer did not check.
+Per-point progress and the cache hit/miss summary go to stderr; report
+text goes to stdout, and is byte-identical whatever ``--jobs`` is.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -32,7 +33,6 @@ from repro.harness.runner import (
     COUNTERS,
     configure_disk_cache,
     configure_telemetry,
-    reset_disk_cache,
 )
 from repro.workloads import ALL_WORKLOADS
 
@@ -65,9 +65,10 @@ def main(argv=None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk run cache")
     parser.add_argument("--sanitize", action="store_true",
-                        help="enable the runtime invariant sanitizer "
-                             "(sets REPRO_SANITIZE=1 for this run and "
-                             "its worker processes)")
+                        help="run every point under the runtime "
+                             "invariant sanitizer (a point parameter: "
+                             "sanitized runs are cached apart from "
+                             "plain ones)")
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="write a Chrome trace-event JSON of "
                              "request/stream lifecycle spans (open in "
@@ -97,10 +98,6 @@ def main(argv=None) -> int:
         None if args.no_cache else (args.cache_dir or default_cache_dir())
     )
     parallel.set_progress(lambda line: print(line, file=sys.stderr))
-    from repro.sim.sanitizer import ENV_SANITIZE
-    prev_sanitize = os.environ.get(ENV_SANITIZE)
-    if args.sanitize:
-        os.environ[ENV_SANITIZE] = "1"
     sink = None
     if (args.trace_out or args.interval_stats or args.profile
             or args.provenance_out):
@@ -131,20 +128,15 @@ def main(argv=None) -> int:
     finally:
         # main() is also called in-process by tests: restore the
         # module-global cache/progress configuration on the way out.
-        if args.sanitize:
-            if prev_sanitize is None:
-                os.environ.pop(ENV_SANITIZE, None)
-            else:
-                os.environ[ENV_SANITIZE] = prev_sanitize
         parallel.set_progress(None)
         if sink is not None:
             configure_telemetry(None)
-        reset_disk_cache()
+        configure_disk_cache(None)
 
 
 def _run(args) -> int:
     kw = dict(cols=args.cols, rows=args.rows, scale=args.scale,
-              seed=args.seed, jobs=args.jobs)
+              seed=args.seed, sanitize=args.sanitize, jobs=args.jobs)
     wl = tuple(args.workloads) if args.workloads else None
     figures = FIGURES if args.figure == "all" else (args.figure,)
     for fig in figures:
@@ -183,7 +175,7 @@ def _run(args) -> int:
             out = report.render_fig18(experiments.fig18_scaling(
                 workloads=wl or experiments.SWEEP_WORKLOADS,
                 core=args.core, scale=args.scale, seed=args.seed,
-                jobs=args.jobs))
+                sanitize=args.sanitize, jobs=args.jobs))
         elif fig == "fig19":
             out = report.render_fig19(experiments.fig19_energy_scatter(
                 workloads=wl or ALL_WORKLOADS, **kw))

@@ -20,9 +20,10 @@ Robustness rules:
   processes — e.g. a ``--jobs N`` pool or two CLI invocations — can
   share one cache directory safely.
 
-The cache directory defaults to ``~/.cache/repro-stream-floating`` and
-is overridden by the ``REPRO_CACHE_DIR`` environment variable or the
-CLI's ``--cache-dir``.
+Only an entry point (the CLI, the benchmark suite) turns the cache on,
+via :func:`repro.harness.runner.configure_disk_cache`; the CLI's
+``--cache-dir`` defaults to ``$REPRO_CACHE_DIR``, else
+``~/.cache/repro-stream-floating``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ _fingerprint: Optional[str] = None
 
 
 def default_cache_dir() -> str:
-    """``$REPRO_CACHE_DIR``, else an XDG-style per-user directory."""
+    """The CLI's default ``--cache-dir``: ``$REPRO_CACHE_DIR``, else an
+    XDG-style per-user directory."""
     env = os.environ.get(ENV_CACHE_DIR)
     if env:
         return env

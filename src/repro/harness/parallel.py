@@ -77,6 +77,8 @@ def _point_label(params: Dict[str, Any]) -> str:
         label += f" seed={params['seed']}"
     if params.get("obs"):
         label += f" obs={params['obs']}"
+    if params.get("sanitize"):
+        label += " sanitize"
     return label
 
 

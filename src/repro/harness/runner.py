@@ -3,28 +3,29 @@
 Runs are memoized in-process (the per-figure experiments share many
 points — e.g. Figure 13's SF-OOO8 runs are Figure 14's input), so a
 benchmark session never simulates the same point twice.  On top of the
-memo sits an optional on-disk :class:`~repro.harness.cache.RunCache`
-(enabled by the ``REPRO_CACHE_DIR`` environment variable or
-:func:`configure_disk_cache`), so repeated sessions never re-simulate
+memo sits an optional on-disk :class:`~repro.harness.cache.RunCache`,
+off until an entry point (the CLI, the benchmark suite) calls
+:func:`configure_disk_cache`, so repeated sessions never re-simulate
 either.  Both layers key on the *complete* run parameters — including
 ``seed``: two runs of the same point with different seeds are distinct
 entries (this was historically a bug: the memo key omitted the seed
-and silently returned the first seed's record).  While a telemetry
-sink is installed (:func:`configure_telemetry`) every point simulates:
-the disk cache is bypassed and the memo lasts one session.
+and silently returned the first seed's record) — and ``sanitize``, so
+only a sanitized request gets a record the sanitizer checked.  While a
+telemetry sink is installed (:func:`configure_telemetry`) every point
+simulates: the disk cache is bypassed and the memo lasts one session.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.energy.model import EnergyBreakdown, EnergyModel
-from repro.harness.cache import ENV_CACHE_DIR, RunCache
+from repro.harness.cache import RunCache
 from repro.noc.message import TRAFFIC_CLASSES
 from repro.obs.export import point_artifacts, point_slug
 from repro.obs.telemetry import Telemetry, TelemetryConfig
+from repro.sim.sanitizer import Sanitizer
 from repro.sim.stats import Stats
 from repro.system.chip import Chip, RunResult
 from repro.system.configs import make_config
@@ -55,13 +56,16 @@ class RunRecord:
     # "attribution"); a run parameter — and so a cache key — because
     # the record's ``telemetry`` counters depend on which pillars ran.
     obs: Optional[str] = None
+    # Whether the sanitizer checked the run; a run parameter because
+    # the record's ``sanitizer.*`` stats depend on it.
+    sanitize: bool = False
 
     @property
     def key(self) -> Tuple:
         return run_key(
             self.workload, self.config, self.core, self.cols, self.rows,
             self.scale, self.link_bits, self.l3_interleave, self.seed,
-            self.obs,
+            self.obs, self.sanitize,
         )
 
     @property
@@ -72,7 +76,7 @@ class RunRecord:
             "core": self.core, "cols": self.cols, "rows": self.rows,
             "scale": self.scale, "link_bits": self.link_bits,
             "l3_interleave": self.l3_interleave, "seed": self.seed,
-            "obs": self.obs,
+            "obs": self.obs, "sanitize": self.sanitize,
         }
 
     @property
@@ -130,18 +134,19 @@ class RunRecord:
             energy=EnergyBreakdown.from_dict(payload["energy"]),
             telemetry=payload.get("telemetry"),
             obs=payload.get("obs"),
+            sanitize=payload.get("sanitize", False),
         )
 
 
 def run_key(
     workload: str, config: str, core: str, cols: int, rows: int,
     scale: int, link_bits: int, l3_interleave: Optional[int],
-    seed: int = 0, obs: Optional[str] = None,
+    seed: int = 0, obs: Optional[str] = None, sanitize: bool = False,
 ) -> Tuple:
     """The complete memo key of one experiment point.  ``seed`` is
     part of the key: different seeds are different runs."""
     return (workload, config, core, cols, rows, scale, link_bits,
-            l3_interleave, seed, obs)
+            l3_interleave, seed, obs, sanitize)
 
 
 def run_params(
@@ -155,6 +160,7 @@ def run_params(
     l3_interleave: Optional[int] = None,
     seed: int = 0,
     obs: Optional[str] = None,
+    sanitize: bool = False,
 ) -> Dict[str, Any]:
     """Normalize one point's kwargs into the complete parameter dict
     (defaults applied) shared by the memo, disk cache and fan-out."""
@@ -162,7 +168,7 @@ def run_params(
         "workload": workload, "config": config, "core": core,
         "cols": cols, "rows": rows, "scale": scale,
         "link_bits": link_bits, "l3_interleave": l3_interleave,
-        "seed": seed, "obs": obs,
+        "seed": seed, "obs": obs, "sanitize": sanitize,
     }
 
 
@@ -188,49 +194,25 @@ class RunCounters:
 
 COUNTERS = RunCounters()
 
-# Disk cache: explicit configuration beats the environment; by default
-# the cache is enabled iff REPRO_CACHE_DIR is set (the CLI always
-# configures one explicitly).
-_DISK_CONFIGURED = False
+# Disk cache: off until an entry point configures one.
 _DISK: Optional[RunCache] = None
-_DISK_ENV_DIR: Optional[str] = None
 
 
 def configure_disk_cache(path: Optional[str]) -> Optional[RunCache]:
     """Point the runner at an on-disk cache (``None`` disables it)."""
-    global _DISK_CONFIGURED, _DISK
-    _DISK_CONFIGURED = True
+    global _DISK
     _DISK = RunCache(path) if path else None
     return _DISK
 
 
-def reset_disk_cache() -> None:
-    """Forget any explicit configuration; revert to env-driven."""
-    global _DISK_CONFIGURED, _DISK, _DISK_ENV_DIR
-    _DISK_CONFIGURED = False
-    _DISK = None
-    _DISK_ENV_DIR = None
-
-
 def disk_cache() -> Optional[RunCache]:
-    """The active disk cache, if any (env-driven unless configured).
+    """The configured disk cache, if any.
 
     None while a telemetry sink is installed: a cached point has no
     artifacts to give the sink, and a record that carries telemetry
     must not be stored under a key that does not name it.
     """
-    global _DISK, _DISK_ENV_DIR
-    if _SINK is not None:
-        return None
-    if _DISK_CONFIGURED:
-        return _DISK
-    env = os.environ.get(ENV_CACHE_DIR)
-    if not env:
-        return None
-    if _DISK is None or _DISK_ENV_DIR != env:
-        _DISK_ENV_DIR = env
-        _DISK = RunCache(env)
-    return _DISK
+    return None if _SINK is not None else _DISK
 
 
 def clear_cache() -> None:
@@ -261,8 +243,9 @@ def telemetry_sink():
 def simulate(
     params: Dict[str, Any], telemetry: Optional[TelemetryConfig] = None,
 ) -> Tuple[RunRecord, Optional[Telemetry]]:
-    """Run one point, bypassing every cache layer. Telemetry attaches
-    to the built chip with the point's own ``obs`` pillars, else with
+    """Run one point, bypassing every cache layer. A ``sanitize`` point
+    attaches a Sanitizer to the built chip unless it has one. Telemetry
+    attaches with the point's own ``obs`` pillars, else with
     ``telemetry``, and comes back with the record (None if neither)."""
     system = make_config(
         params["config"], core=params["core"], cols=params["cols"],
@@ -271,6 +254,8 @@ def simulate(
         l3_interleave=params["l3_interleave"],
     )
     chip = Chip(system)
+    if params["sanitize"] and chip.sim.sanitizer is None:
+        Sanitizer(chip.sim)
     obs = params.get("obs")
     if obs:
         telemetry = TelemetryConfig.parse(obs)
@@ -299,13 +284,14 @@ def run_once(
     l3_interleave: Optional[int] = None,
     seed: int = 0,
     obs: Optional[str] = None,
+    sanitize: bool = False,
     use_cache: bool = True,
 ) -> RunRecord:
     """Simulate one experiment point (memo + optional disk cache)."""
     params = run_params(
         workload, config, core=core, cols=cols, rows=rows, scale=scale,
         link_bits=link_bits, l3_interleave=l3_interleave, seed=seed,
-        obs=obs,
+        obs=obs, sanitize=sanitize,
     )
     key = params_key(params)
     disk = disk_cache() if use_cache else None

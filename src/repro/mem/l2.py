@@ -140,11 +140,11 @@ class L2Cache:
             src=0, dst=tile, kind=DATA,
             payload_bits=data_payload_bits(LINE_SIZE), dst_port="l2",
         ).flits(net.link_bits)
+        # Interned cells for the once-per-access counters (DESIGN.md §12).
+        self._c_hits = stats.counter("l2.hits")
+        self._c_misses = stats.counter("l2.misses")
         net.register(tile, "l2", self.handle)
         self._probes = sim.probes.bind("l2", self)
-
-    def _sp(self, name: str, amount: float = 1) -> None:
-        self.stats.add(name, amount)
 
     # ------------------------------------------------------------------
     # access path (from L1 / prefetchers / SE_core)
@@ -155,7 +155,7 @@ class L2Cache:
         line = self.array.lookup(base)
         if line is not None and not (req.is_write and line.state == SHARED):
             # Plain hit (writes need M/E; E upgrades to M silently).
-            self._sp("l2.hits")
+            self._c_hits[0] += 1
             line.uses += 1
             if req.is_write:
                 line.state = MODIFIED
@@ -169,7 +169,7 @@ class L2Cache:
             self._respond(req, writable=line.state in (MODIFIED, EXCLUSIVE))
             return
 
-        self._sp("l2.misses")
+        self._c_misses[0] += 1
         if req.floating and self.se_l2 is not None:
             # The element belongs to a floated stream: the SE_L2 stream
             # buffer owns the data; never escalate to the L3.
@@ -189,9 +189,9 @@ class L2Cache:
         if self.array.contains(base) or self.mshr.lookup(base) is not None:
             return
         if len(self.mshr) >= self.mshr.capacity - self.PREFETCH_MSHR_RESERVE:
-            self._sp("l2.prefetch_dropped")
+            self.stats.add("l2.prefetch_dropped")
             return
-        self._sp("l2.prefetch_issued")
+        self.stats.add("l2.prefetch_issued")
         self._miss(L2Request(addr=base, prefetch=True), None)
 
     def _miss(self, req: L2Request, line) -> None:
@@ -211,7 +211,7 @@ class L2Cache:
         elif self.mshr.full:
             if req.prefetch:
                 via = "prefetch_drop"
-                self._sp("l2.prefetch_dropped")
+                self.stats.add("l2.prefetch_dropped")
                 if req.on_done is not None:
                     # Tell the L1 so it releases its own MSHR entry.
                     self.sim.schedule(1, req.on_done, L2AccessResult(
@@ -259,9 +259,9 @@ class L2Cache:
         elif op == "Inv":
             self._inv(msg)
         elif op == "InvAck":
-            self._sp("l2.inv_acks")
+            self.stats.add("l2.inv_acks")
         elif op == "PutAck":
-            self._sp("l2.put_acks")
+            self.stats.add("l2.put_acks")
         elif op in ("FwdGetS", "FwdGetX", "FwdGetU"):
             self._forward(pkt, msg)
         else:
@@ -337,7 +337,7 @@ class L2Cache:
         base = victim.addr
         if self.on_l1_invalidate:
             self.on_l1_invalidate(base)
-        self._sp("l2.evictions")
+        self.stats.add("l2.evictions")
         evict_flits_ctrl = 0
         evict_flits_data = 0
         home = self.nuca.bank_of(base)
@@ -360,11 +360,11 @@ class L2Cache:
         # --- Figure 2a/2b classification ---
         no_reuse = victim.uses == 0 and not victim.dirty
         if no_reuse:
-            self._sp("l2.evictions_noreuse")
+            self.stats.add("l2.evictions_noreuse")
             if victim.stream_id is not None:
-                self._sp("l2.evictions_noreuse_stream")
-            self._sp("l2.noreuse_flits.data", victim.fill_flits + evict_flits_data)
-            self._sp(
+                self.stats.add("l2.evictions_noreuse_stream")
+            self.stats.add("l2.noreuse_flits.data", victim.fill_flits + evict_flits_data)
+            self.stats.add(
                 "l2.noreuse_flits.ctrl",
                 victim.fill_flits_ctrl + evict_flits_ctrl,
             )
@@ -374,7 +374,7 @@ class L2Cache:
         victim = self.array.invalidate(base)
         if self.on_l1_invalidate:
             self.on_l1_invalidate(base)
-        self._sp("l2.invalidated")
+        self.stats.add("l2.invalidated")
         if victim is None:
             return
         if victim.dirty and msg.writeback_to_dram:

@@ -53,6 +53,8 @@ def point_slug(params: Dict[str, Any]) -> str:
     obs = params.get("obs")
     if obs:
         parts.append("obs-" + str(obs).replace(",", "+"))
+    if params.get("sanitize"):
+        parts.append("sanitize")
     return "-".join(parts)
 
 

@@ -30,7 +30,6 @@ from collections import deque
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.probes import Probes
-from repro.sim import sanitizer as _sanitizer
 
 
 class Simulator:
@@ -80,9 +79,9 @@ class Simulator:
         # The probe seam (repro.obs.probes): components bind it at
         # construction and every observer attaches through it.
         self.probes = Probes()
-        # None unless REPRO_SANITIZE enables invariant checking.
-        self.sanitizer = _sanitizer.maybe_attach(self)
-        # None until a run attaches Telemetry(sim, config) (repro.obs).
+        # Observers set these when they attach: Sanitizer(sim)
+        # (repro.sim.sanitizer) and Telemetry(sim, config) (repro.obs).
+        self.sanitizer = None
         self.telemetry = None
 
     # -- scheduling ----------------------------------------------------

@@ -1,11 +1,12 @@
 """Runtime invariant sanitizer for the simulated chip.
 
 A pluggable checking layer on the shared
-:class:`~repro.sim.kernel.Simulator`.  When enabled (``--sanitize``
-harness flag, the ``REPRO_SANITIZE`` environment variable, or the
-tier-1 pytest autouse fixture) it subscribes to the model's probes
-and validates protocol invariants *while the simulation runs*, so
-bugs surface at the cycle they happen instead of as corrupted stats
+:class:`~repro.sim.kernel.Simulator`.  Attached (``Sanitizer(sim)``
+on a simulator; the ``sanitize`` run parameter of
+:mod:`repro.harness.runner`, which the CLI's ``--sanitize`` sets; or
+the tier-1 pytest autouse fixture) it subscribes to the model's
+probes and validates protocol invariants *while the simulation runs*,
+so bugs surface at the cycle they happen instead of as corrupted stats
 thousands of events later.
 
 Checkers (DESIGN.md §7):
@@ -32,24 +33,14 @@ Checkers (DESIGN.md §7):
   the harness can compare runs across ``--jobs`` values.
 
 Violations raise :class:`SanitizerError` carrying the cycle, tile and
-offending object.  When disabled nothing subscribes, so every probe
-(:mod:`repro.obs.probes`) costs one attribute test and no call.
+offending object.  Without a sanitizer nothing subscribes, so every
+probe (:mod:`repro.obs.probes`) costs one attribute test and no call.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
-
-ENV_SANITIZE = "REPRO_SANITIZE"
-
-_OFF_VALUES = ("", "0", "off", "false", "no")
-
-
-def enabled_by_env() -> bool:
-    """Is ``REPRO_SANITIZE`` set to a truthy value?"""
-    return os.environ.get(ENV_SANITIZE, "").strip().lower() not in _OFF_VALUES
 
 
 # S5 names that differ from the dispatched callable's __qualname__.
@@ -83,13 +74,6 @@ class S5Trace:
         return name
 
 
-def maybe_attach(sim) -> Optional["Sanitizer"]:
-    """Attach a sanitizer to ``sim`` iff the environment enables it."""
-    if enabled_by_env():
-        return Sanitizer(sim)
-    return None
-
-
 class SanitizerError(AssertionError):
     """A runtime invariant violation.
 
@@ -121,10 +105,11 @@ class SanitizerError(AssertionError):
 class Sanitizer:
     """Invariant checkers hanging off one :class:`Simulator`.
 
-    Attached at simulator construction, before any component exists:
-    it registers each component from the ``built`` probe, so both full
-    :class:`~repro.system.chip.Chip` assemblies and the bare component
-    rigs in the unit tests get coverage.
+    Attach before the first event runs, before or after assembly: it
+    registers each component from the ``built`` probe (which replays
+    those already bound), so both full :class:`~repro.system.chip.Chip`
+    assemblies and the bare component rigs in the unit tests get
+    coverage.
     """
 
     # Watchdog bounds (cycles). Generous: the deepest legitimate wait

@@ -16,7 +16,7 @@ def fresh_memo():
 def test_cli_runs_a_small_figure(capsys):
     rc = main([
         "fig2", "--cols", "2", "--rows", "2", "--scale", "64",
-        "--workloads", "nn",
+        "--workloads", "nn", "--no-cache",
     ])
     assert rc == 0
     out = capsys.readouterr().out
@@ -28,7 +28,7 @@ def test_cli_runs_a_small_figure(capsys):
 def test_cli_fig14(capsys):
     rc = main([
         "fig14", "--cols", "2", "--rows", "2", "--scale", "64",
-        "--workloads", "conv3d",
+        "--workloads", "conv3d", "--no-cache",
     ])
     assert rc == 0
     assert "Figure 14" in capsys.readouterr().out
@@ -183,11 +183,7 @@ def test_cli_telemetry_bypasses_the_disk_cache(tmp_path, capsys):
     cached ones (a cached point has no artifacts to give)."""
     import json
 
-    from repro.harness.runner import (
-        configure_disk_cache,
-        reset_disk_cache,
-        run_once,
-    )
+    from repro.harness.runner import configure_disk_cache, run_once
 
     cache = str(tmp_path / "cache")
     base = [
@@ -202,7 +198,7 @@ def test_cli_telemetry_bypasses_the_disk_cache(tmp_path, capsys):
     try:
         record = run_once("nn", "base", cols=2, rows=2, scale=64)
     finally:
-        reset_disk_cache()
+        configure_disk_cache(None)
     assert record.telemetry is None
     assert not [k for k in record.stats.to_dict()
                 if k.startswith("telemetry.")]

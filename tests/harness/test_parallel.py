@@ -11,6 +11,7 @@ from repro.harness.parallel import resolve_jobs, run_points
 from repro.harness.runner import (
     COUNTERS,
     clear_cache,
+    configure_disk_cache,
     params_key,
     run_once,
     run_params,
@@ -29,6 +30,7 @@ def fresh_cache():
     clear_cache()
     yield
     clear_cache()
+    configure_disk_cache(None)
 
 
 def snapshot(records):
@@ -109,8 +111,8 @@ def test_parallel_matches_serial():
     assert par == serial
 
 
-def test_parallel_populates_memo_and_disk(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+def test_parallel_populates_memo_and_disk(tmp_path):
+    configure_disk_cache(str(tmp_path))
     run_points(POINTS, jobs=2)
     assert COUNTERS.simulated == len(POINTS)
     clear_cache()

@@ -5,6 +5,7 @@ import pytest
 from repro.harness.runner import (
     COUNTERS,
     clear_cache,
+    configure_disk_cache,
     run_key,
     run_once,
 )
@@ -17,6 +18,7 @@ def fresh_cache():
     clear_cache()
     yield
     clear_cache()
+    configure_disk_cache(None)
 
 
 def test_run_once_produces_record():
@@ -61,8 +63,8 @@ def test_run_key_includes_seed():
     assert run_key(*base) == run_key(*base, seed=0)
 
 
-def test_disk_cache_hit_across_memo_clears(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+def test_disk_cache_hit_across_memo_clears(tmp_path):
+    configure_disk_cache(str(tmp_path))
     first = run_once("nn", "base", **KW)
     assert COUNTERS.simulated == 1
     clear_cache()  # new "session": memo gone, disk remains
@@ -75,8 +77,8 @@ def test_disk_cache_hit_across_memo_clears(tmp_path, monkeypatch):
     assert second.energy.total == first.energy.total
 
 
-def test_disk_cache_distinguishes_seeds(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+def test_disk_cache_distinguishes_seeds(tmp_path):
+    configure_disk_cache(str(tmp_path))
     a = run_once("nn", "base", seed=0, **KW)
     b = run_once("nn", "base", seed=1, **KW)
     clear_cache()
@@ -88,13 +90,43 @@ def test_disk_cache_distinguishes_seeds(tmp_path, monkeypatch):
     assert b2.stats.to_dict() == b.stats.to_dict()
 
 
-def test_use_cache_false_bypasses_disk(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+def test_use_cache_false_bypasses_disk(tmp_path):
+    configure_disk_cache(str(tmp_path))
     run_once("nn", "base", **KW)
     clear_cache()
     run_once("nn", "base", use_cache=False, **KW)
     assert COUNTERS.simulated == 1
     assert COUNTERS.disk_hits == 0
+
+
+def test_environment_does_not_enable_the_disk_cache(tmp_path, monkeypatch):
+    """Only an entry point turns the disk cache on: an ambient
+    REPRO_CACHE_DIR neither serves nor receives library runs."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    run_once("nn", "base", **KW)
+    clear_cache()  # a second session
+    run_once("nn", "base", **KW)
+    assert COUNTERS.simulated == 1
+    assert COUNTERS.disk_hits == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sanitize_distinguishes_records(tmp_path):
+    """A sanitized run is its own point: its record carries the
+    sanitizer's stats and is never served to a plain request, and a
+    plain record is never served to a sanitized one."""
+    configure_disk_cache(str(tmp_path))
+    plain = run_once("nn", "base", **KW)
+    checked = run_once("nn", "base", sanitize=True, **KW)
+    assert COUNTERS.simulated == 2
+    assert checked is not plain and checked.key != plain.key
+    assert checked.sanitize and not plain.sanitize
+    assert checked.stats["sanitizer.trace_events"] > 0
+    assert checked.cycles == plain.cycles
+    clear_cache()
+    assert run_once("nn", "base", sanitize=True, **KW).sanitize
+    assert not run_once("nn", "base", **KW).sanitize
+    assert COUNTERS.disk_hits == 2 and COUNTERS.simulated == 0
 
 
 def test_use_cache_false_reruns():

@@ -9,14 +9,16 @@ instead of the calendar queue) and
 off). On one point per float policy, runs on the shipping kernel, on
 each oracle and on a kernel that is both, each with the sanitizer off
 and on, must agree on cycles, logical events and every stat outside
-``sanitizer.*``.
+``sanitizer.*``. The sanitizer attaches after the chip is built, as
+the runner's ``sanitize`` parameter attaches it, so the matrix also
+shows that a late attachment observes the same run.
 """
 
 import pytest
 
 import repro.system.chip as chip_module
 from repro.sim.kernel import Simulator
-from repro.sim.sanitizer import ENV_SANITIZE
+from repro.sim.sanitizer import Sanitizer
 from repro.system.configs import make_config
 from repro.workloads.base import build_programs
 from tests.sim.heap_oracle import HeapOracle
@@ -37,13 +39,11 @@ POINTS = [
 
 def _run(monkeypatch, kernel, sanitize, workload, config, scale):
     monkeypatch.setattr(chip_module, "Simulator", kernel)
-    if sanitize:
-        monkeypatch.setenv(ENV_SANITIZE, "1")
-    else:
-        monkeypatch.delenv(ENV_SANITIZE, raising=False)
     chip = chip_module.Chip(make_config(config, core="ooo8", cols=2, rows=2,
                                         scale=scale))
-    assert (chip.sim.sanitizer is not None) is sanitize
+    assert chip.sim.sanitizer is None
+    if sanitize:
+        Sanitizer(chip.sim)
     result = chip.run(build_programs(workload, chip.num_cores, scale=scale,
                                      seed=0))
     stats = {name: value for name, value in chip.stats.to_dict().items()
@@ -51,6 +51,7 @@ def _run(monkeypatch, kernel, sanitize, workload, config, scale):
     return result.cycles, chip.sim.events_executed, stats
 
 
+@pytest.mark.no_sanitize
 @pytest.mark.parametrize("workload,config,scale", POINTS)
 def test_every_mode_runs_the_same_model(monkeypatch, workload, config, scale):
     runs = {

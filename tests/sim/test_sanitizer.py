@@ -1,20 +1,25 @@
 """Tests for the runtime invariant sanitizer (ISSUE 4 tentpole).
 
-The autouse fixture in the root ``conftest.py`` sets
-``REPRO_SANITIZE=1`` for every test, so most of the suite exercises
-the checkers implicitly; these tests pin the enablement matrix, the
+The autouse fixture in the root ``conftest.py`` attaches a sanitizer
+to every simulator a test builds, so most of the suite exercises the
+checkers implicitly; these tests pin the enablement matrix, the
 ``SanitizerError`` structure, violation detection, and the S5
 determinism trace (including across ``--jobs`` worker fan-out).
 """
 
-import os
+import json
 
 import pytest
 
 from repro.harness.parallel import run_points
-from repro.harness.runner import clear_cache, run_once
+from repro.harness.runner import (
+    COUNTERS,
+    clear_cache,
+    configure_disk_cache,
+    run_once,
+)
 from repro.sim import Simulator
-from repro.sim.sanitizer import ENV_SANITIZE, SanitizerError, enabled_by_env
+from repro.sim.sanitizer import SanitizerError
 from tests.mem.conftest import MiniHierarchy
 
 BASE = 0x20_0000
@@ -36,8 +41,7 @@ def clean_hierarchy():
 # enablement matrix
 # ----------------------------------------------------------------------
 @pytest.mark.no_sanitize
-def test_disabled_without_env():
-    assert not enabled_by_env()
+def test_disabled_by_default():
     sim = Simulator()
     assert sim.sanitizer is None
     # Zero-cost off: nothing hashes the kernel's dispatches...
@@ -48,16 +52,8 @@ def test_disabled_without_env():
     assert hier.sim.probes.l3_processed is None
 
 
-@pytest.mark.no_sanitize
-@pytest.mark.parametrize("value", ["", "0", "off", "False", "no"])
-def test_off_values(monkeypatch, value):
-    monkeypatch.setenv(ENV_SANITIZE, value)
-    assert not enabled_by_env()
-
-
 def test_enabled_by_fixture():
     # The tier-1 autouse fixture turns the sanitizer on.
-    assert enabled_by_env()
     sim = Simulator()
     assert sim.sanitizer is not None
     assert sim.probes.dispatch is not None
@@ -163,10 +159,13 @@ def test_chip_reports_trace_hash_stat():
 def test_trace_hash_identical_across_jobs():
     # The S5 check proper: the same simulation points produce the
     # same (cycle, event-name) trace whether simulated serially or in
-    # forked worker processes.
+    # worker processes. The points ask for the sanitizer themselves,
+    # so workers attach it whatever start method the pool uses.
     points = [
-        dict(workload="nn", config="base", cols=2, rows=2, scale=64),
-        dict(workload="nn", config="sf", cols=2, rows=2, scale=64),
+        dict(workload="nn", config="base", cols=2, rows=2, scale=64,
+             sanitize=True),
+        dict(workload="nn", config="sf", cols=2, rows=2, scale=64,
+             sanitize=True),
     ]
     serial = run_points(points, jobs=1, use_cache=False)
     clear_cache()
@@ -185,17 +184,42 @@ def test_trace_hash_identical_across_jobs():
 # harness flag
 # ----------------------------------------------------------------------
 @pytest.mark.no_sanitize
-def test_cli_sanitize_flag_sets_and_restores_env(capsys):
+def test_cli_sanitize_flag_checks_every_point(tmp_path, capsys):
+    """--sanitize is part of each point's parameters: on a cache that
+    a plain run warmed it still simulates, and its checked record
+    never reaches a plain run."""
     from repro.harness.__main__ import main
 
-    assert os.environ.get(ENV_SANITIZE) is None
-    clear_cache()
-    rc = main([
+    cache = tmp_path / "cache"
+    args = [
         "fig2", "--cols", "2", "--rows", "2", "--scale", "64",
-        "--workloads", "nn", "--no-cache", "--sanitize",
-    ])
+        "--workloads", "nn", "--cache-dir", str(cache),
+    ]
     clear_cache()
-    assert rc == 0
-    assert "Figure 2" in capsys.readouterr().out
-    # main() restored the environment on the way out.
-    assert os.environ.get(ENV_SANITIZE) is None
+    assert main(args) == 0
+    assert "0 disk hits, 1 simulated" in capsys.readouterr().out
+
+    clear_cache()
+    assert main(args + ["--sanitize"]) == 0
+    out = capsys.readouterr().out
+    assert "Figure 2" in out
+    assert "0 disk hits, 1 simulated" in out
+    records = [json.loads(path.read_text())["record"]
+               for path in cache.glob("*.json")]
+    checked = [r for r in records if r["sanitize"]]
+    assert len(checked) == 1
+    assert checked[0]["stats"]["sanitizer.trace_events"] > 0
+    assert checked[0]["stats"]["sanitizer.violations"] == 0
+
+    # A plain rerun is served the plain record, with no sanitizer stats.
+    clear_cache()
+    configure_disk_cache(str(cache))
+    try:
+        record = run_once("nn", "base", cols=2, rows=2, scale=64)
+    finally:
+        configure_disk_cache(None)
+    assert COUNTERS.disk_hits == 1
+    assert record.sanitize is False
+    assert not [k for k in record.stats.to_dict()
+                if k.startswith("sanitizer.")]
+    clear_cache()
