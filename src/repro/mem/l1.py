@@ -170,7 +170,6 @@ class L1Cache:
                 if not waiter.prefetch:
                     self._miss(waiter)
             self._drain_overflow()
-            self.mshr.recycle(entry)
             p = self._probes.l1_fill
             if p is not None:
                 p(self, base, "drop")
@@ -244,7 +243,6 @@ class L1Cache:
             self._drain_overflow()
             if p is not None:
                 p(self, base, "uncached" if result.uncached else "fill")
-        self.mshr.recycle(entry)
 
     def _writeback_to_l2(self, addr: int) -> None:
         """Dirty L1 victim folds into the (inclusive) L2 copy."""

@@ -239,10 +239,10 @@ class L2Cache:
                 self.bulk.enqueue(home, msg, entry)
             else:
                 via = "getx" if req.is_write else "gets"
-                info = self.net.send_new(
+                info = self.net.send(Packet(
                     self.tile, home, CTRL, control_payload_bits(), "l3",
                     body=msg,
-                )
+                ))
                 entry.meta["req_flits"] = info.flits
         p = self._probes.l2_miss
         if p is not None:
@@ -307,7 +307,6 @@ class L2Cache:
             self._drain_overflow()
             if p is not None:
                 p(self, base, pkt.src)
-        self.mshr.recycle(entry)
 
     def _fill(self, base: int, msg: CohMsg, entry, resp_flits: int) -> None:
         state = msg.grant or SHARED
@@ -346,16 +345,16 @@ class L2Cache:
             # buffered floating-stream element.
             self.se_l2.on_dirty_evict(base)
         if victim.dirty:
-            info = self.net.send_new(
+            info = self.net.send(Packet(
                 self.tile, home, DATA, data_payload_bits(LINE_SIZE), "l3",
                 body=CohMsg(op="PutM", addr=base, requester=self.tile),
-            )
+            ))
             evict_flits_data = info.flits
         else:
-            info = self.net.send_new(
+            info = self.net.send(Packet(
                 self.tile, home, CTRL, control_payload_bits(), "l3",
                 body=CohMsg(op="PutS", addr=base, requester=self.tile),
-            )
+            ))
             evict_flits_ctrl = info.flits
         # --- Figure 2a/2b classification ---
         no_reuse = victim.uses == 0 and not victim.dirty
@@ -382,16 +381,16 @@ class L2Cache:
             # longer homes it, write straight to memory.
             # (Requires a DramSystem mapping; use home-bank relay when
             # unavailable.)
-            self.net.send_new(
+            self.net.send(Packet(
                 self.tile, self.nuca.bank_of(base), DATA,
                 data_payload_bits(LINE_SIZE), "l3",
                 body=CohMsg(op="PutM", addr=base, requester=self.tile),
-            )
+            ))
         elif not msg.writeback_to_dram:
-            self.net.send_new(
+            self.net.send(Packet(
                 self.tile, msg.requester, CTRL, control_payload_bits(), "l2",
                 body=CohMsg("InvAck", base, self.tile),
-            )
+            ))
 
     def _forward(self, pkt: Packet, msg: CohMsg) -> None:
         base = msg.addr & _LINE_MASK
@@ -402,16 +401,16 @@ class L2Cache:
             # Note the bank's grant-then-forward sequence cannot race
             # us, because the NoC is FIFO per route: a Data response
             # always arrives before a later forward from its bank.
-            self.net.send_new(
+            self.net.send(Packet(
                 self.tile, pkt.src, CTRL, control_payload_bits(), "l3",
                 body=CohMsg(op="FwdMiss", addr=base, requester=self.tile),
-            )
+            ))
             return
         down_op = "DownDataU" if msg.op == "FwdGetU" else "DownData"
-        self.net.send_new(
+        self.net.send(Packet(
             self.tile, pkt.src, DATA, data_payload_bits(msg.data_bytes), "l3",
             body=CohMsg(op=down_op, addr=base, requester=msg.requester),
-        )
+        ))
         if msg.op == "FwdGetS":
             line.state = SHARED
             line.dirty = False

@@ -222,14 +222,14 @@ class L3Bank:
             if ent is None and op == "GetS":
                 # Uncontended GetS shortcut: no directory entry means
                 # no sharers and no owner, so the grant is exactly the
-                # idle-entry branch of _satisfy (EXCLUSIVE, clean) —
-                # taken inline with a pooled packet shell.
+                # idle-entry branch of _satisfy (EXCLUSIVE, clean),
+                # taken inline.
                 self.dir.entry(base).owner = msg.requester
-                self.net.send_new(
+                self.net.send(Packet(
                     self.tile, msg.requester, DATA,
                     data_payload_bits(LINE_SIZE), "l2",
                     body=CohMsg("Data", base, msg.requester, grant=EXCLUSIVE),
-                )
+                ))
                 return "hit"
             self._satisfy(msg, line_dirty=line.dirty)
             return "hit"
@@ -244,10 +244,10 @@ class L3Bank:
         entry = self.mshr.allocate(base, self.sim.now)
         entry.meta["head"] = (src, msg)
         dram_tile = self.dram.controller_tile(base)
-        self.net.send_new(
+        self.net.send(Packet(
             self.tile, dram_tile, CTRL, control_payload_bits(), "dram",
             body=CohMsg("MemRead", addr=base, requester=self.tile),
-        )
+        ))
         return "miss"
 
     def _forward_to_owner(self, owner: int, src: int, msg: CohMsg) -> None:
@@ -261,10 +261,10 @@ class L3Bank:
         entry = self.mshr.allocate(base, self.sim.now)
         entry.meta["head"] = (src, msg)
         self.stats.add("l3.forwards")
-        self.net.send_new(
+        self.net.send(Packet(
             self.tile, owner, CTRL, control_payload_bits(), "l2",
             body=CohMsg(fwd_op, base, msg.requester, data_bytes=msg.data_bytes),
-        )
+        ))
 
     def _satisfy(self, msg: CohMsg, line_dirty: bool) -> None:
         """Line data is available at the bank: grant it."""
@@ -304,19 +304,19 @@ class L3Bank:
                     continue
                 self.dir.invalidations_sent += 1
                 self.stats.add("l3.invalidations")
-                self.net.send_new(
+                self.net.send(Packet(
                     self.tile, sharer, CTRL, control_payload_bits(), "l2",
                     body=CohMsg("Inv", base, msg.requester),
-                )
+                ))
             grant = MODIFIED
             ent.sharers.clear()
             ent.owner = msg.requester
-        self.net.send_new(
+        self.net.send(Packet(
             self.tile, msg.requester, DATA,
             data_payload_bits(LINE_SIZE), "l2",
             body=CohMsg("Data", base, msg.requester, grant=grant,
                         dirty=line_dirty and grant == MODIFIED),
-        )
+        ))
 
     def send_data_u(self, dst: int, msg: CohMsg, dsts: Optional[List[int]] = None) -> None:
         """Uncached data response(s) to SE_L2 buffers.
@@ -336,9 +336,9 @@ class L3Bank:
             )
         else:
             target = dsts[0] if dsts else dst
-            self.net.send_new(
+            self.net.send(Packet(
                 self.tile, target, DATA, payload, "se_l2", body=body,
-            )
+            ))
 
     # ------------------------------------------------------------------
     # fills and completions
@@ -386,7 +386,7 @@ class L3Bank:
             return
         src, head = entry.meta["head"]
         queued = entry.meta.get("queued", [])
-        self.mshr.recycle(self.mshr.release(base))
+        self.mshr.release(base)
         self.stats.add("l3.fwd_misses")
         self.sim.schedule(self.latency, self._process, src, head)
         for qsrc, qmsg in queued:
@@ -401,7 +401,7 @@ class L3Bank:
             return
         src, head = entry.meta["head"]
         queued = entry.meta.get("queued", [])
-        self.mshr.recycle(self.mshr.release(base))
+        self.mshr.release(base)
         line = self.array.lookup(base, touch=False)
         self._satisfy(head, line_dirty=bool(line and line.dirty))
         for qsrc, qmsg in queued:
@@ -432,10 +432,10 @@ class L3Bank:
         else:
             line.dirty = True
         self.dir.remove(base, msg.requester)
-        self.net.send_new(
+        self.net.send(Packet(
             self.tile, msg.requester, CTRL, control_payload_bits(), "l2",
             body=CohMsg("PutAck", base, msg.requester),
-        )
+        ))
 
     def _fill(self, base: int, dirty: bool) -> None:
         """Insert a line, back-invalidating the victim's sharers
@@ -458,14 +458,14 @@ class L3Bank:
                 targets.add(ent.owner)
             for tile in sorted(targets):
                 self.stats.add("l3.back_invalidations")
-                self.net.send_new(
+                self.net.send(Packet(
                     self.tile, tile, CTRL, control_payload_bits(), "l2",
                     body=CohMsg("Inv", evicted.addr, self.tile, writeback_to_dram=True),
-                )
+                ))
         if evicted.dirty:
             dram_tile = self.dram.controller_tile(evicted.addr)
-            self.net.send_new(
+            self.net.send(Packet(
                 self.tile, dram_tile, DATA,
                 data_payload_bits(LINE_SIZE), "dram",
                 body=CohMsg("MemWrite", evicted.addr, self.tile),
-            )
+            ))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from repro.noc.message import TRAFFIC_CLASSES, Packet, _packet_ids
+from repro.noc.message import TRAFFIC_CLASSES, Packet
 from repro.noc.topology import Link, Mesh
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
@@ -76,14 +76,6 @@ class Network:
         # arrival cycle -> [(handler, packet), ...] in send order. A
         # batch exists for a cycle iff its drain event is scheduled.
         self._arrivals: Dict[int, List[Tuple[Handler, Packet]]] = {}
-        # Packet free-list (DESIGN.md §12): the network owns a packet
-        # from send to the end of its delivery in _drain_cycle, which
-        # then clears the body and keeps the shell for send_new() to
-        # reuse. No handler or probe subscriber may keep a delivered
-        # Packet; one that needs the body keeps the body. Only the
-        # unfused test oracle turns sim.pooling off.
-        self._pooling = sim.pooling
-        self._pkt_free: List[Packet] = []
         self._probes = sim.probes.bind("net", self)
 
     # ------------------------------------------------------------------
@@ -99,33 +91,6 @@ class Network:
     # ------------------------------------------------------------------
     # unicast
     # ------------------------------------------------------------------
-    def send_new(
-        self,
-        src: int,
-        dst: int,
-        kind: str,
-        payload_bits: int,
-        dst_port: str,
-        body=None,
-        extra_delay: int = 0,
-    ) -> DeliveryInfo:
-        """Allocate a packet (from the free-list when it has a shell)
-        and send it. Hot senders use this instead of ``send(Packet(...))``
-        so delivered shells cycle back instead of being garbage."""
-        free = self._pkt_free
-        if free:
-            packet = free.pop()
-            packet.src = src
-            packet.dst = dst
-            packet.kind = kind
-            packet.payload_bits = payload_bits
-            packet.dst_port = dst_port
-            packet.body = body
-            packet.pid = next(_packet_ids)
-        else:
-            packet = Packet(src, dst, kind, payload_bits, dst_port, body)
-        return self.send(packet, extra_delay)
-
     def send(self, packet: Packet, extra_delay: int = 0) -> DeliveryInfo:
         """Inject ``packet`` now (+``extra_delay``); returns accounting
         info immediately while delivery is scheduled asynchronously.
@@ -249,7 +214,6 @@ class Network:
         """
         batch = self._arrivals.pop(when)
         sim = self.sim
-        pool = self._pkt_free if self._pooling else None
         probes = self._probes
         pre = probes.noc_deliver
         post = probes.noc_delivered
@@ -267,9 +231,6 @@ class Network:
                     handler(packet)
                     if post is not None:
                         post(handler, packet)
-                    if pool is not None:
-                        packet.body = None
-                        pool.append(packet)
             finally:
                 sim._inline_depth -= 1
         # The final (or only) handler runs unguarded, in tail position,
@@ -280,9 +241,6 @@ class Network:
         handler(packet)
         if post is not None:
             post(handler, packet)
-        if pool is not None:
-            packet.body = None
-            pool.append(packet)
 
     # ------------------------------------------------------------------
     # multicast

@@ -18,10 +18,7 @@ and fires a probe where the model reaches it::
 A probe nobody subscribes to costs that one attribute test and no
 call. Probes fire synchronously, *before* any fused tail call the
 fast paths make (DESIGN.md §12), so an observer sees the same
-sequence of probe calls whether fusion is on or off. A subscriber
-must not keep a ``Packet`` argument past its call: the network
-recycles the shell, clearing its body, once the delivery that
-carried it returns. ``CohMsg`` bodies are not recycled.
+sequence of probe calls whether fusion is on or off.
 """
 
 from __future__ import annotations

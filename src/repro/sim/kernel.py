@@ -54,12 +54,14 @@ class Simulator:
     """
 
     RING = 2048  # bucket count; must be a power of two
-    # Handler fusion (gated by can_inline) and packet-shell pooling are
-    # always on; only tests/sim/unfused_oracle.py turns them off, to keep
-    # the all-events reference. Fusion changes the event stream (hence
-    # the S5 trace hash) but never cycles or architectural stats, and
-    # every probe fires before a fused tail call (DESIGN.md §12).
+    # Handler fusion (gated by can_inline) is always on; only
+    # tests/sim/unfused_oracle.py turns it off, to keep the all-events
+    # reference. Fusion changes the event stream (hence the S5 trace
+    # hash) but never cycles or architectural stats, and every probe
+    # fires before a fused tail call (DESIGN.md §12).
     fastpath = True
+    # Inert: nothing under src/ reads it. bench/run.py's shipping-path
+    # guard still checks it, so it leaves together with that check.
     pooling = True
 
     def __init__(self) -> None:

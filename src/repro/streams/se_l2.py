@@ -600,10 +600,10 @@ class SEL2:
         body = Credit(requester=self.tile, sid=stream.sid, count=grant,
                       epoch=stream.epoch)
         self.stats.add("se_l2.credits_sent")
-        self.net.send_new(
+        self.net.send(Packet(
             self.tile, stream.last_bank, STREAM, body.bits(), "se_l3",
             body=body,
-        )
+        ))
         p = self._probes.se_l2_credit
         if p is not None:
             p(self, stream, grant)

@@ -534,9 +534,9 @@ class SEL3:
                 addr=addr, data_bytes=data_bytes,
             )
             self.stats.add("se_l3.indirect_forwards")
-            self.net.send_new(
+            self.net.send(Packet(
                 self.tile, target, CTRL, body.bits(), "se_l3", body=body,
-            )
+            ))
 
     def _local_indirect(
         self, requester: int, sid: int, idx: int, addr: int, data_bytes: int,
@@ -569,9 +569,9 @@ class SEL3:
             plan=stream.plan,
         )
         self.stats.add("se_l3.migrations_out")
-        self.net.send_new(
+        self.net.send(Packet(
             self.tile, target, STREAM, body.bits(), "se_l3", body=body,
-        )
+        ))
 
     def _drop(self, stream: L3Stream, retired: bool = True) -> None:
         """Remove a resident stream; ``retired`` unless it migrates on
@@ -611,9 +611,9 @@ class SEL3:
             return
         fwd = self.forwarding.get(key)
         if fwd is not None and fwd[1] == body.epoch:
-            self.net.send_new(
+            self.net.send(Packet(
                 self.tile, fwd[0], STREAM, body.bits(), "se_l3", body=body,
-            )
+            ))
         elif (
             fwd is not None and fwd[1] > body.epoch
             or self.ended.get(key, -1) >= body.epoch

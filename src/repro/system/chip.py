@@ -87,9 +87,12 @@ class Chip:
         """Run per-core programs to completion with phase barriers.
 
         The event loop runs with the cyclic garbage collector paused
-        (restored on exit): the NoC's packet free-list and the MSHR slot
-        pools recycle the hot allocations, so collector passes over the
-        arrival batches and handler closures are pure overhead mid-run.
+        (restored on exit). A run makes no cyclic garbage, yet every
+        full collection walks each long-lived object of the built chip
+        (~489k at 8x8, 303k of them cache lines). On mv/sf at 8x8
+        (Python 3.11, one vCPU of an AMD EPYC host) the collector left
+        on made the run 1.13-1.43x slower in 10 of 10 interleaved
+        rounds (median 8.42 s against 6.60 s).
         """
         for core_id in programs:
             if not (0 <= core_id < self.num_cores):

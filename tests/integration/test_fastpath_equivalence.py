@@ -1,15 +1,15 @@
 """Fast-path equivalence suite: the shipping kernel vs the unfused oracle.
 
 The handler fast paths (DESIGN.md §12) fuse uncontended event chains
-into synchronous calls, intern hot counters, and recycle packet shells
-— all on the promise that *only* the Python-call count changes, never
-the model. This suite holds them to it: for every tier-1 workload
-point, a run with ``repro.system.chip.Simulator`` swapped for
+into synchronous calls, intern hot counters, and cache NoC lanes — all
+on the promise that *only* the Python-call count changes, never the
+model. This suite holds them to it: for every tier-1 workload point, a
+run with ``repro.system.chip.Simulator`` swapped for
 :class:`~tests.sim.unfused_oracle.UnfusedOracle` (every callback
-through the event queue, no pooling) and a run on the shipping
-:class:`~repro.sim.kernel.Simulator` (fusion + pooling on) must
-produce the same cycle count, the same logical-event count, and the
-same full architectural stats dict, key for key.
+through the event queue) and a run on the shipping
+:class:`~repro.sim.kernel.Simulator` (fusion on) must produce the same
+cycle count, the same logical-event count, and the same full
+architectural stats dict, key for key.
 
 The suite runs without the sanitizer (``no_sanitize``): fusion changes
 the *kernel event stream* (fused callbacks never enter the queue), so

@@ -1,14 +1,13 @@
 """Mode matrix: every kernel and sanitizer setting runs the same model.
 
 The simulator ships one configuration: the calendar queue with handler
-fusion and packet pooling on (DESIGN.md §10, §12). Tier-1 runs that
-configuration under the sanitizer, and the test oracles keep the
-references: :class:`~tests.sim.heap_oracle.HeapOracle` (one heap
-instead of the calendar queue) and
-:class:`~tests.sim.unfused_oracle.UnfusedOracle` (fusion and pooling
-off). On one point per float policy, runs on the shipping kernel, on
-each oracle and on a kernel that is both, each with the sanitizer off
-and on, must agree on cycles, logical events and every stat outside
+fusion on (DESIGN.md §10, §12). Tier-1 runs that configuration under
+the sanitizer, and the test oracles keep the references:
+:class:`~tests.sim.heap_oracle.HeapOracle` (one heap instead of the
+calendar queue) and :class:`~tests.sim.unfused_oracle.UnfusedOracle`
+(fusion off). On one point per float policy, runs on the shipping
+kernel, on each oracle and on a kernel that is both, each with the
+sanitizer off and on, must agree on cycles, logical events and every stat outside
 ``sanitizer.*``. The sanitizer attaches after the chip is built, as
 the runner's ``sanitize`` parameter attaches it, so the matrix also
 shows that a late attachment observes the same run.
@@ -26,7 +25,7 @@ from tests.sim.unfused_oracle import UnfusedOracle
 
 
 class UnfusedHeapOracle(UnfusedOracle, HeapOracle):
-    """The heap scheduler with fusion and pooling off."""
+    """The heap scheduler with fusion off."""
 
 
 KERNELS = (Simulator, HeapOracle, UnfusedOracle, UnfusedHeapOracle)

@@ -44,7 +44,6 @@ def test_page_interleaved_mapping():
 def test_read_latency_and_response():
     sim, stats, net, dram = make_system()
     got = []
-    # Keep the body: the network recycles a delivered packet's shell.
     net.register(5, "l3", lambda pkt: got.append((sim.now, pkt.body)))
     read(sim, net, dram, 0x0)
     sim.run()

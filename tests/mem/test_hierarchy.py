@@ -162,7 +162,6 @@ class TestEvictions:
 class TestGetU:
     def _get_u(self, hier, bank_tile, addr, requester):
         got = []
-        # Keep the body: the network recycles a delivered packet's shell.
         hier.net.register(requester, "se_l2",
                           lambda pkt: got.append(pkt.body))
         bank = hier.banks[bank_tile]

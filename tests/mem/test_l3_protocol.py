@@ -107,7 +107,6 @@ class TestWaitQueue:
 class TestGetUMisc:
     def test_remote_getu_without_se_answers_directly(self, hier):
         got = []
-        # Keep the body: the network recycles a delivered packet's shell.
         hier.net.register(2, "se_l2", lambda pkt: got.append(pkt.body))
         hier.net.send(Packet(
             src=2, dst=0, kind=CTRL, payload_bits=0, dst_port="l3",

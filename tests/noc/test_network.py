@@ -102,6 +102,18 @@ class TestDelivery:
         with pytest.raises(KeyError):
             net.send(Packet(src=0, dst=1, kind=CTRL, payload_bits=0, dst_port="nope"))
 
+    def test_delivered_packet_keeps_its_body(self):
+        # A handler owns what it is handed: the network neither clears
+        # nor reuses a packet once it has been delivered.
+        sim, _, net = make_net()
+        got = []
+        net.register(1, "l2", got.append)
+        for body in ("a", "b"):
+            net.send(Packet(src=0, dst=1, kind=CTRL, payload_bits=0,
+                            dst_port="l2", body=body))
+            sim.run()
+        assert [p.body for p in got] == ["a", "b"]
+
 
 class TestMulticast:
     def test_shared_prefix_counted_once(self):

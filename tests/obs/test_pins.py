@@ -13,8 +13,8 @@ verdicts) and conv3d/sf_plan (floats with plans, which hotspot at
 this scale never attaches). Every point runs on the shipping
 :class:`~repro.sim.kernel.Simulator` and again with
 ``repro.system.chip.Simulator`` swapped for
-:class:`~tests.sim.unfused_oracle.UnfusedOracle` (handler fusion and
-packet pooling off), and both runs must match the pins.
+:class:`~tests.sim.unfused_oracle.UnfusedOracle` (handler fusion
+off), and both runs must match the pins.
 
 Regenerate with ``python -m tests.obs.test_pins`` after a deliberate
 change to what telemetry records.

@@ -9,8 +9,7 @@ from repro.sim import Simulator, Stats
 
 
 class BankStub:
-    """Records the body of every delivered request (the network
-    recycles a delivered packet's shell)."""
+    """Records the body of every delivered request."""
 
     def __init__(self):
         self.received = []
