@@ -61,7 +61,6 @@ _DETERMINISTIC_TELEMETRY_KEYS = {
     "telemetry.noc_events",
     "telemetry.noc_dropped",
     "telemetry.interval_samples",
-    "telemetry.profiled_events",
 }
 
 

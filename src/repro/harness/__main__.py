@@ -19,6 +19,8 @@ the invariant sanitizer; it is part of each point's parameters, so a
 sanitized run never reuses a record the sanitizer did not check.
 Per-point progress and the cache hit/miss summary go to stderr; report
 text goes to stdout, and is byte-identical whatever ``--jobs`` is.
+Telemetry is captured one point at a time with ``python -m repro.obs
+run``.
 """
 
 from __future__ import annotations
@@ -29,11 +31,7 @@ import time
 
 from repro.harness import experiments, parallel, report
 from repro.harness.cache import default_cache_dir
-from repro.harness.runner import (
-    COUNTERS,
-    configure_disk_cache,
-    configure_telemetry,
-)
+from repro.harness.runner import COUNTERS, configure_disk_cache
 from repro.workloads import ALL_WORKLOADS
 
 FIGURES = ("fig2", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19")
@@ -69,68 +67,18 @@ def main(argv=None) -> int:
                              "invariant sanitizer (a point parameter: "
                              "sanitized runs are cached apart from "
                              "plain ones)")
-    parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="write a Chrome trace-event JSON of "
-                             "request/stream lifecycle spans (open in "
-                             "Perfetto / chrome://tracing)")
-    parser.add_argument("--interval-stats", type=int, metavar="N",
-                        default=None,
-                        help="sample Stats deltas every N cycles "
-                             "(IPC, NoC util, L3 MPKI, streams alive)")
-    parser.add_argument("--interval-out", metavar="PATH", default=None,
-                        help="interval time-series output (default "
-                             "intervals.jsonl; .csv extension switches "
-                             "to CSV)")
-    parser.add_argument("--profile", action="store_true",
-                        help="profile the event kernel (host time per "
-                             "callback) and report the top hot paths")
-    parser.add_argument("--profile-out", metavar="PATH", default=None,
-                        help="kernel profile JSON output "
-                             "(default profile.json)")
-    parser.add_argument("--provenance-out", metavar="PATH", default=None,
-                        help="decision provenance ledger output "
-                             "(queryable JSONL: every float/sink/"
-                             "migrate/confluence verdict with its "
-                             "input snapshot)")
     args = parser.parse_args(argv)
 
     configure_disk_cache(
         None if args.no_cache else (args.cache_dir or default_cache_dir())
     )
     parallel.set_progress(lambda line: print(line, file=sys.stderr))
-    sink = None
-    if (args.trace_out or args.interval_stats or args.profile
-            or args.provenance_out):
-        from repro.obs.export import TelemetrySink
-        from repro.obs.telemetry import DEFAULT_INTERVAL
-
-        # Telemetry runs skip the disk cache and simulate every point;
-        # each point's artifacts reach the sink in enumeration order,
-        # whichever process simulated it.
-        sink = TelemetrySink(
-            trace_out=args.trace_out,
-            interval_out=((args.interval_out or "intervals.jsonl")
-                          if args.interval_stats else None),
-            profile_out=((args.profile_out or "profile.json")
-                         if args.profile else None),
-            provenance_out=args.provenance_out,
-            interval=args.interval_stats or DEFAULT_INTERVAL,
-        )
-        configure_telemetry(sink)
     try:
-        rc = _run(args)
-        if sink is not None:
-            for path in sink.write():
-                print(f"[telemetry] wrote {path}", file=sys.stderr)
-            if args.profile:
-                print(sink.profile_report(), file=sys.stderr)
-        return rc
+        return _run(args)
     finally:
         # main() is also called in-process by tests: restore the
         # module-global cache/progress configuration on the way out.
         parallel.set_progress(None)
-        if sink is not None:
-            configure_telemetry(None)
         configure_disk_cache(None)
 
 

@@ -10,9 +10,7 @@ as plain dicts (:meth:`RunRecord.to_dict` round-trips exactly), and
 the parent installs them into both cache layers — so a parallel run
 leaves the process in *exactly* the state a serial run would, and the
 figure-assembly code downstream (pure memo hits) produces
-byte-identical reports regardless of ``--jobs``.  With a telemetry
-sink installed, workers also return each point's artifact bundle, and
-the parent adds them in enumeration order: artifacts match too.
+byte-identical reports regardless of ``--jobs``.
 
 The worker count resolves, in order: the explicit ``jobs`` argument,
 the ``REPRO_JOBS`` environment variable, then 1 (serial).  ``jobs=0``
@@ -28,8 +26,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.harness import runner
 from repro.harness.runner import RunRecord, params_key, run_params
-from repro.obs.export import point_artifacts, point_slug
-from repro.obs.telemetry import TelemetryConfig
 
 ENV_JOBS = "REPRO_JOBS"
 
@@ -83,21 +79,18 @@ def _point_label(params: Dict[str, Any]) -> str:
 
 
 def _worker(
-    item: Tuple[int, Dict[str, Any], Optional[TelemetryConfig]],
-) -> Tuple[int, Dict[str, Any], Optional[Dict[str, Any]], float]:
-    """Pool worker: simulate one point, return its serialized record
-    and, given the parent sink's ``config``, its artifact bundle.
+    item: Tuple[int, Dict[str, Any]],
+) -> Tuple[int, Dict[str, Any], float]:
+    """Pool worker: simulate one point, return its serialized record.
 
     Workers bypass the caches (the parent already established these
     points are misses, and centralizing stores in the parent keeps
     the disk writes single-writer per invocation).
     """
-    index, params, config = item
+    index, params = item
     t0 = time.time()
-    record, tel = runner.simulate(params, config)
-    bundle = (None if config is None
-              else point_artifacts(tel, point_slug(params)))
-    return index, record.to_dict(), bundle, time.time() - t0
+    record, _ = runner.simulate(params)
+    return index, record.to_dict(), time.time() - t0
 
 
 def run_points(
@@ -162,12 +155,9 @@ def run_points(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn"
         )
-        sink = runner.telemetry_sink()
-        config = None if sink is None else sink.config
-        items = [(i, params, config) for i, (_, params) in enumerate(pending)]
-        bundles: List[Optional[Dict[str, Any]]] = [None] * len(pending)
+        items = [(i, params) for i, (_, params) in enumerate(pending)]
         with ctx.Pool(min(jobs, len(pending))) as pool:
-            for index, payload, bundle, elapsed in pool.imap_unordered(
+            for index, payload, elapsed in pool.imap_unordered(
                 _worker, items, chunksize=1
             ):
                 key, params = pending[index]
@@ -175,13 +165,7 @@ def run_points(
                 runner.COUNTERS.simulated += 1
                 runner.store_record(record, use_cache=use_cache)
                 results[key] = record
-                bundles[index] = bundle
                 _emit(f"[sim ] {_point_label(params)} {elapsed:.1f}s")
-        # Workers finish in any order; the sink takes the points in the
-        # order the figure enumerates them, as a serial run adds them.
-        if sink is not None:
-            for bundle in bundles:
-                sink.add(bundle)
 
     if ordered:
         _emit(

@@ -10,9 +10,10 @@ either.  Both layers key on the *complete* run parameters — including
 ``seed``: two runs of the same point with different seeds are distinct
 entries (this was historically a bug: the memo key omitted the seed
 and silently returned the first seed's record) — and ``sanitize``, so
-only a sanitized request gets a record the sanitizer checked.  While a
-telemetry sink is installed (:func:`configure_telemetry`) every point
-simulates: the disk cache is bypassed and the memo lasts one session.
+only a sanitized request gets a record the sanitizer checked.  A point
+that names telemetry pillars (``obs``) is cached under a key that names
+them too; its artifacts stay on the
+:class:`~repro.obs.telemetry.Telemetry` that :func:`simulate` returns.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Any, Dict, Optional, Tuple
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.harness.cache import RunCache
 from repro.noc.message import TRAFFIC_CLASSES
-from repro.obs.export import point_artifacts, point_slug
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.sim.sanitizer import Sanitizer
 from repro.sim.stats import Stats
@@ -50,7 +50,7 @@ class RunRecord:
     energy: EnergyBreakdown
     # Deterministic telemetry summary counters (span/sample/event
     # totals) when the run simulated with telemetry attached; None
-    # otherwise. Artifacts themselves go through the telemetry sink.
+    # otherwise. Artifacts stay on the Telemetry that simulate returns.
     telemetry: Optional[Dict[str, float]] = None
     # Telemetry pillars the point itself requests (comma list, e.g.
     # "attribution"); a run parameter — and so a cache key — because
@@ -206,38 +206,14 @@ def configure_disk_cache(path: Optional[str]) -> Optional[RunCache]:
 
 
 def disk_cache() -> Optional[RunCache]:
-    """The configured disk cache, if any.
-
-    None while a telemetry sink is installed: a cached point has no
-    artifacts to give the sink, and a record that carries telemetry
-    must not be stored under a key that does not name it.
-    """
-    return None if _SINK is not None else _DISK
+    """The configured disk cache, if any."""
+    return _DISK
 
 
 def clear_cache() -> None:
     """Drop the in-process memo (the disk cache is untouched)."""
     _MEMO.clear()
     COUNTERS.reset()
-
-
-_SINK = None
-
-
-def configure_telemetry(sink) -> None:
-    """Install a :class:`repro.obs.export.TelemetrySink` (or None), the
-    one session-wide telemetry setting: each point simulated while it
-    is installed attaches ``sink.config`` and gives the sink its
-    artifacts. Either way the memo is dropped, so no record that
-    carries telemetry outlives its session."""
-    global _SINK
-    _SINK = sink
-    _MEMO.clear()
-
-
-def telemetry_sink():
-    """The installed telemetry sink, if any."""
-    return _SINK
 
 
 def simulate(
@@ -305,10 +281,7 @@ def run_once(
                 COUNTERS.disk_hits += 1
                 _MEMO[key] = record
                 return record
-    sink = _SINK
-    record, tel = simulate(params, None if sink is None else sink.config)
-    if sink is not None:
-        sink.add(point_artifacts(tel, point_slug(params)))
+    record, _ = simulate(params)
     COUNTERS.simulated += 1
     if use_cache:
         _MEMO[key] = record

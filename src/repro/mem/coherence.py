@@ -152,17 +152,6 @@ class Directory:
         entries = self._entries
         return entries[base] if base in entries else None
 
-    def add_sharer(self, addr: int, tile: int) -> None:
-        ent = self.entry(addr)
-        ent.sharers.add(tile)
-        if ent.owner == tile:
-            ent.owner = None
-
-    def set_owner(self, addr: int, tile: int) -> None:
-        ent = self.entry(addr)
-        ent.owner = tile
-        ent.sharers.clear()
-
     def remove(self, addr: int, tile: int) -> None:
         """Drop ``tile`` from the line's sharers/owner (PutS/PutM/Inv)."""
         ent = self._entries.get(line_addr(addr))

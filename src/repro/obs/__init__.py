@@ -1,6 +1,6 @@
 """Observability layer: the probe seam and the telemetry pillars that
-subscribe to it — spans, interval metrics, kernel profiler, decision
-provenance, cycle accounting — plus artifact export (DESIGN.md §8).
+subscribe to it — spans, interval metrics, decision provenance, cycle
+accounting — plus artifact export (DESIGN.md §8).
 
 Only the stdlib-only modules are imported here — ``sim.kernel``
 imports this package at module level, and the heavier submodules

@@ -4,7 +4,7 @@ Three subcommands:
 
 - ``run`` — simulate one point with telemetry on and capture a
   self-contained *run directory* (``record.json`` + trace/interval/
-  profile/provenance artifacts) suitable as a ``diff`` input;
+  provenance artifacts) suitable as a ``diff`` input;
 - ``diff`` — align two run directories (or bare RunRecord JSON
   files) and render the differential report (Markdown, optional
   HTML);
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.harness.runner import run_params, simulate
-    from repro.obs.export import point_artifacts, point_slug, write_point_dir
+    from repro.obs.export import point_slug, write_point_dir
     from repro.obs.telemetry import DEFAULT_INTERVAL, TelemetryConfig
 
     params = run_params(
@@ -97,7 +97,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     record, tel = simulate(params, TelemetryConfig.parse(
         args.telemetry, args.interval or DEFAULT_INTERVAL))
-    write_point_dir(point_artifacts(tel, point_slug(params)), args.out)
+    write_point_dir(tel, point_slug(params), args.out)
     record_path = os.path.join(args.out, "record.json")
     with open(record_path, "w", encoding="utf-8") as fh:
         json.dump(record.to_dict(), fh, indent=1, sort_keys=True)

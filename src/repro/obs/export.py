@@ -1,5 +1,6 @@
 """Telemetry artifact writers: Chrome trace JSON, interval series,
-profiler reports.
+decision-provenance ledger — the files of a ``python -m repro.obs run``
+directory (:func:`write_point_dir`).
 
 The trace exporter emits Chrome trace-event format (the JSON object
 form: ``{"traceEvents": [...]}``) openable in Perfetto or
@@ -31,7 +32,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.interval import IntervalSampler
 from repro.obs.spans import Span, SpanCollector
-from repro.obs.telemetry import DEFAULT_INTERVAL, TelemetryConfig
 
 _TRACKS = ("mem", "stream-data", "streams", "noc")
 _TRACK_OF_KIND = {"mem": 0, "elem": 1, "stream": 2}
@@ -39,7 +39,9 @@ _PH_ORDER = {"M": 0, "X": 1, "s": 2, "f": 3}
 
 
 def point_slug(params: Dict[str, Any]) -> str:
-    """Deterministic human-readable label for one simulation point."""
+    """Deterministic human-readable label for one simulation point:
+    it names every parameter that makes the point a distinct model run
+    (a default link width or interleave is left out)."""
     parts = [
         str(params.get("workload", "?")),
         str(params.get("config", "?")),
@@ -47,14 +49,15 @@ def point_slug(params: Dict[str, Any]) -> str:
         f"{params.get('cols', '?')}x{params.get('rows', '?')}",
         f"s{params.get('scale', '?')}",
     ]
+    link_bits = params.get("link_bits", 256)
+    if link_bits != 256:
+        parts.append(f"link{link_bits}")
+    interleave = params.get("l3_interleave")
+    if interleave is not None:
+        parts.append(f"ilv{interleave}")
     seed = params.get("seed", 0)
     if seed:
         parts.append(f"seed{seed}")
-    obs = params.get("obs")
-    if obs:
-        parts.append("obs-" + str(obs).replace(",", "+"))
-    if params.get("sanitize"):
-        parts.append("sanitize")
     return "-".join(parts)
 
 
@@ -169,13 +172,6 @@ def write_intervals(path: str, samples: List[Dict[str, Any]]) -> str:
     return path
 
 
-def write_profile(path: str, points: List[Dict[str, Any]]) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"points": points}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def provenance_instant_events(
     ledger, pid: int = 1, point: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
@@ -219,164 +215,50 @@ def write_provenance(path: str, rows: List[Dict[str, Any]]) -> str:
     return path
 
 
-def point_artifacts(telemetry, slug: str) -> Dict[str, Any]:
-    """One simulated point's telemetry as plain data: the bundle a
-    fan-out worker returns to the parent and a sink adds.
-
-    Keys: ``point`` (the slug), ``trace`` (span and NoC trace events,
-    pid 1), ``decisions`` (decision-ledger instant events, pid 1),
-    ``provenance`` (ledger rows), ``intervals`` (samples), ``profile``
-    (the profiler payload) — each ``None`` when its pillar was off —
-    and ``summary`` (:meth:`Telemetry.summary`).
-    """
-    spans = telemetry.spans
-    sampler = telemetry.sampler
-    profiler = telemetry.profiler
-    ledger = telemetry.provenance
-    return {
-        "point": slug,
-        "trace": (None if spans is None
-                  else chrome_trace_events(spans, pid=1, point=slug)),
-        "decisions": (None if ledger is None
-                      else provenance_instant_events(ledger, pid=1,
-                                                     point=slug)),
-        "provenance": None if ledger is None else ledger.to_rows(slug),
-        "intervals": (None if sampler is None
-                      else [{"point": slug, **s} for s in sampler.samples]),
-        "profile": (None if profiler is None
-                    else {"point": slug, **profiler.payload()}),
-        "summary": telemetry.summary(),
+def _warn_drops(summary: Dict[str, float], slug: str) -> None:
+    """Print one stderr warning naming every nonzero ``*dropped*``
+    counter: a bounded buffer that truncated silently would corrupt
+    attribution totals."""
+    dropped = {
+        name: value
+        for name, value in summary.items()
+        if "dropped" in name and value
     }
-
-
-class TelemetrySink:
-    """Merges per-point artifact bundles into the requested outputs.
-
-    The harness CLI installs one with
-    ``repro.harness.runner.configure_telemetry``: every point the
-    session simulates then attaches :attr:`config` and the sink
-    :meth:`add`-s its :func:`point_artifacts` bundle, in the order the
-    figure enumerates its points whichever process simulated them. The
-    CLI calls :meth:`write` once the figure completes.
-    """
-
-    def __init__(
-        self,
-        trace_out: Optional[str] = None,
-        interval_out: Optional[str] = None,
-        profile_out: Optional[str] = None,
-        provenance_out: Optional[str] = None,
-        interval: int = DEFAULT_INTERVAL,
-    ) -> None:
-        self.trace_out = trace_out
-        self.interval_out = interval_out
-        self.profile_out = profile_out
-        self.provenance_out = provenance_out
-        self.interval = interval
-        self.points = 0
-        self._trace_events: List[Dict[str, Any]] = []
-        self._samples: List[Dict[str, Any]] = []
-        self._profiles: List[Dict[str, Any]] = []
-        self._provenance_rows: List[Dict[str, Any]] = []
-        # Nonzero drop counters seen per point: bounded buffers
-        # truncating silently would corrupt attribution totals, so the
-        # sink surfaces every truncation loudly.
-        self.drop_warnings: List[str] = []
-
-    @property
-    def config(self) -> TelemetryConfig:
-        """The pillars the requested outputs need."""
-        return TelemetryConfig(
-            spans=bool(self.trace_out),
-            interval=self.interval if self.interval_out else 0,
-            profile=bool(self.profile_out),
-            provenance=bool(self.provenance_out),
+    if dropped:
+        detail = ", ".join(
+            f"{name}={int(value)}" for name, value in sorted(dropped.items())
+        )
+        print(
+            f"[obs] WARNING {slug}: telemetry buffers overflowed "
+            f"and dropped data ({detail}); raise the caps or "
+            f"shrink the point — derived totals are incomplete",
+            file=sys.stderr,
         )
 
-    def _check_drops(self, summary: Dict[str, float], slug: str) -> None:
-        dropped = {
-            name: value
-            for name, value in summary.items()
-            if "dropped" in name and value
-        }
-        if dropped:
-            detail = ", ".join(
-                f"{name}={int(value)}" for name, value in sorted(dropped.items())
-            )
-            message = (
-                f"[obs] WARNING {slug}: telemetry buffers overflowed "
-                f"and dropped data ({detail}); raise the caps or "
-                f"shrink the point — derived totals are incomplete"
-            )
-            self.drop_warnings.append(message)
-            print(message, file=sys.stderr)
 
-    def add(self, bundle: Dict[str, Any]) -> None:
-        """Merge one :func:`point_artifacts` bundle as the next point:
-        its trace events move to pid :attr:`points` and its flow-arrow
-        ids ``"<pid>.<n>"`` follow, so every point keeps one process."""
-        self.points += 1
-        pid = self.points
-        self._check_drops(bundle["summary"], bundle["point"])
-        if self.trace_out:
-            for event in (bundle["trace"] or []) + (bundle["decisions"] or []):
-                event = dict(event, pid=pid)
-                if "id" in event:
-                    event["id"] = f"{pid}.{event['id'].split('.', 1)[1]}"
-                self._trace_events.append(event)
-        if self.interval_out and bundle["intervals"]:
-            self._samples.extend(bundle["intervals"])
-        if self.profile_out and bundle["profile"] is not None:
-            self._profiles.append(bundle["profile"])
-        if self.provenance_out and bundle["provenance"]:
-            self._provenance_rows.extend(bundle["provenance"])
-
-    def profile_report(self) -> str:
-        lines = []
-        for entry in self._profiles:
-            lines.append(f"== {entry['point']} ==")
-            lines.append(
-                f"{'callback':<40} {'events':>10} {'seconds':>10} "
-                f"{'us/event':>10}"
-            )
-            for row in entry["top"]:
-                lines.append(
-                    f"{row['callback']:<40} {row['events']:>10} "
-                    f"{row['seconds']:>10.3f} {row['us_per_event']:>10.3f}"
-                )
-        return "\n".join(lines)
-
-    def write(self) -> List[str]:
-        written: List[str] = []
-        if self.trace_out:
-            written.append(
-                write_chrome_trace(self.trace_out, self._trace_events))
-        if self.interval_out:
-            written.append(write_intervals(self.interval_out, self._samples))
-        if self.profile_out:
-            written.append(write_profile(self.profile_out, self._profiles))
-        if self.provenance_out:
-            written.append(write_provenance(
-                self.provenance_out, self._provenance_rows))
-        return written
-
-
-def write_point_dir(bundle: Dict[str, Any], out_dir: str) -> List[str]:
-    """Write one bundle as a ``python -m repro.obs run`` directory:
-    ``<slug>.trace.json``, ``.intervals.jsonl``, ``.profile.json`` and
-    ``.provenance.jsonl``, one per pillar that ran."""
+def write_point_dir(telemetry, slug: str, out_dir: str) -> List[str]:
+    """Write one point's telemetry as a ``python -m repro.obs run``
+    directory, one file per pillar that ran: ``<slug>.trace.json``
+    (span and NoC events, then the decision instants),
+    ``<slug>.intervals.jsonl`` and ``<slug>.provenance.jsonl``.
+    Returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
-
-    def out(key: str, suffix: str) -> Optional[str]:
-        if bundle[key] is None:
-            return None
-        return os.path.join(out_dir, bundle["point"] + suffix)
-
-    sink = TelemetrySink(
-        trace_out=out("trace", ".trace.json"),
-        interval_out=out("intervals", ".intervals.jsonl"),
-        profile_out=out("profile", ".profile.json"),
-        provenance_out=out("provenance", ".provenance.jsonl"),
-    )
-    sink.add(bundle)
-    return sink.write()
+    _warn_drops(telemetry.summary(), slug)
+    spans = telemetry.spans
+    sampler = telemetry.sampler
+    ledger = telemetry.provenance
+    stem = os.path.join(out_dir, slug)
+    written: List[str] = []
+    if spans is not None:
+        events = chrome_trace_events(spans, pid=1, point=slug)
+        if ledger is not None:
+            events += provenance_instant_events(ledger, pid=1, point=slug)
+        written.append(write_chrome_trace(stem + ".trace.json", events))
+    if sampler is not None:
+        written.append(write_intervals(
+            stem + ".intervals.jsonl",
+            [{"point": slug, **s} for s in sampler.samples]))
+    if ledger is not None:
+        written.append(write_provenance(
+            stem + ".provenance.jsonl", ledger.to_rows(slug)))
+    return written

@@ -5,12 +5,11 @@
 probe seam (:mod:`repro.obs.probes`). It is an argument of a run, not
 of the process: ``Telemetry(sim, config)`` (or :func:`attach`) hangs
 it off a built chip's :class:`~repro.sim.kernel.Simulator` and builds
-the pillars its config asks for; the harness does that for each point
-it simulates when a point names pillars or a telemetry sink is
-installed (``--trace-out`` / ``--interval-stats`` / ``--profile`` /
-``--provenance-out``). Each pillar subscribes to the probes it needs
-itself. Without telemetry nothing subscribes, so every probe costs one
-attribute test and no call.
+the pillars its config asks for; ``repro.harness.runner.simulate`` does
+that for a point that names pillars (its ``obs`` parameter) and for
+``python -m repro.obs run``. Each pillar subscribes to the probes it
+needs itself. Without telemetry nothing subscribes, so every probe
+costs one attribute test and no call.
 
 The pillars are each independently enabled by
 :class:`TelemetryConfig` (DESIGN.md §8):
@@ -20,8 +19,6 @@ The pillars are each independently enabled by
   lifetimes, exportable as Chrome trace-event JSON;
 - **interval** (:mod:`repro.obs.interval`): a time-series sampler
   snapshotting Stats deltas every N cycles;
-- **profile** (:mod:`repro.obs.profiler`): a host-side profiler
-  attributing wall-clock and event counts per event callback;
 - **provenance** (:mod:`repro.obs.provenance`): the decision ledger
   plus tile/link activity matrices (DESIGN.md §11);
 - **attribution** (:mod:`repro.obs.attribution`): per-core cycle
@@ -40,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
 
-PILLARS = ("spans", "interval", "profile", "provenance", "attribution")
+PILLARS = ("spans", "interval", "provenance", "attribution")
 
 DEFAULT_INTERVAL = 10_000
 
@@ -72,18 +69,16 @@ class TelemetryConfig:
 
     spans: bool = False
     interval: int = 0  # sampling period in cycles; 0 disables
-    profile: bool = False
     provenance: bool = False  # decision ledger + tile/link activity
     attribution: bool = False  # per-core CPI-stack cycle accounting
 
     @classmethod
     def parse(cls, pillars: str,
               interval: int = DEFAULT_INTERVAL) -> "TelemetryConfig":
-        """``all`` (also ``1``/``on``/``true``/``yes``) or a comma list
-        of :data:`PILLARS`; ``interval`` is the sampling period if the
-        interval pillar is named."""
+        """``all`` or a comma list of :data:`PILLARS`; ``interval`` is
+        the sampling period if the interval pillar is named."""
         raw = pillars.strip().lower()
-        if raw in ("1", "on", "true", "yes", "all"):
+        if raw == "all":
             enabled = set(PILLARS)
         else:
             enabled = {p.strip() for p in raw.split(",") if p.strip()}
@@ -96,7 +91,6 @@ class TelemetryConfig:
         return cls(
             spans="spans" in enabled,
             interval=interval if "interval" in enabled else 0,
-            profile="profile" in enabled,
             provenance="provenance" in enabled,
             attribution="attribution" in enabled,
         )
@@ -135,13 +129,11 @@ class Telemetry:
         # Deferred: the pillars import simulator packages, which import
         # the kernel, which imports this package.
         from repro.obs.interval import IntervalSampler
-        from repro.obs.profiler import KernelProfiler
         from repro.obs.spans import SpanCollector
 
         self.sim = sim
         sim.telemetry = self
         self.config = config = config or TelemetryConfig()
-        probes = sim.probes
         self.spans: Optional[SpanCollector] = (
             SpanCollector(sim) if config.spans else None
         )
@@ -155,13 +147,8 @@ class Telemetry:
             from repro.obs.attribution import CycleAccountant
 
             self.attribution = CycleAccountant(sim)
-        # The profiler subscribes to ``dispatched`` before the sampler,
-        # so the time it charges a dispatch excludes sampling.
-        self.profiler: Optional[KernelProfiler] = (
-            KernelProfiler(probes) if config.profile else None
-        )
         self.sampler: Optional[IntervalSampler] = (
-            IntervalSampler(config.interval, probes)
+            IntervalSampler(config.interval, sim.probes)
             if config.interval > 0 else None
         )
 
@@ -224,8 +211,6 @@ class Telemetry:
                     out[f"critdom.{kind}.{edge}"] = slot[2]
         if self.sampler is not None:
             out["interval_samples"] = len(self.sampler.samples)
-        if self.profiler is not None:
-            out["profiled_events"] = self.profiler.events
         if self.provenance is not None:
             out.update(self.provenance.summary())
         if self.attribution is not None:

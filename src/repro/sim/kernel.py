@@ -214,8 +214,7 @@ class Simulator:
         current cycle when the run stops.
 
         The ``dispatch``/``dispatched`` probes fire around every event
-        the loop runs (the S5 hash, the profiler and the interval
-        sampler subscribe).
+        the loop runs (the S5 hash and the interval sampler subscribe).
         """
         buckets = self._buckets
         mask = self._mask

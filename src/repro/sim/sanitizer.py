@@ -55,8 +55,8 @@ class S5Trace:
     """Rolling CRC32 over the (cycle, handler-name) dispatch stream.
 
     The one S5 hash: the sanitizer's ``trace_hash`` stat and the
-    divergence recorder (:mod:`repro.obs.divergence`) both feed it from
-    the kernel's ``dispatch`` probe.
+    tests' divergence recorder (``tests/sim/divergence.py``) both feed
+    it from the kernel's ``dispatch`` probe.
     """
 
     __slots__ = ("crc", "events")

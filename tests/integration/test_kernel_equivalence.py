@@ -12,7 +12,7 @@ ordering divergence — a bucket consumed out of FIFO order, an overflow
 event migrating late — shows up here first.
 
 On a hash mismatch the suite does not stop at "CRCs differ": it runs
-the two-pass divergence localizer (repro.obs.divergence) and fails
+the two-pass divergence localizer (tests/sim/divergence.py) and fails
 with the exact first divergent (cycle, event, handler).
 """
 
@@ -20,10 +20,10 @@ import pytest
 
 import repro.system.chip as chip_module
 from repro.harness.runner import run_once
-from repro.obs.divergence import localize
 from repro.sim.kernel import Simulator
 from repro.system.configs import make_config
 from repro.workloads.base import build_programs
+from tests.sim.divergence import localize
 from tests.sim.heap_oracle import HeapOracle
 
 POINTS = [

@@ -19,6 +19,26 @@ def test_cli_run_and_attribute(tmp_path):
     assert (record["workload"], record["config"]) == ("mv", "sf")
     assert record["stats"]["chip.cycles"] == record["cycles"] > 0
     assert record["telemetry"]
+    slug = "mv-sf-ooo8-2x2-s64"
+    assert sorted(os.listdir(run_dir)) == sorted([
+        "record.json", f"{slug}.trace.json", f"{slug}.intervals.jsonl",
+        f"{slug}.provenance.jsonl",
+    ])
+    for suffix in ("intervals.jsonl", "provenance.jsonl"):
+        with open(run_dir / f"{slug}.{suffix}", encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh]
+        assert rows and {row["point"] for row in rows} == {slug}, suffix
+    # Every floated stream's span runs float -> ... -> sink|end, its
+    # hops in cycle order.
+    with open(run_dir / f"{slug}.trace.json", encoding="utf-8") as fh:
+        events = json.load(fh)["traceEvents"]
+    streams = [e for e in events if e.get("cat") == "stream"]
+    assert streams
+    for ev in streams:
+        hops = ev["args"]["hops"]
+        assert hops[0][0] == "float"
+        assert hops[-1][0] in ("sink", "end")
+        assert [h[1] for h in hops] == sorted(h[1] for h in hops)
 
     report = tmp_path / "attr" / "report.md"
     counters = tmp_path / "attr" / "cpi.json"

@@ -3,14 +3,11 @@
 import json
 import os
 
-import pytest
-
 from repro.obs.export import (
-    TelemetrySink,
     chrome_trace_events,
-    point_artifacts,
     point_slug,
     write_chrome_trace,
+    write_point_dir,
 )
 from repro.obs.spans import SpanCollector
 from repro.obs.telemetry import TelemetryConfig
@@ -111,40 +108,14 @@ def test_point_slug_is_deterministic():
                   rows=2, scale=64, link_bits=256, l3_interleave=None,
                   seed=0)
     assert point_slug(params) == "nn-sf-ooo8-2x2-s64"
+    # Link width and NUCA interleave make distinct points (figs 16
+    # and 17 sweep them), so the slug names them when not default.
+    assert (point_slug(dict(params, link_bits=128))
+            == "nn-sf-ooo8-2x2-s64-link128")
+    assert (point_slug(dict(params, l3_interleave=4096))
+            == "nn-sf-ooo8-2x2-s64-ilv4096")
     params["seed"] = 3
     assert point_slug(params).endswith("-seed3")
-
-
-# ----------------------------------------------------------------------
-# sink (CLI aggregation) + a real run's structural validity
-# ----------------------------------------------------------------------
-@pytest.mark.slow
-def test_sink_merges_points_and_validates(tmp_path):
-    from repro.harness.runner import configure_telemetry, run_once
-
-    sink = TelemetrySink(trace_out=str(tmp_path / "run.trace.json"))
-    configure_telemetry(sink)
-    try:
-        for config in ("base", "sf"):
-            run_once("nn", config, cols=2, rows=2, scale=64)
-    finally:
-        configure_telemetry(None)
-    assert sink.points == 2
-    [path] = sink.write()
-    payload = json.load(open(path))
-    evs = payload["traceEvents"]
-    names = {e["pid"]: e["args"]["name"] for e in evs
-             if e["ph"] == "M" and e["name"] == "process_name"}
-    assert names == {1: "nn-base-ooo8-2x2-s64", 2: "nn-sf-ooo8-2x2-s64"}
-    # The sf point floats streams: its trace must carry stream spans
-    # whose hops run float -> migrate -> sink/end monotonically.
-    streams = [e for e in evs if e.get("cat") == "stream"]
-    assert streams
-    for ev in streams:
-        hops = ev["args"]["hops"]
-        assert hops[0][0] == "float"
-        assert hops[-1][0] in ("sink", "end")
-        assert [h[1] for h in hops] == sorted(h[1] for h in hops)
 
 
 def test_real_point_export_repeats_in_one_process():
@@ -173,7 +144,6 @@ class _SummaryOnlyTelemetry:
 
     spans = None
     sampler = None
-    profiler = None
     provenance = None
 
     def __init__(self, summary):
@@ -188,24 +158,24 @@ def _params():
                 scale=64, link_bits=256, l3_interleave=None, seed=0)
 
 
-def test_sink_warns_on_nonzero_drop_counters(capsys):
-    sink = TelemetrySink()
-    sink.add(point_artifacts(_SummaryOnlyTelemetry(
+def test_point_dir_warns_on_nonzero_drop_counters(tmp_path, capsys):
+    telemetry = _SummaryOnlyTelemetry(
         {"spans_opened": 10, "spans_dropped": 3, "cpi.journeys_dropped": 2,
-         "noc_dropped": 0}), point_slug(_params())))
-    [warning] = sink.drop_warnings
+         "noc_dropped": 0})
+    assert write_point_dir(telemetry, point_slug(_params()),
+                           str(tmp_path)) == []
+    [warning] = capsys.readouterr().err.splitlines()
+    assert "WARNING" in warning
     assert "spans_dropped=3" in warning
     assert "cpi.journeys_dropped=2" in warning
     assert "noc_dropped" not in warning  # zero counters stay quiet
     assert "nn-sf-ooo8-2x2-s64" in warning
-    assert "WARNING" in capsys.readouterr().err
 
 
-def test_sink_quiet_without_drops(capsys):
-    sink = TelemetrySink()
-    sink.add(point_artifacts(_SummaryOnlyTelemetry(
-        {"spans_opened": 10, "spans_dropped": 0}), point_slug(_params())))
-    assert sink.drop_warnings == []
+def test_point_dir_quiet_without_drops(tmp_path, capsys):
+    telemetry = _SummaryOnlyTelemetry(
+        {"spans_opened": 10, "spans_dropped": 0})
+    write_point_dir(telemetry, point_slug(_params()), str(tmp_path))
     assert capsys.readouterr().err == ""
 
 

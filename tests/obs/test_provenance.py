@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs.export import (
-    point_artifacts,
     provenance_instant_events,
     write_point_dir,
     write_provenance,
@@ -281,9 +280,9 @@ def test_instant_events_land_on_streams_track():
     assert events[0]["args"]["reason"] == "history"
 
 
-def test_point_artifacts_include_provenance(tmp_path):
+def test_point_dir_includes_provenance(tmp_path):
     tel = _tiny_ledger()
-    written = write_point_dir(point_artifacts(tel, "pt"), str(tmp_path))
+    written = write_point_dir(tel, "pt", str(tmp_path))
     assert str(tmp_path / "pt.provenance.jsonl") in written
     rows = [json.loads(line)
             for line in open(tmp_path / "pt.provenance.jsonl")]

@@ -21,7 +21,7 @@ BASE = 0x20_0000
 # config parsing and attachment
 # ----------------------------------------------------------------------
 @pytest.mark.no_sanitize
-def test_disabled_without_env():
+def test_no_telemetry_by_default():
     sim = Simulator()
     assert sim.telemetry is None
     # Zero-cost off: nothing watches the kernel's dispatches (the
@@ -33,38 +33,39 @@ def test_disabled_without_env():
     assert "_miss" not in hier.l1s[0].__dict__
 
 
-@pytest.mark.parametrize("value", ["1", "all", "on", "true"])
-def test_all_values_enable_every_pillar(value):
-    config = TelemetryConfig.parse(value)
+def test_all_enables_every_pillar():
+    config = TelemetryConfig.parse("all")
     assert config == TelemetryConfig(spans=True, interval=10_000,
-                                     profile=True, provenance=True,
-                                     attribution=True)
+                                     provenance=True, attribution=True)
     assert TelemetryConfig.parse(",".join(PILLARS)) == config
 
 
 def test_pillar_list_parses():
-    config = TelemetryConfig.parse("spans,profile")
-    assert config.spans and config.profile
+    config = TelemetryConfig.parse("spans,provenance")
+    assert config.spans and config.provenance
     assert config.interval == 0
 
 
-def test_interval_period_from_env():
+def test_interval_period_argument():
     config = TelemetryConfig.parse("interval", 2500)
     assert config.interval == 2500
-    assert not config.spans and not config.profile
+    assert not config.spans and not config.provenance
 
 
 def test_unknown_pillar_rejected():
     with pytest.raises(ValueError, match="bogus"):
         TelemetryConfig.parse("spans,bogus")
+    # Only "all" stands for every pillar.
+    with pytest.raises(ValueError, match=r"\['on'\]"):
+        TelemetryConfig.parse("on")
 
 
-def test_env_attach_installs_hooks():
+def test_attach_installs_only_the_named_pillars():
     hier = MiniHierarchy()
     tel = Telemetry(hier.sim, TelemetryConfig.parse("spans"))
     assert hier.sim.telemetry is tel
     assert tel.spans is not None
-    assert tel.sampler is None and tel.profiler is None
+    assert tel.sampler is None and tel.provenance is None
     # spans alone watches no dispatch; the sanitizer does.
     results = []
     hier.read(0, BASE, results)
@@ -74,10 +75,14 @@ def test_env_attach_installs_hooks():
     assert tel.spans.closed == tel.spans.opened
 
 
-def test_step_hook_only_for_interval_or_profile():
+@pytest.mark.no_sanitize
+def test_step_hook_only_for_interval():
     sim = Simulator()
-    Telemetry(sim, TelemetryConfig.parse("profile"))
-    assert sim.telemetry.profiler is not None
+    Telemetry(sim, TelemetryConfig.parse("spans,provenance,attribution"))
+    assert sim.probes.dispatched is None
+    sim = Simulator()
+    Telemetry(sim, TelemetryConfig.parse("interval"))
+    assert sim.telemetry.sampler is not None
     assert sim.probes.dispatched is not None
 
 

@@ -1,10 +1,10 @@
 """S5 divergence localization: from "hash mismatch" to the exact
 first divergent ``(cycle, event, handler)``.
 
-The sanitizer's S5 determinism trace (PR 4) reduces an entire run to
-one CRC32 over every ``(cycle, handler-qualname)`` pair the kernel
-dispatches; PR 6 turned it into a CI gate. A bare mismatch is the
-least actionable failure in the repo — this module makes it
+The sanitizer's S5 determinism trace reduces an entire run to one
+CRC32 over every ``(cycle, handler-qualname)`` pair the kernel
+dispatches, and CI gates on it. A bare mismatch is the least
+actionable failure in the repo — this test helper makes it
 localizable with a two-pass replay (DESIGN.md §11):
 
 1. **Checkpoint pass**: run both variants (calendar queue vs heap

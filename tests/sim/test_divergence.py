@@ -3,7 +3,7 @@ the S5-formula contract with the sanitizer."""
 
 import pytest
 
-from repro.obs.divergence import (
+from tests.sim.divergence import (
     Divergence,
     TraceRecorder,
     localize,
