@@ -15,10 +15,12 @@ Beyond the usual state, each line tracks:
 - ``fill_flits``: NoC flits spent bringing the line in, so eviction-
   without-reuse traffic (Figure 2b) can be attributed per line.
 
-The array preallocates ``sets x ways`` :class:`CacheLine` slots in one
-flat list (slot = ``set * ways + way``) and keeps a line-base -> slot
-map, so lookups are one dict probe + one list index with no nested
-containers on the hot path.
+The array keeps ``sets x ways`` slots in one flat list (slot =
+``set * ways + way``) and a line-base -> slot map, so lookups are one
+dict probe + one list index with no nested containers on the hot path.
+A slot holds no :class:`CacheLine` until its way's first fill builds
+one, which then stays in the slot for the array's life: at the paper's
+8x8 geometry most slots are never filled.
 """
 
 from __future__ import annotations
@@ -132,10 +134,9 @@ class CacheArray:
         self.num_sets = size_bytes // (ways * LINE_SIZE)
         if self.num_sets & (self.num_sets - 1):
             raise ValueError(f"number of sets ({self.num_sets}) must be a power of two")
-        # Flat slot array: slot = set_idx * ways + way.
-        self._slots: List[CacheLine] = [
-            CacheLine() for _ in range(self.num_sets * ways)
-        ]
+        # Flat slot array: slot = set_idx * ways + way. None until the
+        # way's first fill; built ways are always a prefix of the set.
+        self._slots: List[Optional[CacheLine]] = [None] * (self.num_sets * ways)
         self._policies: List[ReplacementPolicy] = [
             make_policy(replacement, ways, seed=seed + set_idx)
             for set_idx in range(self.num_sets)
@@ -172,11 +173,14 @@ class CacheArray:
     def pick_victim(self, addr: int, avoid=None) -> Tuple[int, CacheLine]:
         """Choose (way, line) to evict so ``addr`` can be filled.
 
-        Does not modify state; the caller should handle writeback of a
-        valid victim, then call :meth:`fill`. ``avoid`` is an optional
-        predicate over line addresses; lines it matches (e.g. lines
-        with in-flight transactions) are skipped unless every way
-        matches, in which case a RuntimeError is raised.
+        The caller should handle writeback of a valid victim, then call
+        :meth:`fill`. A free way's line is built here on the way's
+        first use, which callers cannot observe; otherwise only the
+        set's replacement state changes (BRRIP aging, and promotion of
+        a skipped pinned way). ``avoid`` is an optional predicate over
+        line addresses; lines it matches (e.g. lines with in-flight
+        transactions) are skipped unless every way matches, in which
+        case a RuntimeError is raised.
         """
         set_idx = self.set_of(addr)
         base_slot = set_idx * self.ways
@@ -187,17 +191,28 @@ class CacheArray:
         # (and the per-fill validity vector) entirely.
         for way in range(nways):
             line = slots[base_slot + way]
+            if line is None:
+                line = slots[base_slot + way] = CacheLine()
+                return way, line
             if line.state == INVALID:
                 return way, line
+        # The set is full: every way holds a valid line.
         valid = self._all_valid
         policy = self._policies[set_idx]
         for _attempt in range(nways):
             way = policy.victim(valid)
             line = slots[base_slot + way]
-            if avoid is None or not line.valid or not avoid(line.addr):
+            if avoid is None or not avoid(line.addr):
                 return way, line
             # Pinned: make it most-recently-used and try again.
             policy.on_hit(way)
+        # The policy can keep offering one pinned way (under BRRIP, a
+        # promoted way that ages back to RRPV 3 with the others wins
+        # the tie again), so fall back to the lowest unpinned way.
+        for way in range(nways):
+            line = slots[base_slot + way]
+            if not avoid(line.addr):
+                return way, line
         raise RuntimeError(f"all ways pinned in set {set_idx}")
 
     def fill(
@@ -254,7 +269,7 @@ class CacheArray:
 
     def all_lines(self) -> List[CacheLine]:
         """All valid lines (test/debug helper)."""
-        return [ln for ln in self._slots if ln.valid]
+        return [ln for ln in self._slots if ln is not None and ln.valid]
 
     def occupancy(self) -> int:
         return len(self._where)

@@ -13,7 +13,7 @@ A policy manages one set of ``ways`` lines. The cache array calls
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import Dict, List, Tuple
 
 
 class ReplacementPolicy:
@@ -52,6 +52,15 @@ class LruPolicy(ReplacementPolicy):
         return min(range(self.ways), key=lambda w: self._last_use[w])
 
 
+# seed -> (generator, the values drawn from it so far). Value n is
+# always the n-th output of random.Random(seed), whichever policy drew
+# it first, so the table is a pure function of the seed: sharing it
+# across every chip in the process leaves each run's draws unchanged.
+# Per seed it holds as many values as the most fills one set with that
+# seed has taken (after mv/sf at 8x8: 319 seeds, 1,365 values).
+_DRAWS: Dict[int, Tuple[random.Random, List[float]]] = {}
+
+
 class BrripPolicy(ReplacementPolicy):
     """Bimodal RRIP with 2-bit re-reference prediction values (RRPV).
 
@@ -61,8 +70,11 @@ class BrripPolicy(ReplacementPolicy):
     - Victim selection finds an RRPV-3 line, aging all lines until one
       exists.
 
-    The random choice uses a private deterministic PRNG seeded per set
-    so simulations are reproducible.
+    The n-th fill's random choice is value n of ``random.Random(seed)``
+    so simulations are reproducible. Policies with equal seeds (a
+    cache seeds set ``s`` of tile ``t`` with ``t + s``, so sets of
+    different tiles collide) read one shared sequence of draws
+    (:data:`_DRAWS`) instead of each owning a generator.
     """
 
     MAX_RRPV = 3
@@ -71,10 +83,19 @@ class BrripPolicy(ReplacementPolicy):
         super().__init__(ways)
         self.p = p
         self._rrpv = [self.MAX_RRPV] * ways
-        self._rng = random.Random(seed)
+        draws = _DRAWS.get(seed)
+        if draws is None:
+            draws = _DRAWS[seed] = (random.Random(seed), [])
+        self._rng, self._values = draws
+        self._fills = 0
 
     def on_fill(self, way: int) -> None:
-        if self._rng.random() < self.p:
+        n = self._fills
+        values = self._values
+        if n == len(values):
+            values.append(self._rng.random())
+        self._fills = n + 1
+        if values[n] < self.p:
             self._rrpv[way] = self.MAX_RRPV - 1
         else:
             self._rrpv[way] = self.MAX_RRPV

@@ -24,13 +24,11 @@ for a deterministic run.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.obs.interval import IntervalSampler
 from repro.obs.spans import Span, SpanCollector
 
 _TRACKS = ("mem", "stream-data", "streams", "noc")
@@ -156,19 +154,10 @@ def write_chrome_trace(path: str, events: List[Dict[str, Any]]) -> str:
 
 
 def write_intervals(path: str, samples: List[Dict[str, Any]]) -> str:
-    """JSONL by default; CSV when ``path`` ends in ``.csv``."""
-    columns = ["point"] + IntervalSampler.columns()
-    if path.endswith(".csv"):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns,
-                                    extrasaction="ignore")
-            writer.writeheader()
-            for sample in samples:
-                writer.writerow(sample)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            for sample in samples:
-                fh.write(json.dumps(sample, sort_keys=True) + "\n")
+    """One JSON object per sample per line (JSONL)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sample in samples:
+            fh.write(json.dumps(sample, sort_keys=True) + "\n")
     return path
 
 

@@ -15,7 +15,7 @@ derived rates:
 
 Given a probe table, the sampler subscribes itself: ``built`` binds
 the chip, ``dispatched`` steps it, and the three stream probes keep
-the gauge. Samples are plain dicts (JSONL/CSV-ready; see
+the gauge. Samples are plain dicts (written as JSONL by
 :func:`repro.obs.export.write_intervals`). Everything here is
 simulated-time arithmetic — deterministic across hosts and runs.
 """
@@ -126,7 +126,7 @@ class IntervalSampler:
 
     @staticmethod
     def columns() -> List[str]:
-        """Stable column order for CSV export."""
+        """The fields each sample carries, in a stable order."""
         return [
             "cycle", "dcycles", "ipc", "noc_util", "l3_mpki",
             "streams_alive",

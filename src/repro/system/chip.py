@@ -88,11 +88,11 @@ class Chip:
 
         The event loop runs with the cyclic garbage collector paused
         (restored on exit). A run makes no cyclic garbage, yet every
-        full collection walks each long-lived object of the built chip
-        (~489k at 8x8, 303k of them cache lines). On mv/sf at 8x8
-        (Python 3.11, one vCPU of an AMD EPYC host) the collector left
-        on made the run 1.13-1.43x slower in 10 of 10 interleaved
-        rounds (median 8.42 s against 6.60 s).
+        full collection walks every long-lived object: after mv/sf at
+        8x8 the process tracks ~248k objects, 80k of them cache lines.
+        On that point (Python 3.11, one vCPU of an AMD EPYC host) the
+        collector left on made the run 1.07-1.43x slower in 10 of 10
+        interleaved rounds (median 8.29 s against 6.63 s).
         """
         for core_id in programs:
             if not (0 <= core_id < self.num_cores):

@@ -129,3 +129,53 @@ def test_lookup_matches_fill_history(line_numbers):
                 present.discard(evicted.addr)
     for addr in present:
         assert c.contains(addr)
+
+
+def test_line_built_by_first_fill_and_kept():
+    c = make_cache(size=128, ways=2)  # 1 set
+    assert c._slots == [None, None]
+    line, _ = c.fill(0x40, SHARED)
+    assert c._slots == [line, None]
+    c.invalidate(0x40)
+    again, _ = c.fill(0x80, EXCLUSIVE)
+    assert again is line
+    assert c._slots == [line, None]
+
+
+def _one_set_brrip(ways, pinned):
+    """A full one-set BRRIP array whose ``pinned`` low ways sit at RRPV
+    3 and whose other ways were just hit (RRPV 0)."""
+    c = CacheArray(ways * 64, ways, replacement="brrip")
+    for way in range(ways):
+        c.fill(way * 64, SHARED)
+    for way in range(pinned, ways):
+        c.lookup(way * 64)
+    rrpv = c._policies[0]._rrpv
+    for way in range(pinned):
+        rrpv[way] = 3
+    return c, {way * 64 for way in range(pinned)}
+
+
+@pytest.mark.parametrize("ways,pinned", [(2, 1), (4, 2), (16, 8), (16, 7)])
+def test_pinned_ways_skipped_under_brrip(ways, pinned):
+    # Promoting a pinned way and aging can hand the same way back every
+    # attempt; an unpinned way must still be found.
+    c, pinned_addrs = _one_set_brrip(ways, pinned)
+    way, line = c.pick_victim(ways * 64, avoid=pinned_addrs.__contains__)
+    assert way >= pinned
+    assert line.addr not in pinned_addrs
+
+
+def test_all_ways_pinned_raises():
+    c, _ = _one_set_brrip(4, 0)
+    with pytest.raises(RuntimeError, match="all ways pinned"):
+        c.pick_victim(4 * 64, avoid=lambda addr: True)
+
+
+def test_pinned_lru_way_skipped_for_next_oldest():
+    c = make_cache(size=256, ways=4)  # 1 set
+    for way in range(4):
+        c.fill(way * 64, SHARED)
+    c.lookup(64)  # way 1 is now the newest; way 0 oldest, then way 2
+    way, line = c.pick_victim(4 * 64, avoid=lambda addr: addr == 0)
+    assert (way, line.addr) == (2, 2 * 64)

@@ -1,5 +1,7 @@
 """Tests for LRU and Bimodal RRIP replacement."""
 
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -63,6 +65,32 @@ class TestBrrip:
             a.on_fill(way)
             b.on_fill(way)
         assert a._rrpv == b._rrpv
+
+    def test_nth_fill_reads_nth_value_of_its_seed(self):
+        # Policies with one seed share their draws; each must still
+        # insert exactly as a private random.Random(seed) would, in any
+        # interleaving and whenever it was built.
+        p = 0.5
+        seeds = [90_001, 90_001, 90_002, 90_001]
+        pols = [BrripPolicy(1, p=p, seed=seed) for seed in seeds]
+        inserted = [[] for _ in seeds]
+
+        def fill(order):
+            for i in order:
+                pols[i].on_fill(0)
+                inserted[i].append(pols[i]._rrpv[0])
+
+        fill((0, 0, 0, 1, 2, 0, 3, 1, 2, 2, 0, 1, 3, 3, 3))
+        # One more policy of the first seed, built after the others
+        # have drawn from it.
+        seeds.append(90_001)
+        pols.append(BrripPolicy(1, p=p, seed=90_001))
+        inserted.append([])
+        fill((4, 4, 0, 4, 1, 4, 4, 4, 4))
+        for seed, rrpvs in zip(seeds, inserted):
+            rng = random.Random(seed)
+            assert rrpvs == [2 if rng.random() < p else 3 for _ in rrpvs]
+        assert {2, 3} <= set(inserted[0])  # both insertions occurred
 
     @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=200))
     def test_victim_always_valid_way(self, hits):

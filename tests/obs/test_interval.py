@@ -1,6 +1,5 @@
 """Interval sampler tests: cadence, deltas, derived rates, writers."""
 
-import csv
 import json
 from types import SimpleNamespace
 
@@ -165,36 +164,6 @@ def test_jsonl_writer(tmp_path):
     assert lines[1]["core_ops"] == 7
     for col in IntervalSampler.columns():
         assert col in lines[0]
-
-
-def test_csv_writer(tmp_path):
-    path = write_intervals(str(tmp_path / "iv.csv"), _two_samples())
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
-    assert rows[0]["point"] == "p"
-    assert float(rows[1]["core_ops"]) == 7
-
-
-def test_csv_jsonl_field_parity(tmp_path):
-    """The CSV and JSONL writers must expose the same fields with the
-    same values for the same samples — one schema, two encodings."""
-    samples = _two_samples()
-    jsonl = write_intervals(str(tmp_path / "iv.jsonl"), samples)
-    csv_path = write_intervals(str(tmp_path / "iv.csv"), samples)
-    json_rows = [json.loads(line) for line in open(jsonl)]
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        csv_rows = list(reader)
-    assert header == ["point"] + IntervalSampler.columns()
-    for json_row, csv_row in zip(json_rows, csv_rows):
-        assert set(header) <= set(json_row)
-        for col in header:
-            if col == "point":
-                assert json_row[col] == csv_row[col]
-            else:
-                assert float(csv_row[col]) == pytest.approx(json_row[col])
 
 
 def test_interval_pillar_end_to_end():

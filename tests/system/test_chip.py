@@ -1,5 +1,7 @@
 """Tests for chip assembly and the phase-barrier run loop."""
 
+import tracemalloc
+
 import pytest
 
 from repro.system import Chip, make_config
@@ -52,6 +54,19 @@ class TestAssembly:
         with pytest.raises(ValueError):
             Chip(make_config("bulk", cols=2, rows=2, scale=32,
                              l3_interleave=64))
+
+    def test_paper_geometry_build_stays_small(self):
+        # Cache lines are built at their way's first fill and BRRIP
+        # sets of one seed share a generator: the 8x8 build traces
+        # ~11 MiB, against ~95 MiB when every slot held a line and
+        # every set owned a generator.
+        tracemalloc.start()
+        try:
+            Chip(make_config("sf", core="ooo8", cols=8, rows=8, scale=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
 
 
 class TestBarriers:
