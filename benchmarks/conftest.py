@@ -19,6 +19,8 @@ anywhere, and tier-1 items keep their own markers.
 Each benchmark writes its rendered report (measured values next to
 the paper's) under ``benchmarks/out/`` and prints it, so
 ``pytest benchmarks/ --benchmark-only -s`` reproduces every figure.
+``test_s5_pins.py`` is the exception: it builds its chips directly, so
+no cache can satisfy a pin, and it writes no report.
 """
 
 import os

@@ -43,20 +43,14 @@ import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 
-# S5 names that differ from the dispatched callable's __qualname__.
-# The pinned S5 baselines (BENCH_kernel.json) were recorded while the
-# sanitizer interposed on L3 transaction steps with a wrapper of its
-# own; hashing the bound method under that wrapper's name keeps every
-# pinned hash valid.
-S5_ALIASES = {"L3Bank._process": "Sanitizer.watch_l3.<locals>.process"}
-
-
 class S5Trace:
     """Rolling CRC32 over the (cycle, handler-name) dispatch stream.
 
     The one S5 hash: the sanitizer's ``trace_hash`` stat and the
     tests' divergence recorder (``tests/sim/divergence.py``) both feed
-    it from the kernel's ``dispatch`` probe.
+    it from the kernel's ``dispatch`` probe. Each callable hashes under
+    its own ``__qualname__``; ``tests/sim/golden_s5.json`` pins the
+    result on fourteen points (``tests/sim/s5_pins.py``).
     """
 
     __slots__ = ("crc", "events")
@@ -68,7 +62,6 @@ class S5Trace:
     def update(self, when: int, fn: Any) -> str:
         """Hash one dispatch; returns the name it was hashed under."""
         name = getattr(fn, "__qualname__", None) or type(fn).__name__
-        name = S5_ALIASES.get(name, name)
         self.crc = zlib.crc32(b"%d|%s" % (when, name.encode()), self.crc)
         self.events += 1
         return name

@@ -24,7 +24,6 @@ class CoreParams:
     lq: int  # load queue entries
     sq: int  # store queue + store buffer entries
     se_fifo_bytes: int  # SE_core stream FIFO capacity
-    out_of_order: bool
 
     def scaled(self, factor: int) -> "CoreParams":
         """Core queues and the SE FIFO are structural (they bound
@@ -34,15 +33,15 @@ class CoreParams:
 
 IO4 = CoreParams(
     name="io4", issue_width=4, window=10, lq=4, sq=10,
-    se_fifo_bytes=256, out_of_order=False,
+    se_fifo_bytes=256,
 )
 OOO4 = CoreParams(
     name="ooo4", issue_width=4, window=96, lq=24, sq=24,
-    se_fifo_bytes=1024, out_of_order=True,
+    se_fifo_bytes=1024,
 )
 OOO8 = CoreParams(
     name="ooo8", issue_width=8, window=224, lq=72, sq=56,
-    se_fifo_bytes=2048, out_of_order=True,
+    se_fifo_bytes=2048,
 )
 
 CORES = {"io4": IO4, "ooo4": OOO4, "ooo8": OOO8}

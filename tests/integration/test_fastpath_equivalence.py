@@ -14,8 +14,8 @@ architectural stats dict, key for key.
 The suite runs without the sanitizer (``no_sanitize``): fusion changes
 the *kernel event stream* (fused callbacks never enter the queue), so
 the S5 trace hash legitimately differs between the two — the hash is
-re-pinned deliberately in BENCH_kernel.json, while this suite proves
-the architectural results did not move.
+re-pinned deliberately in tests/sim/golden_s5.json, while this suite
+proves the architectural results did not move.
 """
 
 import pytest

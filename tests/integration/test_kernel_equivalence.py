@@ -9,7 +9,9 @@ point, a run on :class:`~repro.sim.kernel.Simulator` and a run with
 sanitizer determinism hash (the S5 CRC over every (cycle, event)
 pair), the same cycle count, and the same full stats dict. Any
 ordering divergence — a bucket consumed out of FIFO order, an overflow
-event migrating late — shows up here first.
+event migrating late — shows up here first. The calendar side's S5
+hash, trace events and cycles must also equal the pins in
+``tests/sim/golden_s5.json``.
 
 On a hash mismatch the suite does not stop at "CRCs differ": it runs
 the two-pass divergence localizer (tests/sim/divergence.py) and fails
@@ -25,6 +27,7 @@ from repro.system.configs import make_config
 from repro.workloads.base import build_programs
 from tests.sim.divergence import localize
 from tests.sim.heap_oracle import HeapOracle
+from tests.sim.s5_pins import observed, pinned, point_name
 
 POINTS = [
     ("mv", "sf"),        # affine streams, floating on
@@ -76,3 +79,4 @@ def test_backends_equivalent(monkeypatch, workload, config):
     assert cal["sanitizer.trace_events"] == heap["sanitizer.trace_events"]
     assert cal["chip.cycles"] == heap["chip.cycles"]
     assert cal == heap
+    assert observed(cal) == pinned(point_name(workload, config, **POINT))

@@ -10,7 +10,9 @@ kernel, on each oracle and on a kernel that is both, each with the
 sanitizer off and on, must agree on cycles, logical events and every stat outside
 ``sanitizer.*``. The sanitizer attaches after the chip is built, as
 the runner's ``sanitize`` parameter attaches it, so the matrix also
-shows that a late attachment observes the same run.
+shows that a late attachment observes the same run. The sanitized
+shipping run's S5 hash, trace events and cycles must equal the pins in
+``tests/sim/golden_s5.json``.
 """
 
 import pytest
@@ -21,6 +23,7 @@ from repro.sim.sanitizer import Sanitizer
 from repro.system.configs import make_config
 from repro.workloads.base import build_programs
 from tests.sim.heap_oracle import HeapOracle
+from tests.sim.s5_pins import observed, pinned, point_name
 from tests.sim.unfused_oracle import UnfusedOracle
 
 
@@ -45,9 +48,11 @@ def _run(monkeypatch, kernel, sanitize, workload, config, scale):
         Sanitizer(chip.sim)
     result = chip.run(build_programs(workload, chip.num_cores, scale=scale,
                                      seed=0))
-    stats = {name: value for name, value in chip.stats.to_dict().items()
+    all_stats = chip.stats.to_dict()
+    stats = {name: value for name, value in all_stats.items()
              if not name.startswith("sanitizer.")}
-    return result.cycles, chip.sim.events_executed, stats
+    s5 = observed(all_stats) if sanitize else None
+    return result.cycles, chip.sim.events_executed, stats, s5
 
 
 @pytest.mark.no_sanitize
@@ -58,8 +63,10 @@ def test_every_mode_runs_the_same_model(monkeypatch, workload, config, scale):
                                           workload, config, scale)
         for kernel in KERNELS for sanitize in (False, True)
     }
-    cycles, events, stats = runs[("Simulator", False)]
+    cycles, events, stats, _ = runs[("Simulator", False)]
     for mode, run in runs.items():
         assert run[0] == cycles, mode
         assert run[1] == events, mode
         assert run[2] == stats, mode
+    assert runs[("Simulator", True)][3] == pinned(
+        point_name(workload, config, 2, 2, scale))

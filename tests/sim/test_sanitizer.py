@@ -8,6 +8,7 @@ determinism trace (including across ``--jobs`` worker fan-out).
 """
 
 import json
+import zlib
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.harness.runner import (
     run_once,
 )
 from repro.sim import Simulator
-from repro.sim.sanitizer import SanitizerError
+from repro.sim.sanitizer import S5Trace, SanitizerError
 from tests.mem.conftest import MiniHierarchy
 
 BASE = 0x20_0000
@@ -131,6 +132,15 @@ def test_second_writer_detected_at_delivery():
 # ----------------------------------------------------------------------
 # S5: determinism trace
 # ----------------------------------------------------------------------
+def test_s5_hashes_each_callable_under_its_own_qualname():
+    from repro.mem.l3 import L3Bank
+
+    trace = S5Trace()
+    assert trace.update(317, L3Bank._process) == "L3Bank._process"
+    assert trace.crc == zlib.crc32(b"%d|L3Bank._process" % 317)
+    assert trace.events == 1
+
+
 def test_trace_hash_reproducible_across_runs():
     a = clean_hierarchy().sim.sanitizer
     b = clean_hierarchy().sim.sanitizer

@@ -21,7 +21,7 @@ class TestTable3Defaults:
         assert p.replacement == "brrip"
 
     def test_core_presets(self):
-        assert IO4.issue_width == 4 and not IO4.out_of_order
+        assert IO4.issue_width == 4 and IO4.window == 10 and IO4.lq == 4
         assert OOO4.window == 96 and OOO4.lq == 24
         assert OOO8.issue_width == 8 and OOO8.window == 224 and OOO8.lq == 72
         assert IO4.se_fifo_bytes == 256

@@ -1,13 +1,15 @@
 """The prose documents name only source files and CLI flags that exist.
 
 DESIGN.md, README.md and EXPERIMENTS.md point readers at modules,
-tests and scripts by path. A path that names no file sends a reader
-looking for code that is not there, so every one must resolve: paths
-under ``repro/`` against ``src/``, the others against the repository
-root. Likewise every ``--flag`` of a ``python -m repro.harness`` or
-``python -m repro.obs <run|diff|attribute>`` command they show must be
-one that command's ``--help`` lists. PAPER.md is the supplied paper
-text and is not checked.
+tests and scripts by path, and so do the CI workflow and the verify
+skill's recipe. A path that names no file sends a reader looking for
+code that is not there, and a CI step that runs one fails, so every
+one must resolve: paths under ``repro/`` against ``src/``, the others
+against the repository root. Likewise every ``--flag`` of a
+``python -m repro.harness`` or ``python -m repro.obs
+<run|diff|attribute>`` command the three documents show must be one
+that command's ``--help`` lists. PAPER.md is the supplied paper text
+and is not checked.
 """
 
 import contextlib
@@ -19,12 +21,13 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS = ("DESIGN.md", "README.md", "EXPERIMENTS.md")
+PATH_DOCS = DOCS + (".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md")
 PATH = re.compile(r"(?:src/)?(?:repro|tests|benchmarks|bench)/[\w/]+\.py")
 
 
 def test_docs_name_only_files_that_exist():
     checked, missing = 0, []
-    for doc in DOCS:
+    for doc in PATH_DOCS:
         with open(os.path.join(ROOT, doc), encoding="utf-8") as f:
             paths = set(PATH.findall(f.read()))
         for path in sorted(paths):
