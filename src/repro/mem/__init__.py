@@ -15,7 +15,6 @@ from repro.mem.l1 import L1Cache, L1Request
 from repro.mem.l2 import L2AccessResult, L2Cache, L2Request
 from repro.mem.l3 import L3Bank
 from repro.mem.mshr import MshrEntry, MshrFile
-from repro.mem.replacement import BrripPolicy, LruPolicy, make_policy
 from repro.mem.tlb import Tlb
 
 __all__ = [
@@ -42,8 +41,5 @@ __all__ = [
     "L3Bank",
     "MshrFile",
     "MshrEntry",
-    "BrripPolicy",
-    "LruPolicy",
-    "make_policy",
     "Tlb",
 ]

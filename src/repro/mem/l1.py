@@ -102,7 +102,6 @@ class L1Cache:
                 self._issue_prefetch(pf_addr, req.op_id)
         if hit:
             self._c_hits[0] += req.count
-            line.uses += req.count
             if req.is_write:
                 line.dirty = True
             if req.floating and self.l2.se_l2 is not None:
@@ -194,9 +193,7 @@ class L1Cache:
             # the response latency window; don't fill the L1 then.
             if not result.uncached and l2_line is not None:
                 line, evicted = self.array.fill(
-                    base, SHARED, now=self.sim.now,
-                    prefetched=entry.is_prefetch_only,
-                    stream_id=stream_id,
+                    base, SHARED, stream_id=stream_id,
                     avoid=self._avoid_inflight,
                 )
                 line.writable = writable
@@ -263,7 +260,6 @@ class L1Cache:
             if line is not None and (not req.is_write or line.writable):
                 # The line arrived while the request was parked.
                 self.stats.add("l1.hits", req.count)
-                line.uses += req.count
                 if req.is_write:
                     line.dirty = True
                 if req.on_done is not None:

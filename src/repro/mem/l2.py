@@ -227,7 +227,6 @@ class L2Cache:
             if req.on_done is not None:
                 entry.waiters.append(req)
             entry.meta["stream_id"] = req.stream_id
-            entry.meta["prefetch"] = req.prefetch
             entry.meta["upgrade"] = upgrade
             entry.meta["req_flits"] = 0
             op = "GetX" if req.is_write else "GetS"
@@ -312,8 +311,7 @@ class L2Cache:
         state = msg.grant or SHARED
         meta = entry.meta
         line, evicted = self.array.fill(
-            base, state, now=self.sim.now,
-            prefetched=meta["prefetch"] if "prefetch" in meta else False,
+            base, state,
             stream_id=meta["stream_id"] if "stream_id" in meta else None,
             fill_flits=resp_flits,
             fill_flits_ctrl=meta["req_flits"] if "req_flits" in meta else 0,

@@ -444,9 +444,7 @@ class L3Bank:
             if dirty:
                 self.array.lookup(base, touch=False).dirty = True
             return
-        line, evicted = self.array.fill(
-            base, SHARED, now=self.sim.now, avoid=self._blocked,
-        )
+        line, evicted = self.array.fill(base, SHARED, avoid=self._blocked)
         line.dirty = dirty
         if evicted is None:
             return

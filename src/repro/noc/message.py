@@ -16,7 +16,6 @@ and thus fewer flits.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 HEADER_BITS = 64
@@ -28,8 +27,6 @@ STREAM = "stream"  # stream config / migrate / end / credit messages
 
 TRAFFIC_CLASSES = (CTRL, DATA, STREAM)
 
-_packet_ids = itertools.count()
-
 
 class Packet:
     """One NoC packet.
@@ -39,8 +36,7 @@ class Packet:
     message object, opaque to the network.
     """
 
-    __slots__ = ("src", "dst", "kind", "payload_bits", "dst_port",
-                 "body", "pid")
+    __slots__ = ("src", "dst", "kind", "payload_bits", "dst_port", "body")
 
     def __init__(
         self,
@@ -50,7 +46,6 @@ class Packet:
         payload_bits: int,
         dst_port: str,
         body: Any = None,
-        pid: int = None,
     ) -> None:
         if kind not in TRAFFIC_CLASSES:
             raise ValueError(f"unknown traffic class {kind!r}")
@@ -62,14 +57,12 @@ class Packet:
         self.payload_bits = payload_bits
         self.dst_port = dst_port
         self.body = body
-        self.pid = next(_packet_ids) if pid is None else pid
 
     def __repr__(self) -> str:
         return (
             f"Packet(src={self.src}, dst={self.dst}, kind={self.kind!r}, "
             f"payload_bits={self.payload_bits}, "
-            f"dst_port={self.dst_port!r}, body={self.body!r}, "
-            f"pid={self.pid})"
+            f"dst_port={self.dst_port!r}, body={self.body!r})"
         )
 
     def flits(self, link_bits: int) -> int:

@@ -269,8 +269,7 @@ class SpanCollector:
         if len(self.noc_events) >= self.max_noc_events:
             self.noc_dropped += 1
             return
-        # Flow ids number the point's arrows in send order; packet ids
-        # come from a process-wide counter and depend on earlier runs.
+        # Flow ids number the point's arrows in send order.
         self.noc_events.append({
             "src": packet.src, "dst": packet.dst, "port": packet.dst_port,
             "kind": packet.kind, "id": len(self.noc_events),

@@ -127,7 +127,9 @@ class Sanitizer:
         self._se_l2s: Dict[int, Any] = {}
         self._se_l3s: Dict[int, Any] = {}
         self._mshrs: List[Tuple[str, int, Any]] = []
-        # S3 packet conservation.
+        # S3 packet conservation: id(packet) -> (packet, injection
+        # cycle). The entry holds the packet, so its id cannot be
+        # reused while it is in flight.
         self._in_flight: Dict[int, Tuple[Any, int]] = {}
         self._injected = 0
         self._delivered = 0
@@ -201,7 +203,7 @@ class Sanitizer:
                     f"(bound {self.MSHR_AGE_BOUND})",
                     tile=tile, obj=mshr.outstanding()[:4],
                 )
-        for _pid, (pkt, injected_at) in self._in_flight.items():
+        for pkt, injected_at in self._in_flight.values():
             age = now - injected_at
             if age > self.NOC_AGE_BOUND:
                 self._fail(
@@ -214,7 +216,7 @@ class Sanitizer:
     # S3: NoC conservation (+ the S1 Inv excuse bookkeeping)
     # ------------------------------------------------------------------
     def _on_send(self, packet, when: int) -> None:
-        self._in_flight[packet.pid] = (packet, self.sim.now)
+        self._in_flight[id(packet)] = (packet, self.sim.now)
         self._injected += 1
         body = packet.body
         if getattr(body, "op", None) == "Inv":
@@ -222,7 +224,7 @@ class Sanitizer:
             self._invs[key] = self._invs.get(key, 0) + 1
 
     def _note_delivery(self, handler, pkt) -> None:
-        if self._in_flight.pop(pkt.pid, None) is None:
+        if self._in_flight.pop(id(pkt), None) is None:
             self._fail(
                 "S3", "packet delivered but never tracked as injected",
                 tile=pkt.dst, obj=pkt,

@@ -14,11 +14,10 @@ def make_cache(size=1024, ways=2, replacement="lru"):
 def test_miss_then_hit():
     c = make_cache()
     assert c.lookup(0x40) is None
-    line, evicted = c.fill(0x40, SHARED, now=5)
+    line, evicted = c.fill(0x40, SHARED)
     assert evicted is None
     assert line.addr == 0x40
     assert line.state == SHARED
-    assert line.fill_cycle == 5
     hit = c.lookup(0x7F)  # same line
     assert hit is line
 
@@ -47,14 +46,13 @@ def test_eviction_returns_victim_copy():
 
 def test_dirty_and_metadata_reset_on_fill():
     c = make_cache()
-    line, _ = c.fill(0x80, MODIFIED, prefetched=True, stream_id=7, fill_flits=3)
+    line, _ = c.fill(0x80, MODIFIED, stream_id=7, fill_flits=3)
     line.dirty = True
     line.uses = 5
     c.invalidate(0x80)
     line2, _ = c.fill(0x80, SHARED)
     assert line2.dirty is False
     assert line2.uses == 0
-    assert line2.prefetched is False
     assert line2.stream_id is None
     assert line2.fill_flits == 0
 
@@ -150,9 +148,8 @@ def _one_set_brrip(ways, pinned):
         c.fill(way * 64, SHARED)
     for way in range(pinned, ways):
         c.lookup(way * 64)
-    rrpv = c._policies[0]._rrpv
     for way in range(pinned):
-        rrpv[way] = 3
+        c._rrpv[way] = 3
     return c, {way * 64 for way in range(pinned)}
 
 

@@ -1,114 +1,225 @@
-"""Tests for LRU and Bimodal RRIP replacement."""
+"""Tests for LRU and Bimodal RRIP replacement.
+
+``CacheArray`` keeps replacement state flat, per array; the per-set
+policies in ``replacement_oracle.py`` are the reference it must match.
+"""
 
 import random
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.replacement import BrripPolicy, LruPolicy, make_policy
+from repro.mem import cache
+from repro.mem.cache import SHARED, CacheArray
+
+from .replacement_oracle import OracleArray
+
+
+def one_set(ways, replacement, seed=0):
+    """A one-set array: way w of a fresh array holds line w."""
+    return CacheArray(ways * 64, ways, replacement=replacement, seed=seed)
+
+
+def fill_ways(c, ways):
+    for way in range(ways):
+        c.fill(way * 64, SHARED)
 
 
 class TestLru:
     def test_prefers_invalid_ways(self):
-        lru = LruPolicy(4)
-        assert lru.victim([True, False, True, True]) == 1
+        c = one_set(4, "lru")
+        fill_ways(c, 4)
+        c.invalidate(64)
+        way, line = c.pick_victim(4 * 64)
+        assert way == 1 and not line.valid
 
     def test_evicts_least_recent(self):
-        lru = LruPolicy(4)
-        for way in range(4):
-            lru.on_fill(way)
-        lru.on_hit(0)  # 1 now oldest
-        assert lru.victim([True] * 4) == 1
+        c = one_set(4, "lru")
+        fill_ways(c, 4)
+        c.lookup(0)  # way 1 is now the oldest
+        _, evicted = c.fill(4 * 64, SHARED)
+        assert evicted.addr == 64
 
     def test_hit_refreshes(self):
-        lru = LruPolicy(2)
-        lru.on_fill(0)
-        lru.on_fill(1)
-        lru.on_hit(0)
-        assert lru.victim([True, True]) == 1
+        c = one_set(2, "lru")
+        fill_ways(c, 2)
+        c.lookup(0)
+        c.lookup(64)
+        c.lookup(0)
+        assert c.pick_victim(2 * 64)[1].addr == 64
+
+    def test_lookup_without_touch_keeps_order(self):
+        c = one_set(2, "lru")
+        fill_ways(c, 2)
+        c.lookup(0, touch=False)
+        assert c.pick_victim(2 * 64)[1].addr == 0
 
 
 class TestBrrip:
     def test_prefers_invalid_ways(self):
-        pol = BrripPolicy(4)
-        assert pol.victim([True, True, False, True]) == 2
+        c = one_set(4, "brrip")
+        fill_ways(c, 4)
+        c.invalidate(2 * 64)
+        way, line = c.pick_victim(4 * 64)
+        assert way == 2 and not line.valid
 
-    def test_distant_insertion_is_default_victim(self):
+    def test_distant_insertion_is_default_victim(self, monkeypatch):
         # With p=0 every fill is distant (RRPV 3) and evictable at once.
-        pol = BrripPolicy(2, p=0.0)
-        pol.on_fill(0)
-        pol.on_fill(1)
-        pol.on_hit(0)
-        assert pol.victim([True, True]) == 1
+        monkeypatch.setattr(cache, "BRRIP_P", 0.0)
+        c = one_set(2, "brrip")
+        fill_ways(c, 2)
+        assert list(c._rrpv) == [3, 3]
+        c.lookup(0)
+        assert c.pick_victim(2 * 64)[0] == 1
+
+    def test_long_insertion_with_p_one(self, monkeypatch):
+        monkeypatch.setattr(cache, "BRRIP_P", 1.0)
+        c = one_set(2, "brrip")
+        fill_ways(c, 2)
+        assert list(c._rrpv) == [2, 2]
+        # Aging makes both 3; way 0 is picked first deterministically.
+        assert c.pick_victim(2 * 64)[0] == 0
+        assert list(c._rrpv) == [3, 3]
 
     def test_hit_protects_line(self):
-        pol = BrripPolicy(2, p=0.0)
-        pol.on_fill(0)
-        pol.on_fill(1)
-        pol.on_hit(0)
-        pol.on_hit(1)
-        # Both protected: aging must still find a victim.
-        victim = pol.victim([True, True])
-        assert victim in (0, 1)
+        c = one_set(2, "brrip")
+        fill_ways(c, 2)
+        c.lookup(64)
+        assert c._rrpv[1] == 0
+        assert c.pick_victim(2 * 64)[0] == 0
 
-    def test_long_insertion_with_p_one(self):
-        pol = BrripPolicy(2, p=1.0)
-        pol.on_fill(0)  # RRPV 2
-        pol.on_fill(1)  # RRPV 2
-        # Aging makes both 3; way 0 picked first deterministically.
-        assert pol.victim([True, True]) == 0
+    def test_aging_picks_lowest_oldest_way(self):
+        c = one_set(4, "brrip")
+        fill_ways(c, 4)
+        for way in range(4):
+            c.lookup(way * 64)
+        c._rrpv[0] = 0
+        c._rrpv[1] = 1
+        c._rrpv[2] = 2
+        c._rrpv[3] = 2
+        # Every way ages by one until the two RRPV-2 ways read 3.
+        assert c.pick_victim(4 * 64)[0] == 2
+        assert list(c._rrpv) == [1, 2, 3, 3]
 
     def test_deterministic_given_seed(self):
-        a = BrripPolicy(8, p=0.5, seed=42)
-        b = BrripPolicy(8, p=0.5, seed=42)
-        for way in range(8):
-            a.on_fill(way)
-            b.on_fill(way)
+        a = one_set(8, "brrip", seed=42)
+        b = one_set(8, "brrip", seed=42)
+        for c in (a, b):
+            for n in range(64):
+                c.fill(n * 64, SHARED)
         assert a._rrpv == b._rrpv
 
-    def test_nth_fill_reads_nth_value_of_its_seed(self):
-        # Policies with one seed share their draws; each must still
-        # insert exactly as a private random.Random(seed) would, in any
-        # interleaving and whenever it was built.
-        p = 0.5
-        seeds = [90_001, 90_001, 90_002, 90_001]
-        pols = [BrripPolicy(1, p=p, seed=seed) for seed in seeds]
-        inserted = [[] for _ in seeds]
+    def test_nth_fill_reads_nth_value_of_its_seed(self, monkeypatch):
+        # Arrays with one seed share their draws; each set must still
+        # insert exactly as a private random.Random(seed + set) would,
+        # in any interleaving and whenever its array was built.
+        monkeypatch.setattr(cache, "BRRIP_P", 0.5)
+        seeds = [90_001, 90_001, 90_002, 90_000]
+        arrays = [CacheArray(2 * 64, 1, replacement="brrip", seed=seed)
+                  for seed in seeds]
+        inserted = {}
 
         def fill(order):
-            for i in order:
-                pols[i].on_fill(0)
-                inserted[i].append(pols[i]._rrpv[0])
+            for i, set_idx in order:
+                c = arrays[i]
+                addr = set_idx * 64
+                if c.contains(addr):
+                    c.invalidate(addr)
+                c.fill(addr, SHARED)
+                inserted.setdefault((i, set_idx), []).append(c._rrpv[set_idx])
 
-        fill((0, 0, 0, 1, 2, 0, 3, 1, 2, 2, 0, 1, 3, 3, 3))
-        # One more policy of the first seed, built after the others
-        # have drawn from it.
+        fill(((0, 0), (0, 0), (0, 1), (1, 0), (2, 0), (0, 0), (3, 1),
+              (1, 1), (2, 1), (2, 0), (0, 0), (1, 0), (3, 0), (3, 1)))
+        # One more array of the first seed, built after the others have
+        # drawn from it.
         seeds.append(90_001)
-        pols.append(BrripPolicy(1, p=p, seed=90_001))
-        inserted.append([])
-        fill((4, 4, 0, 4, 1, 4, 4, 4, 4))
-        for seed, rrpvs in zip(seeds, inserted):
-            rng = random.Random(seed)
-            assert rrpvs == [2 if rng.random() < p else 3 for _ in rrpvs]
-        assert {2, 3} <= set(inserted[0])  # both insertions occurred
+        arrays.append(CacheArray(2 * 64, 1, replacement="brrip", seed=90_001))
+        fill(((4, 0), (4, 1), (0, 0), (4, 0), (1, 1), (4, 1), (4, 0),
+              (4, 0), (4, 1)))
+        for (i, set_idx), rrpvs in inserted.items():
+            rng = random.Random(seeds[i] + set_idx)
+            assert rrpvs == [2 if rng.random() < 0.5 else 3 for _ in rrpvs]
+        assert {2, 3} <= set(inserted[(0, 0)])  # both insertions occurred
 
     @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=200))
     def test_victim_always_valid_way(self, hits):
-        pol = BrripPolicy(8, p=0.03, seed=1)
-        for way in range(8):
-            pol.on_fill(way)
+        c = one_set(8, "brrip", seed=1)
+        fill_ways(c, 8)
         for way in hits:
-            pol.on_hit(way)
-        assert 0 <= pol.victim([True] * 8) < 8
+            c.lookup(way * 64)
+        way, line = c.pick_victim(8 * 64)
+        assert 0 <= way < 8 and line.valid
 
 
-def test_factory():
-    assert isinstance(make_policy("lru", 4), LruPolicy)
-    assert isinstance(make_policy("brrip", 4), BrripPolicy)
+def test_unknown_policy_rejected():
+    with pytest.raises(ValueError, match="unknown replacement policy"):
+        CacheArray(1024, 2, replacement="plru")
 
 
-def test_factory_rejects_unknown():
-    import pytest
+# ----------------------------------------------------------------------
+# the flat state against the per-set reference
+# ----------------------------------------------------------------------
+SETS = 2
 
-    with pytest.raises(ValueError):
-        make_policy("plru", 4)
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["fill", "fill", "lookup", "peek", "invalidate", "pick"]),
+        st.integers(min_value=0, max_value=63),  # line number
+        st.frozensets(st.integers(min_value=0, max_value=63), max_size=8),  # pinned
+    ),
+    min_size=10,
+    max_size=150,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    replacement=st.sampled_from(["lru", "brrip"]),
+    ways=st.sampled_from([1, 2, 4, 8, 16]),
+    seed=st.integers(min_value=0, max_value=1000),
+    extra=st.integers(min_value=1, max_value=32),
+    ops=_ops,
+)
+def test_flat_state_matches_per_set_policies(replacement, ways, seed, extra, ops):
+    """Every victim and every evicted address equals the reference's
+    under a random mix of fills, touching and non-touching lookups,
+    invalidations and victim picks with random pinned sets, over
+    ``extra`` more lines than the array holds."""
+    size = SETS * ways * 64
+    lines = SETS * ways + extra
+    flat = CacheArray(size, ways, replacement=replacement, seed=seed)
+    ref = OracleArray(size, ways, replacement, seed=seed)
+    for op, n, pins in ops:
+        addr = (n % lines) * 64
+        pinned = {(k % lines) * 64 for k in pins}
+        avoid = pinned.__contains__ if pinned else None
+        if op == "fill":
+            if flat.contains(addr):
+                continue
+            try:
+                _, evicted = flat.fill(addr, SHARED, avoid=avoid)
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    ref.fill(addr, avoid=avoid)
+                continue
+            assert (None if evicted is None else evicted.addr) == \
+                ref.fill(addr, avoid=avoid)
+        elif op in ("lookup", "peek"):
+            line = flat.lookup(addr, touch=op == "lookup")
+            assert (None if line is None else line.addr) == \
+                ref.lookup(addr, touch=op == "lookup")
+        elif op == "invalidate":
+            dropped = flat.invalidate(addr)
+            assert (None if dropped is None else dropped.addr) == \
+                ref.invalidate(addr)
+        else:
+            try:
+                way, line = flat.pick_victim(addr, avoid=avoid)
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    ref.pick_victim(addr, avoid=avoid)
+                continue
+            assert (way, line.addr if line.valid else None) == \
+                ref.pick_victim(addr, avoid=avoid)
+    assert sorted(ln.addr for ln in flat.all_lines()) == sorted(ref._where)

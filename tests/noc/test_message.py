@@ -31,12 +31,6 @@ def test_payload_helpers():
     assert control_payload_bits(6) == 48
 
 
-def test_packet_ids_unique():
-    a = Packet(src=0, dst=1, kind=CTRL, payload_bits=0, dst_port="x")
-    b = Packet(src=0, dst=1, kind=CTRL, payload_bits=0, dst_port="x")
-    assert a.pid != b.pid
-
-
 def test_minimum_one_flit():
     pkt = Packet(src=0, dst=1, kind=CTRL, payload_bits=0, dst_port="x")
     assert pkt.flits(4096) == 1

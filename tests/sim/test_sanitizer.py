@@ -103,11 +103,25 @@ def test_rogue_l2_line_fails_directory_check():
 
     hier = clean_hierarchy()
     # Forge an L2 line the home directory knows nothing about.
-    hier.l2s[3].array.fill(0x77_0000, MODIFIED, now=hier.sim.now)
+    hier.l2s[3].array.fill(0x77_0000, MODIFIED)
     with pytest.raises(SanitizerError) as exc:
         hier.sim.sanitizer.final_check()
     assert exc.value.check == "S1"
     assert exc.value.tile == 3
+
+
+def test_untracked_delivery_detected():
+    from repro.noc.message import CTRL, Packet
+
+    hier = clean_hierarchy()
+    # A packet reaches an endpoint without ever having been sent.
+    pkt = Packet(src=0, dst=2, kind=CTRL, payload_bits=0, dst_port="l2")
+    with pytest.raises(SanitizerError) as exc:
+        hier.sim.probes.noc_deliver(hier.l2s[2].handle, pkt)
+    assert exc.value.check == "S3"
+    assert exc.value.tile == 2
+    assert exc.value.obj is pkt
+    assert "never tracked as injected" in str(exc.value)
 
 
 def test_second_writer_detected_at_delivery():
@@ -121,7 +135,7 @@ def test_second_writer_detected_at_delivery():
     assert hier.l2s[1].array.lookup(base, touch=False).state == MODIFIED
     # A second M copy appears out of thin air: the next coherence
     # delivery touching that line must trip S1.
-    hier.l2s[2].array.fill(base, MODIFIED, now=hier.sim.now)
+    hier.l2s[2].array.fill(base, MODIFIED)
     hier.read(3, base, results)
     with pytest.raises(SanitizerError) as exc:
         hier.run()

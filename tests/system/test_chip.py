@@ -21,6 +21,25 @@ def compute_phase(iters, ops_per_iter=4):
     ]))
 
 
+def paper_geometry_build_peak(scale):
+    """Peak traced memory (bytes) of building an 8x8 chip at ``scale``.
+
+    Cache lines are built at their way's first fill, and a cache's
+    replacement state is one RRPV or stamp array, not an object per
+    set: the build traces ~4.8 MiB at scale 4 and ~14.4 MiB at the
+    paper's full capacities (scale 1), against ~11.1 and ~40.5 MiB
+    with a policy object per set, and ~95 MiB (scale 4) when every
+    slot also held a line.
+    """
+    tracemalloc.start()
+    try:
+        Chip(make_config("sf", core="ooo8", cols=8, rows=8, scale=scale))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestAssembly:
     def test_every_tile_fully_built(self):
         chip = make_chip("sf")
@@ -56,17 +75,10 @@ class TestAssembly:
                              l3_interleave=64))
 
     def test_paper_geometry_build_stays_small(self):
-        # Cache lines are built at their way's first fill and BRRIP
-        # sets of one seed share a generator: the 8x8 build traces
-        # ~11 MiB, against ~95 MiB when every slot held a line and
-        # every set owned a generator.
-        tracemalloc.start()
-        try:
-            Chip(make_config("sf", core="ooo8", cols=8, rows=8, scale=4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 30 * 2**20
+        assert paper_geometry_build_peak(4) < 8 * 2**20
+
+    def test_full_capacity_build_stays_small(self):
+        assert paper_geometry_build_peak(1) < 20 * 2**20
 
 
 class TestBarriers:
