@@ -83,7 +83,7 @@ class Core:
         # Fallback stream positions when there is no SE (Base systems).
         self._fallback_pos: Dict[int, int] = {}
         self._fallback_specs: Dict[int, object] = {}
-        # sid -> (chunk start, address list) vectorized via addresses().
+        # sid -> (chunk start, address list) batched via addresses().
         self._fallback_buf: Dict[int, tuple] = {}
         self._peeked: Optional[Iteration] = None
         self._phase_sids: List[int] = []
@@ -225,14 +225,15 @@ class Core:
         else:
             raise ValueError(f"unknown op {op!r}")
 
-    FALLBACK_ADDR_CHUNK = 64  # elements per vectorized addresses() batch
+    FALLBACK_ADDR_CHUNK = 64  # elements per addresses() batch
 
     def _fallback_addr(self, sid: int) -> int:
         """Lower a stream op to its current address without an SE.
 
         Lowered stream ops walk the pattern strictly sequentially, so
-        affine address generation is vectorized: one ``addresses()``
-        batch per chunk instead of a mixed-radix ``address()`` per op.
+        affine address generation is batched: one closed-form
+        ``addresses()`` call per chunk instead of a mixed-radix
+        ``address()`` per op.
         """
         pos = self._fallback_pos.get(sid, 0)
         self._fallback_pos[sid] = pos + 1
@@ -242,8 +243,7 @@ class Core:
             pattern = self._fallback_specs[sid].pattern
             count = min(self.FALLBACK_ADDR_CHUNK, len(pattern) - pos)
             if count > 1 and isinstance(pattern, AffinePattern):
-                chunk = pattern.addresses(pos, count)
-                buf = chunk.tolist() if hasattr(chunk, "tolist") else chunk
+                buf = pattern.addresses(pos, count)
             else:
                 buf = [pattern.address(pos)]
             self._fallback_buf[sid] = (pos, buf)

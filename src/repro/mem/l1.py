@@ -133,7 +133,6 @@ class L1Cache:
         merged = self.mshr.lookup(base)
         if merged is not None:
             merged.is_write = merged.is_write or req.is_write
-            merged.is_prefetch_only = merged.is_prefetch_only and req.prefetch
             merged.waiters.append(req)
         elif self.mshr.full:
             if req.prefetch:
@@ -143,7 +142,6 @@ class L1Cache:
         else:
             entry = self.mshr.allocate(base, self.sim.now)
             entry.is_write = req.is_write
-            entry.is_prefetch_only = req.prefetch
             entry.waiters.append(req)
             l2_req = L2Request(
                 addr=base,

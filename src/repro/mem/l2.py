@@ -205,7 +205,6 @@ class L2Cache:
         if merged is not None:
             via = "merge"
             merged.is_write = merged.is_write or req.is_write
-            merged.is_prefetch_only = merged.is_prefetch_only and req.prefetch
             if req.on_done is not None:
                 merged.waiters.append(req)
         elif self.mshr.full:
@@ -223,7 +222,6 @@ class L2Cache:
         else:
             entry = self.mshr.allocate(base, self.sim.now)
             entry.is_write = req.is_write
-            entry.is_prefetch_only = req.prefetch
             if req.on_done is not None:
                 entry.waiters.append(req)
             entry.meta["stream_id"] = req.stream_id

@@ -21,10 +21,9 @@ class MshrEntry:
 
     __slots__ = (
         "addr", "issued_cycle", "waiters",
-        # Arbitrary controller state (e.g. whether any merged request
-        # was a demand access vs. only prefetches, or needs write
-        # permission).
-        "is_write", "is_prefetch_only", "meta",
+        # Controller state: whether any merged request needs write
+        # permission, plus arbitrary per-controller ``meta``.
+        "is_write", "meta",
     )
 
     def __init__(self, addr: int, issued_cycle: int) -> None:
@@ -32,14 +31,12 @@ class MshrEntry:
         self.issued_cycle = issued_cycle
         self.waiters: List[Callable[[Any], None]] = []
         self.is_write = False
-        self.is_prefetch_only = True
         self.meta: dict = {}
 
     def __repr__(self) -> str:  # debugging / sanitizer reports
         return (
             f"MshrEntry(addr={self.addr:#x}, issued={self.issued_cycle}, "
-            f"waiters={len(self.waiters)}, is_write={self.is_write}, "
-            f"is_prefetch_only={self.is_prefetch_only})"
+            f"waiters={len(self.waiters)}, is_write={self.is_write})"
         )
 
 

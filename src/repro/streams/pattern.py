@@ -24,11 +24,6 @@ from typing import List, Sequence, Tuple
 
 from repro.mem.addr import LINE_SIZE, line_addr
 
-try:  # optional vectorized element generation (no hard dependency)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 
 @dataclass(frozen=True)
 class AffinePattern:
@@ -76,30 +71,35 @@ class AffinePattern:
         len1 = lengths[1]
         return addr + (idx % len1) * strides[1] + (idx // len1) * strides[2]
 
-    def addresses(self, start: int, count: int):
+    def addresses(self, start: int, count: int) -> List[int]:
         """Addresses of elements ``start .. start+count-1`` (flat order).
 
-        Returns a numpy int64 array when numpy is available, else a
-        list — either way indexable and iterable. The vectorized path
-        computes the mixed-radix decomposition closed-form instead of
-        one :meth:`address` call per element.
+        Closed form, with no :meth:`address` call per element: one
+        ``range`` for a 1-level pattern, one mixed-radix comprehension
+        for 2 or 3 levels.
         """
         if count < 0 or not 0 <= start <= self._size - count:
             raise IndexError(
                 f"elements [{start}, {start + count}) out of range "
                 f"({self._size})"
             )
-        if _np is None:
-            return [self.address(start + i) for i in range(count)]
-        idx = _np.arange(start, start + count, dtype=_np.int64)
+        base = self.base
         strides = self.strides
-        lengths = self.lengths
-        addr = idx * 0 + self.base
-        for level, stride in enumerate(strides[:-1]):
-            addr += (idx % lengths[level]) * stride
-            idx //= lengths[level]
-        addr += idx * strides[-1]
-        return addr
+        stop = start + count
+        strd0 = strides[0]
+        if len(strides) == 1:
+            if strd0 == 0:
+                return [base] * count
+            return list(range(base + start * strd0, base + stop * strd0, strd0))
+        len0 = self.lengths[0]
+        strd1 = strides[1]
+        if len(strides) == 2:
+            return [base + i % len0 * strd0 + i // len0 * strd1
+                    for i in range(start, stop)]
+        len1 = self.lengths[1]
+        strd2 = strides[2]
+        return [base + i % len0 * strd0 + i // len0 % len1 * strd1
+                + i // len0 // len1 * strd2 for i in range(start, stop)]
 
     def line_run_length(self, idx: int, limit: int) -> int:
         """How many consecutive elements starting at ``idx`` sit on
@@ -150,7 +150,7 @@ class AffinePattern:
         seen: List[int] = []
         last = None
         for addr in self.addresses(0, len(self)):
-            line = line_addr(int(addr))
+            line = line_addr(addr)
             if line != last and line not in seen:
                 seen.append(line)
             last = line

@@ -64,7 +64,7 @@ class CoreStream:
     # walks into ``len(pattern)`` on every access — hot in _pump).
     sid: int = field(init=False, default=0)
     length: int = field(init=False, default=0)
-    # Vectorized store-address buffer: ``addresses()`` chunk covering
+    # Batched store-address buffer: ``addresses()`` chunk covering
     # [addr_buf_start, addr_buf_start + len(addr_buf)).
     addr_buf: list = field(init=False, default_factory=list)
     addr_buf_start: int = field(init=False, default=-1)
@@ -531,14 +531,14 @@ class SECore:
             if stream.next_issue <= idx:
                 self._pump(stream)
 
-    ADDR_CHUNK = 64  # elements per vectorized addresses() batch
+    ADDR_CHUNK = 64  # elements per addresses() batch
 
     def store_next(self, sid: int) -> int:
         """stream_store: generate the next store address and advance.
 
         Store streams walk their pattern strictly sequentially, so the
-        address generation is vectorized: one ``addresses()`` batch
-        per :data:`ADDR_CHUNK` elements instead of one mixed-radix
+        address generation is batched: one closed-form ``addresses()``
+        call per :data:`ADDR_CHUNK` elements instead of one mixed-radix
         ``address()`` computation per store.
         """
         stream = self.streams[sid]
@@ -551,8 +551,7 @@ class SECore:
             pattern = stream.spec.pattern
             count = min(self.ADDR_CHUNK, stream.length - idx)
             if count > 1 and isinstance(pattern, AffinePattern):
-                chunk = pattern.addresses(idx, count)
-                buf = chunk.tolist() if hasattr(chunk, "tolist") else chunk
+                buf = pattern.addresses(idx, count)
             else:
                 buf = [pattern.address(idx)]
             stream.addr_buf = buf

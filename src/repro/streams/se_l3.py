@@ -85,6 +85,11 @@ class L3Stream:
     cached_addr: int = field(init=False, default=0)
     cached_bank: int = field(init=False, default=-1)
     prev_page: int = field(init=False, default=-1)
+    # Out of credits at its home bank: nothing to do until a Credit
+    # arrives, so the issue unit skips it (set by _issue_one and
+    # _actionable, cleared by _credit). Credits only land through
+    # scheduled packets, never in the middle of a pump.
+    parked: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         self.length = self.spec.length
@@ -333,11 +338,12 @@ class SEL3:
             stream = streams[key]
             rr.append(key)
             scanned += 1
-            if self._issue_one(stream):
+            if not stream.parked and self._issue_one(stream):
                 issued += 1
                 scanned = 0  # progress resets the idle scan
         for k in rr:
-            if k in streams and self._actionable(streams[k]):
+            if k in streams and not streams[k].parked \
+                    and self._actionable(streams[k]):
                 self._pump_armed = True
                 self.sim.schedule(self.PUMP_INTERVAL, self._pump)
                 break
@@ -363,7 +369,10 @@ class SEL3:
         _addr, bank = self._stream_addr_bank(stream)
         if bank != self.tile:
             return True  # must migrate (with or without credits)
-        return stream.credits > 0 and self._group_ready(stream)
+        if stream.credits <= 0:
+            stream.parked = True
+            return False
+        return self._group_ready(stream)
 
     def _group_ready(self, stream: L3Stream) -> bool:
         """Confluence delay: members ahead of the group's frontier
@@ -386,7 +395,10 @@ class SEL3:
             # routed to (or are already waiting at) the next bank.
             self._migrate(stream, addr)
             return False
-        if stream.credits <= 0 or not self._group_ready(stream):
+        if stream.credits <= 0:
+            stream.parked = True
+            return False
+        if not self._group_ready(stream):
             return False
         # Translate unit: affine streams only touch the TLB at page
         # boundaries (SS IV-E). ``prev_page`` carries the page of
@@ -601,6 +613,7 @@ class SEL3:
         stream = self.streams.get(key)
         if stream is not None and stream.epoch == body.epoch:
             stream.credits += body.count
+            stream.parked = False
             self.stats.add("se_l3.credits_received")
             self._arm_pump()
             return

@@ -21,9 +21,8 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Type
-
-import numpy as np
 
 from repro.mem.addr import PAGE_SIZE
 from repro.workloads.kernel import CoreProgram
@@ -77,8 +76,16 @@ class Workload:
             raise ValueError("scale must be positive")
         self.num_cores = num_cores
         self.scale = scale
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
         self.layout = Layout()
+
+    @cached_property
+    def rng(self):
+        """numpy generator of random inputs, built from ``seed`` on
+        first read, so a workload that draws none never imports numpy."""
+        import numpy as np
+
+        return np.random.default_rng(self.seed)
 
     def build(self) -> Dict[int, CoreProgram]:
         """Programs for every core (same phase count everywhere)."""

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.streams.isa import StreamSpec
 from repro.streams.pattern import AffinePattern, IndirectPattern
 from repro.workloads.base import Workload, WorkloadMeta, register
@@ -43,6 +41,8 @@ class Bfs(Workload):
         return nodes, edges
 
     def _build(self) -> Dict[int, CoreProgram]:
+        import numpy as np
+
         nodes, edges = self._dims()
         edge_dst = self.rng.integers(0, nodes, edges, dtype=np.int64)
         edge_base = self.layout.alloc("edge_dst", edges * 4)

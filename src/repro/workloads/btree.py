@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.streams.isa import StreamSpec
 from repro.streams.pattern import AffinePattern
 from repro.workloads.base import Workload, WorkloadMeta, register
@@ -41,6 +39,8 @@ class BPlusTree(Workload):
         return leaves, lookups, queries
 
     def _build(self) -> Dict[int, CoreProgram]:
+        import numpy as np
+
         leaves, lookups, queries = self._dims()
         leaf_bytes = leaves * LEAF_ENTRY_BYTES
         leaf_base = self.layout.alloc("leaves", leaf_bytes)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.streams.isa import StreamSpec
 from repro.streams.pattern import AffinePattern, IndirectPattern
 from repro.workloads.base import Workload, WorkloadMeta, register
@@ -36,6 +34,8 @@ class Cfd(Workload):
         return max(2048, 193536 // (self.scale * 2))
 
     def _build(self) -> Dict[int, CoreProgram]:
+        import numpy as np
+
         cells = self._cells()
         # Mesh connectivity is mostly local: neighbours near the cell.
         base_ids = np.repeat(np.arange(cells, dtype=np.int64), NEIGHBORS)

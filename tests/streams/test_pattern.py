@@ -2,10 +2,31 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from repro.mem.addr import line_addr
 from repro.streams.pattern import AffinePattern, IndirectPattern
+
+# Positive, negative and zero strides over 1-, 2- and 3-level patterns.
+_strides = st.one_of(st.just(0), st.integers(-300, -1), st.integers(1, 300))
+affine_patterns = st.integers(1, 3).flatmap(lambda levels: st.builds(
+    AffinePattern,
+    base=st.integers(2**20, 2**32),
+    strides=st.tuples(*[_strides] * levels),
+    lengths=st.tuples(*[st.integers(1, 9)] * levels),
+    elem_size=st.sampled_from([1, 4, 8, 64]),
+))
+
+
+def walk_line_run(pat, idx, limit):
+    """``line_run_length`` one ``address()`` call per element."""
+    limit = min(limit, len(pat) - idx)
+    line = line_addr(pat.address(idx))
+    count = 1
+    while count < limit and line_addr(pat.address(idx + count)) == line:
+        count += 1
+    return count
 
 
 class TestAffine:
@@ -82,6 +103,27 @@ class TestAffine:
         addrs = {pat.address(i) for i in range(len(pat))}
         expected = {j + 1000 * i for i in range(outer) for j in range(inner)}
         assert addrs == expected
+
+    @given(affine_patterns, st.data())
+    def test_addresses_match_address(self, pat, data):
+        start = data.draw(st.integers(0, len(pat)))
+        count = data.draw(st.integers(0, len(pat) - start))
+        addrs = pat.addresses(start, count)
+        assert type(addrs) is list
+        assert all(type(addr) is int for addr in addrs)
+        assert addrs == [pat.address(i) for i in range(start, start + count)]
+
+    @given(affine_patterns, st.integers(-12, 800), st.integers(-4, 800))
+    def test_addresses_out_of_range_rejected(self, pat, start, count):
+        assume(count < 0 or start < 0 or start + count > len(pat))
+        with pytest.raises(IndexError):
+            pat.addresses(start, count)
+
+    @given(affine_patterns, st.data())
+    def test_line_run_length_matches_walk(self, pat, data):
+        idx = data.draw(st.integers(0, len(pat) - 1))
+        limit = data.draw(st.integers(1, len(pat) + 4))
+        assert pat.line_run_length(idx, limit) == walk_line_run(pat, idx, limit)
 
 
 class TestIndirect:

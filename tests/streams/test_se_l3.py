@@ -1,6 +1,8 @@
 """Unit tests for the L3 stream engine (SE_L3): issue, migration,
 confluence, indirect chaining, credit forwarding."""
 
+from collections import Counter
+
 from repro.streams.isa import StreamSpec
 from repro.streams.messages import Credit, EndStream, FloatConfig
 from repro.streams.pattern import AffinePattern
@@ -47,6 +49,53 @@ class TestIssue:
         rig.run()
         # Exactly the granted elements were issued.
         assert rig.stats["se_l3.elements_issued"] == 3
+
+
+class TestParking:
+    def test_zero_credit_stream_parks_until_its_credit(self, rig):
+        """A stream out of credits at its home bank costs the issue
+        unit one call, which parks it; the pump then skips it until a
+        Credit arrives, and the credit buys exactly its elements."""
+        bank = rig.nuca.bank_of(BASE)
+        se3 = rig.se_l3s[bank]
+        calls = Counter()
+        issue_one = se3._issue_one
+
+        def counted(stream):
+            calls[stream.spec.sid] += 1
+            return issue_one(stream)
+
+        se3._issue_one = counted
+        # Three zero-credit streams, each repeating one line of BASE's
+        # bank chunk, then one credited stream cycling over the chunk's
+        # four lines, which keeps the pump running.
+        for sid in (1, 2, 3):
+            se3._configure(StreamSpec(sid=sid, pattern=AffinePattern(
+                base=BASE + 64 * sid, strides=(0,), lengths=(64,),
+                elem_size=64,
+            )), [], requester=0, start_idx=0, credits=0)
+        se3._configure(StreamSpec(sid=0, pattern=AffinePattern(
+            base=BASE, strides=(64, 0), lengths=(4, 64), elem_size=64,
+        )), [], requester=0, start_idx=0, credits=256)
+        rig.sim.run(until=rig.sim.now + 200)
+        assert calls[0] > 100
+        for sid in (1, 2, 3):
+            assert calls[sid] == 1
+            assert se3.streams[(0, sid)].parked
+
+        credit = Credit(requester=0, sid=1, count=5)
+        rig.net.send(Packet(
+            src=0, dst=bank, kind=STREAM, payload_bits=credit.bits(),
+            dst_port="se_l3", body=credit,
+        ))
+        rig.run()
+        woken = se3.streams[(0, 1)]
+        assert woken.next_idx == 5
+        assert woken.credits == 0
+        assert woken.parked
+        for sid in (2, 3):
+            assert calls[sid] == 1
+            assert se3.streams[(0, sid)].next_idx == 0
 
 
 class TestMigration:

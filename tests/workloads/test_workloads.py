@@ -1,6 +1,10 @@
 """Tests for the workload layer: every benchmark builds coherent
 stream programs whose addresses stay within their allocations."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.workloads import ALL_WORKLOADS, build_programs, get_workload
@@ -172,3 +176,31 @@ class TestIndirectWorkloads:
         it = next(phase.iterations())
         gathers = [op for op in it.ops if op[0] == "sload" and op[1] == 1]
         assert len(gathers) == 4
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "src")
+
+NUMPY_PROBE = """
+import sys
+from repro.system import Chip, make_config
+from repro.workloads import build_programs
+chip = Chip(make_config("sf", core="ooo8", cols=2, rows=2, scale=64))
+chip.run(build_programs("mv", chip.num_cores, scale=64, seed=0))
+if "numpy" in sys.modules:
+    sys.exit("building and running mv loaded numpy")
+build_programs("bfs", chip.num_cores, scale=64, seed=0)
+if "numpy" not in sys.modules:
+    sys.exit("bfs built its edge list without numpy")
+"""
+
+
+def test_numpy_loads_only_for_workloads_that_draw_from_it():
+    # A fresh interpreter: this one has numpy loaded by other tests.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
