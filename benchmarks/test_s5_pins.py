@@ -7,8 +7,11 @@ times, each on a fresh chip:
   cycles must equal ``tests/sim/golden_s5.json`` exactly, because
   determinism is not a tolerance band;
 - timed, with no sanitizer or profiler attached: logical events must
-  equal the pin, and logical events per second must be at least 80%
-  of ``EVENTS_PER_S``;
+  equal the pin, and logical events per second, scaled to the
+  reference host speed by ``bench/hostspeed.py``, must be at least
+  80% of ``EVENTS_PER_S``. Raw wall-clock events/s measures the host
+  as much as the code: on a slow shared host unmodified code read up
+  to a third below these baselines;
 - under cProfile: Python calls per logical event, counted per code
   object, must be at most 115% of the pin. The count moves slightly
   with what the process ran before (the BRRIP generators are shared
@@ -17,17 +20,19 @@ times, each on a fresh chip:
 A point with no pin fails. CI's ``bench-smoke`` job runs this file.
 """
 
-import time
-
 import pytest
 
+from bench.hostspeed import HostSpeed
 from tests.sim.s5_pins import FIGURE, build, calls_per_event, pinned, s5
 
 # Logical events per second of each figure point, measured on
 # 2026-08-09 when these points were first pinned, and carried over
-# unchanged. They are not host-scaled, so a faster host would set a
-# floor a slower CI runner cannot meet: the regenerator never rewrites
-# them.
+# unchanged. The test compares them with events/s at the reference
+# host speed (HostSpeed scales the run's host seconds by a probe timed
+# during the run), so a slow host does not fail them. A process that
+# shares the test's CPU still can: each probe pass runs inside one
+# scheduler slice and does not see the time the run loses. The
+# regenerator never rewrites them.
 EVENTS_PER_S = {
     "mv/sf@4x4s16": 107422,
     "mv/base@4x4s16": 89196,
@@ -49,13 +54,12 @@ def test_figure_point_is_pinned(name):
                         for key in ("trace_hash", "trace_events", "cycles")}
 
     chip, programs = build(name)
-    start = time.perf_counter()
-    chip.run(programs)
-    wall = time.perf_counter() - start
+    _, _, reference_s = HostSpeed().timed(chip.run, programs)
     events = chip.sim.events_executed
     assert events == pin["events"]
     floor = (1 - EVENTS_TOLERANCE) * EVENTS_PER_S[name]
-    assert events / wall >= floor, f"{events / wall:,.0f} events/s"
+    assert events / reference_s >= floor, (
+        f"{events / reference_s:,.0f} events/s at reference host speed")
 
     per_event, _ = calls_per_event(name)
     assert per_event <= (1 + CALLS_TOLERANCE) * pin["calls_per_event"]

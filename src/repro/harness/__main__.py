@@ -9,18 +9,21 @@ Examples::
     python -m repro.harness all --jobs 0                        # all CPUs
     python -m repro.harness fig13 --no-cache                    # force re-sim
 
-Independent simulation points fan out over ``--jobs`` worker
-processes (default: the ``REPRO_JOBS`` environment variable, else
-serial), and results persist in a content-addressed disk cache under
-``--cache-dir`` (default: ``REPRO_CACHE_DIR``, else
-``~/.cache/repro-stream-floating``) — a rerun of the same figure
-performs zero new simulations.  ``--sanitize`` runs every point under
-the invariant sanitizer; it is part of each point's parameters, so a
-sanitized run never reuses a record the sanitizer did not check.
-Per-point progress and the cache hit/miss summary go to stderr; report
-text goes to stdout, and is byte-identical whatever ``--jobs`` is.
-Telemetry is captured one point at a time with ``python -m repro.obs
-run``.
+``--cols``, ``--rows``, ``--scale``, ``--seed`` and ``--sanitize``
+are fields of every :class:`~repro.harness.runner.Point` a figure
+builds. A figure's points that are not in the in-process memo or the
+content-addressed disk cache under ``--cache-dir`` (default:
+``REPRO_CACHE_DIR``, else ``~/.cache/repro-stream-floating``) fan out
+over ``--jobs`` worker processes (default: the ``REPRO_JOBS``
+environment variable, else serial), so a rerun of the same figure
+performs zero new simulations. ``--sanitize`` is part of each point,
+so a sanitized run never reuses a record the sanitizer did not check.
+Per-point progress (named by ``Point.slug``) and the cache hit/miss
+summary go to stderr; report text goes to stdout, and is
+byte-identical whatever ``--jobs`` is. Each figure's footer counts
+memo hits (points an earlier figure of the same invocation ran), disk
+hits and simulations. Telemetry is captured one point at a time with
+``python -m repro.obs run``.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ import argparse
 import sys
 import time
 
-from repro.harness import experiments, parallel, report
+from repro.harness import experiments, report
 from repro.harness.cache import default_cache_dir
-from repro.harness.runner import COUNTERS, configure_disk_cache
+from repro.harness.runner import COUNTERS, configure_disk_cache, set_progress
 from repro.workloads import ALL_WORKLOADS
 
 FIGURES = ("fig2", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19")
@@ -72,13 +75,13 @@ def main(argv=None) -> int:
     configure_disk_cache(
         None if args.no_cache else (args.cache_dir or default_cache_dir())
     )
-    parallel.set_progress(lambda line: print(line, file=sys.stderr))
+    set_progress(lambda line: print(line, file=sys.stderr))
     try:
         return _run(args)
     finally:
         # main() is also called in-process by tests: restore the
         # module-global cache/progress configuration on the way out.
-        parallel.set_progress(None)
+        set_progress(None)
         configure_disk_cache(None)
 
 

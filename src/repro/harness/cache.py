@@ -1,14 +1,14 @@
 """Content-addressed on-disk cache of simulation results.
 
-Every experiment point is a pure function of its *complete* run
-parameters (workload, config, core, geometry, link width, interleave,
-**seed**) plus the simulator code itself.  :class:`RunCache` stores one
-JSON file per point, keyed by a SHA-256 over the canonicalized
-parameters, a schema version and a fingerprint of the ``repro``
-package sources — so editing the simulator (or bumping the schema)
-invalidates every stale entry automatically, while re-running the same
-experiment in a later session costs a file read instead of a
-simulation.
+Every experiment point is a pure function of its
+:class:`~repro.harness.runner.Point` (workload, config, core, geometry,
+link width, interleave, **seed**, telemetry pillars, sanitizer) plus
+the simulator code itself. :class:`RunCache` stores one JSON file per
+point, keyed by a SHA-256 over ``dataclasses.asdict(point)``, a schema
+version and a fingerprint of the ``repro`` package sources, so editing
+the simulator (or bumping the schema) invalidates every stale entry
+automatically, while re-running the same experiment in a later session
+costs a file read instead of a simulation.
 
 Robustness rules:
 
@@ -17,11 +17,12 @@ Robustness rules:
 * entries written by a different code fingerprint or schema are stale
   and ignored;
 * writes are atomic (temp file + ``os.replace``), so concurrent
-  processes — e.g. a ``--jobs N`` pool or two CLI invocations — can
-  share one cache directory safely.
+  processes — e.g. two CLI invocations — can share one cache directory
+  safely.
 
 Only an entry point (the CLI, the benchmark suite) turns the cache on,
-via :func:`repro.harness.runner.configure_disk_cache`; the CLI's
+via :func:`repro.harness.runner.configure_disk_cache`, and only
+:func:`repro.harness.runner.run_points` reads or fills it; the CLI's
 ``--cache-dir`` defaults to ``$REPRO_CACHE_DIR``, else
 ``~/.cache/repro-stream-floating``.
 """
@@ -32,7 +33,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict
 from typing import Any, Dict, Optional
 
 CACHE_SCHEMA = 1
@@ -83,67 +84,46 @@ def params_digest(params: Dict[str, Any], fingerprint: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@dataclass
-class CacheCounters:
-    """Hit/miss accounting surfaced in the progress output."""
-
-    hits: int = 0
-    misses: int = 0
-    stale: int = 0  # schema/fingerprint mismatch (counted in misses too)
-    errors: int = 0  # unreadable/corrupt files (counted in misses too)
-    stores: int = 0
-
-
 class RunCache:
     """A directory of ``<sha256>.json`` run records."""
 
     def __init__(self, root: str, fingerprint: Optional[str] = None) -> None:
         self.root = root
         self.fingerprint = fingerprint or code_fingerprint()
-        self.counters = CacheCounters()
 
-    def path_for(self, params: Dict[str, Any]) -> str:
+    def path_for(self, point) -> str:
         return os.path.join(
-            self.root, params_digest(params, self.fingerprint) + ".json"
+            self.root, params_digest(asdict(point), self.fingerprint) + ".json"
         )
 
-    def get(self, params: Dict[str, Any]):
-        """The cached :class:`~repro.harness.runner.RunRecord` for
-        ``params``, or ``None`` on any kind of miss."""
+    def get(self, point):
+        """The cached :class:`~repro.harness.runner.RunRecord` of
+        ``point``, or ``None`` on any kind of miss."""
         from repro.harness.runner import RunRecord
 
-        path = self.path_for(params)
         try:
-            with open(path, "r") as fh:
+            with open(self.path_for(point), "r") as fh:
                 payload = json.load(fh)
             if (
                 payload.get("schema") != CACHE_SCHEMA
                 or payload.get("fingerprint") != self.fingerprint
             ):
-                self.counters.stale += 1
-                self.counters.misses += 1
                 return None
-            record = RunRecord.from_dict(payload["record"])
-        except FileNotFoundError:
-            self.counters.misses += 1
-            return None
+            return RunRecord.from_dict(payload["record"])
         except (OSError, ValueError, KeyError, TypeError):
-            # Corrupt or truncated entries are misses, never fatal.
-            self.counters.errors += 1
-            self.counters.misses += 1
+            # Missing, corrupt or truncated entries are misses, never
+            # fatal.
             return None
-        self.counters.hits += 1
-        return record
 
-    def put(self, params: Dict[str, Any], record) -> None:
-        """Atomically persist ``record`` under ``params``' digest.
+    def put(self, record) -> None:
+        """Atomically persist ``record`` under its point's digest.
         Failures (read-only dir, disk full) are swallowed: the cache
         is an accelerator, not a correctness dependency."""
-        path = self.path_for(params)
+        path = self.path_for(record.point)
         payload = {
             "schema": CACHE_SCHEMA,
             "fingerprint": self.fingerprint,
-            "params": params,
+            "params": asdict(record.point),
             "record": record.to_dict(),
         }
         try:
@@ -160,13 +140,3 @@ class RunCache:
                 raise
         except OSError:
             return
-        self.counters.stores += 1
-
-    def __len__(self) -> int:
-        try:
-            return sum(
-                1 for name in os.listdir(self.root)
-                if name.endswith(".json") and not name.startswith(".")
-            )
-        except OSError:
-            return 0

@@ -5,20 +5,15 @@ returns a plain-data structure the report module renders. Every
 figure of the paper's evaluation has a function here; the pytest
 benchmarks under ``benchmarks/`` call them one-to-one.
 
-Every figure follows the same three-step shape:
-
-1. **enumerate** its independent ``(workload, config, core, geometry,
-   seed)`` points,
-2. **fan out** through :func:`~repro.harness.parallel.run_points`
-   (``jobs`` argument / ``REPRO_JOBS`` env; memo + disk cache), which
-   leaves every record in the runner's memo,
-3. **assemble** the figure from ``run_once`` calls, which are now all
-   cache hits.
-
-Because step 3 is the exact serial code path, a ``--jobs N`` run
-produces byte-identical reports to a serial one.  Figures that share
-points (e.g. Figure 13's SF rows feeding Figure 14) simulate them
-once per session — and, with the disk cache enabled, once ever.
+Every figure has the same shape: it maps each cell it needs to a
+:class:`~repro.harness.runner.Point` once, gets every record from one
+:func:`~repro.harness.runner.run_points` call (``jobs`` argument /
+``REPRO_JOBS`` env; memo + disk cache), and reads its cells from those
+records. The records do not depend on ``jobs``, so neither do the
+reports. Figures that share points (e.g. Figure 13's SF rows feeding
+Figure 14) simulate them once per session — and, with the disk cache
+enabled, once ever. ``**kw`` of every figure is further Point fields
+shared by all of its points (geometry, seed, sanitize).
 
 Defaults target the fast profile (4x4 mesh, capacity scale 16); pass
 ``cols/rows/scale`` for larger runs.
@@ -28,10 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.harness.parallel import run_points
-from repro.harness.runner import run_once
+from repro.harness.runner import Point, RunRecord, run_points
 from repro.noc.message import TRAFFIC_CLASSES
 from repro.workloads import ALL_WORKLOADS
 
@@ -49,6 +43,15 @@ def geomean(values: Sequence[float]) -> float:
     if not vals:
         return 0.0
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
+
+
+def _records(
+    points: Dict[Hashable, Point], jobs: Optional[int],
+) -> Dict[Hashable, RunRecord]:
+    """One ``run_points`` call for a figure's ``{cell: Point}`` map;
+    returns ``{cell: RunRecord}``."""
+    records = run_points(points.values(), jobs=jobs)
+    return {key: records[point] for key, point in points.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -72,15 +75,11 @@ def fig2_motivation(
     **kw,
 ) -> List[Fig2Row]:
     """Figure 2a/2b: run Base and classify L2 evictions/traffic."""
-    run_points(
-        [dict(workload=wl, config="base", core=core, **kw)
-         for wl in workloads],
-        jobs=jobs,
-    )
+    recs = _records(
+        {wl: Point(wl, "base", core=core, **kw) for wl in workloads}, jobs)
     rows = []
     for wl in workloads:
-        rec = run_once(wl, "base", core=core, **kw)
-        s = rec.stats
+        s = recs[wl].stats
         evictions = s["l2.evictions"]
         noreuse = s["l2.evictions_noreuse"]
         stream = s["l2.evictions_noreuse_stream"]
@@ -120,21 +119,21 @@ def fig13_speedup(
     **kw,
 ) -> Dict[str, Dict[str, Dict[str, Fig13Cell]]]:
     """{core: {workload: {config: Fig13Cell}}} vs the same-core Base."""
-    run_points(
-        [dict(workload=wl, config=cfg, core=core, **kw)
+    recs = _records(
+        {(core, wl, cfg): Point(wl, cfg, core=core, **kw)
          for core in cores
          for wl in workloads
-         for cfg in ("base",) + tuple(configs)],
-        jobs=jobs,
+         for cfg in ("base",) + tuple(configs)},
+        jobs,
     )
     out: Dict[str, Dict[str, Dict[str, Fig13Cell]]] = {}
     for core in cores:
         out[core] = {}
         for wl in workloads:
-            base = run_once(wl, "base", core=core, **kw)
+            base = recs[core, wl, "base"]
             cells = {}
             for cfg in configs:
-                rec = run_once(wl, cfg, core=core, **kw)
+                rec = recs[core, wl, cfg]
                 cells[cfg] = Fig13Cell(
                     speedup=base.cycles / rec.cycles if rec.cycles else 0.0,
                     energy_eff=(
@@ -160,14 +159,11 @@ def fig14_requests(
     **kw,
 ) -> Dict[str, Dict[str, float]]:
     """{workload: {source: fraction of all L3 requests}} for SF."""
-    run_points(
-        [dict(workload=wl, config="sf", core=core, **kw)
-         for wl in workloads],
-        jobs=jobs,
-    )
+    recs = _records(
+        {wl: Point(wl, "sf", core=core, **kw) for wl in workloads}, jobs)
     out = {}
     for wl in workloads:
-        rec = run_once(wl, "sf", core=core, **kw)
+        rec = recs[wl]
         counts = {
             src: rec.stats.get(f"l3.requests_by_source.{src}")
             for src in FIG14_SOURCES
@@ -208,18 +204,17 @@ def fig15_traffic(
     jobs: Optional[int] = None,
     **kw,
 ) -> List[Fig15Row]:
-    run_points(
-        [dict(workload=wl, config=cfg, core=core, **kw)
+    recs = _records(
+        {(wl, cfg): Point(wl, cfg, core=core, **kw)
          for wl in workloads
-         for cfg in ("base",) + tuple(configs)],
-        jobs=jobs,
+         for cfg in ("base",) + tuple(configs)},
+        jobs,
     )
     rows = []
     for wl in workloads:
-        base = run_once(wl, "base", core=core, **kw)
-        base_total = base.flit_hops or 1.0
+        base_total = recs[wl, "base"].flit_hops or 1.0
         for cfg in ("base",) + tuple(configs):
-            rec = run_once(wl, cfg, core=core, **kw)
+            rec = recs[wl, cfg]
             td = rec.traffic_breakdown()
             rows.append(Fig15Row(
                 workload=wl, config=cfg,
@@ -246,25 +241,20 @@ def fig16_linkwidth(
     **kw,
 ) -> Dict[str, Dict[Tuple[str, int], float]]:
     """{workload: {(config, width): speedup vs bingo at 128-bit}}."""
-    run_points(
-        [dict(workload=wl, config="bingo", core=core, link_bits=128, **kw)
-         for wl in workloads]
-        + [dict(workload=wl, config=cfg, core=core, link_bits=width, **kw)
-           for wl in workloads
-           for cfg in ("bingo", "sf")
-           for width in widths],
-        jobs=jobs,
+    grid = [(cfg, width) for cfg in ("bingo", "sf") for width in widths]
+    recs = _records(
+        {(wl, cfg, width): Point(wl, cfg, core=core, link_bits=width, **kw)
+         for wl in workloads
+         for cfg, width in [("bingo", 128)] + grid},
+        jobs,
     )
     out = {}
     for wl in workloads:
-        ref = run_once(wl, "bingo", core=core, link_bits=128, **kw)
+        ref = recs[wl, "bingo", 128]
         cells = {}
-        for cfg in ("bingo", "sf"):
-            for width in widths:
-                rec = run_once(wl, cfg, core=core, link_bits=width, **kw)
-                cells[(cfg, width)] = (
-                    ref.cycles / rec.cycles if rec.cycles else 0.0
-                )
+        for cfg, width in grid:
+            rec = recs[wl, cfg, width]
+            cells[(cfg, width)] = ref.cycles / rec.cycles if rec.cycles else 0.0
         out[wl] = cells
     return out
 
@@ -284,25 +274,20 @@ def fig17_interleave(
     **kw,
 ) -> Dict[str, Dict[Tuple[str, int], float]]:
     """{workload: {(config, interleave): speedup vs bingo at 64B}}."""
-    run_points(
-        [dict(workload=wl, config="bingo", core=core, l3_interleave=64, **kw)
-         for wl in workloads]
-        + [dict(workload=wl, config=cfg, core=core, l3_interleave=gran, **kw)
-           for wl in workloads
-           for cfg in ("bingo", "sf")
-           for gran in granularities],
-        jobs=jobs,
+    grid = [(cfg, gran) for cfg in ("bingo", "sf") for gran in granularities]
+    recs = _records(
+        {(wl, cfg, gran): Point(wl, cfg, core=core, l3_interleave=gran, **kw)
+         for wl in workloads
+         for cfg, gran in [("bingo", 64)] + grid},
+        jobs,
     )
     out = {}
     for wl in workloads:
-        ref = run_once(wl, "bingo", core=core, l3_interleave=64, **kw)
+        ref = recs[wl, "bingo", 64]
         cells = {}
-        for cfg in ("bingo", "sf"):
-            for gran in granularities:
-                rec = run_once(wl, cfg, core=core, l3_interleave=gran, **kw)
-                cells[(cfg, gran)] = (
-                    ref.cycles / rec.cycles if rec.cycles else 0.0
-                )
+        for cfg, gran in grid:
+            rec = recs[wl, cfg, gran]
+            cells[(cfg, gran)] = ref.cycles / rec.cycles if rec.cycles else 0.0
         out[wl] = cells
     return out
 
@@ -330,23 +315,20 @@ def fig18_scaling(
     """SF speedup over SS across mesh sizes (weak scaling: the
     workload scale shrinks as cores grow, keeping per-core work
     comparable, as in the paper's fixed-size strong-scaling spirit)."""
-    run_points(
-        [dict(workload=wl, config=cfg, core=core, cols=cols, rows=rows,
-              scale=scale, **kw)
+    recs = _records(
+        {(wl, (cols, rows), cfg): Point(wl, cfg, core=core, cols=cols,
+                                        rows=rows, scale=scale, **kw)
          for wl in workloads
          for cols, rows in meshes
-         for cfg in ("ss", "sf")],
-        jobs=jobs,
+         for cfg in ("ss", "sf")},
+        jobs,
     )
     out = {}
     for wl in workloads:
         cells = {}
-        for cols, rows in meshes:
-            ss = run_once(wl, "ss", core=core, cols=cols, rows=rows,
-                          scale=scale, **kw)
-            sf = run_once(wl, "sf", core=core, cols=cols, rows=rows,
-                          scale=scale, **kw)
-            cells[(cols, rows)] = Fig18Cell(
+        for mesh in meshes:
+            ss, sf = recs[wl, mesh, "ss"], recs[wl, mesh, "sf"]
+            cells[mesh] = Fig18Cell(
                 sf_over_ss=ss.cycles / sf.cycles if sf.cycles else 0.0,
                 l2_hit_rate=ss.l2_hit_rate(),
                 l3_hit_rate=ss.l3_hit_rate(),
@@ -388,17 +370,17 @@ def fig_policy_ablation(
     """Float-policy ablation: each config's speedup over SS plus the
     policy activity counters (floats / sinks / revocations / plan
     machinery) that explain it."""
-    run_points(
-        [dict(workload=wl, config=cfg, core=core, **kw)
+    recs = _records(
+        {(wl, cfg): Point(wl, cfg, core=core, **kw)
          for wl in workloads
-         for cfg in ("ss",) + tuple(configs)],
-        jobs=jobs,
+         for cfg in ("ss",) + tuple(configs)},
+        jobs,
     )
     rows = []
     for wl in workloads:
-        base = run_once(wl, "ss", core=core, **kw)
+        base = recs[wl, "ss"]
         for cfg in configs:
-            rec = run_once(wl, cfg, core=core, **kw)
+            rec = recs[wl, cfg]
             s = rec.stats
             rows.append(PolicyRow(
                 workload=wl, config=cfg,
@@ -440,17 +422,17 @@ def fig_latency_attribution(
     column can be read against *which wait buckets emptied* — floated
     configs should move cycles out of the NoC/DRAM-wait buckets on
     the stream-heavy workloads."""
-    run_points(
-        [dict(workload=wl, config=cfg, core=core, obs="attribution", **kw)
+    recs = _records(
+        {(wl, cfg): Point(wl, cfg, core=core, obs="attribution", **kw)
          for wl in workloads
-         for cfg in configs],
-        jobs=jobs,
+         for cfg in configs},
+        jobs,
     )
     rows = []
     for wl in workloads:
-        base = run_once(wl, configs[0], core=core, obs="attribution", **kw)
+        base = recs[wl, configs[0]]
         for cfg in configs:
-            rec = run_once(wl, cfg, core=core, obs="attribution", **kw)
+            rec = recs[wl, cfg]
             tel = rec.telemetry or {}
             rows.append(AttributionRow(
                 workload=wl, config=cfg, cycles=rec.cycles,
@@ -486,23 +468,22 @@ def fig19_energy_scatter(
     jobs: Optional[int] = None,
     **kw,
 ) -> List[Fig19Point]:
-    run_points(
-        [dict(workload=wl, config="base", core="io4", **kw)
-         for wl in workloads]
-        + [dict(workload=wl, config=cfg, core=core, **kw)
-           for core in cores
-           for cfg in configs
-           for wl in workloads],
-        jobs=jobs,
+    # Every cell is normalized to the IO4 Base run of its workload.
+    systems = [("io4", "base")] + [
+        (core, cfg) for core in cores for cfg in configs]
+    recs = _records(
+        {(core, cfg, wl): Point(wl, cfg, core=core, **kw)
+         for core, cfg in systems
+         for wl in workloads},
+        jobs,
     )
     points = []
-    refs = {wl: run_once(wl, "base", core="io4", **kw) for wl in workloads}
     for core in cores:
         for cfg in configs:
             speedups, energies = [], []
             for wl in workloads:
-                rec = run_once(wl, cfg, core=core, **kw)
-                ref = refs[wl]
+                rec = recs[core, cfg, wl]
+                ref = recs["io4", "base", wl]
                 if rec.cycles and ref.cycles:
                     speedups.append(ref.cycles / rec.cycles)
                 if rec.energy.total and ref.energy.total:

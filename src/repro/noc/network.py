@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from repro.noc.message import TRAFFIC_CLASSES, Packet
+from repro.noc.message import Packet
 from repro.noc.topology import Link, Mesh
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
@@ -330,12 +330,3 @@ class Network:
         cells[0][0] += 1
         cells[1][0] += flits
         cells[2][0] += flits * hops
-
-    def utilization(self, cycles: int) -> float:
-        """Average link utilization: flit-hops / (links x cycles)."""
-        if cycles <= 0:
-            return 0.0
-        flit_hops = sum(
-            self.stats.get(f"noc.flit_hops.{kind}") for kind in TRAFFIC_CLASSES
-        )
-        return flit_hops / (self.mesh.num_links * cycles)

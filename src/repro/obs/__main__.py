@@ -23,6 +23,7 @@ Quick start::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -39,6 +40,18 @@ def _add_point_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--link-bits", type=int, default=256)
     parser.add_argument("--l3-interleave", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _point(args: argparse.Namespace, **kw):
+    """The :class:`~repro.harness.runner.Point` the point arguments
+    name."""
+    from repro.harness.runner import Point
+
+    return Point(
+        args.workload, args.config, core=args.core, cols=args.cols,
+        rows=args.rows, scale=args.scale, link_bits=args.link_bits,
+        l3_interleave=args.l3_interleave, seed=args.seed, **kw,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,18 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.harness.runner import run_params, simulate
-    from repro.obs.export import point_slug, write_point_dir
+    from repro.harness.runner import simulate
+    from repro.obs.export import write_point_dir
     from repro.obs.telemetry import DEFAULT_INTERVAL, TelemetryConfig
 
-    params = run_params(
-        args.workload, args.config, core=args.core, cols=args.cols,
-        rows=args.rows, scale=args.scale, link_bits=args.link_bits,
-        l3_interleave=args.l3_interleave, seed=args.seed,
-    )
-    record, tel = simulate(params, TelemetryConfig.parse(
+    point = _point(args)
+    record, tel = simulate(point, TelemetryConfig.parse(
         args.telemetry, args.interval or DEFAULT_INTERVAL))
-    write_point_dir(tel, point_slug(params), args.out)
+    write_point_dir(tel, point.slug, args.out)
     record_path = os.path.join(args.out, "record.json")
     with open(record_path, "w", encoding="utf-8") as fh:
         json.dump(record.to_dict(), fh, indent=1, sort_keys=True)
@@ -129,15 +138,10 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_attribute(args: argparse.Namespace) -> int:
-    from repro.harness.runner import run_once
+    from repro.harness.runner import simulate
     from repro.obs.report import render_attribution
 
-    record = run_once(
-        workload=args.workload, config=args.config, core=args.core,
-        cols=args.cols, rows=args.rows, scale=args.scale,
-        link_bits=args.link_bits, l3_interleave=args.l3_interleave,
-        seed=args.seed, obs="attribution,spans", use_cache=False,
-    )
+    record, _ = simulate(_point(args, obs="attribution,spans"))
     markdown = render_attribution(record, top=args.top)
     if args.out:
         out_dir = os.path.dirname(args.out)
@@ -151,7 +155,7 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
     if args.json_out:
         tel = record.telemetry or {}
         payload = {
-            "point": record.params,
+            "point": dataclasses.asdict(record.point),
             "cycles": record.cycles,
             "attribution": {
                 name: value for name, value in sorted(tel.items())

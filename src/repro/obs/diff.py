@@ -136,10 +136,11 @@ def tile_matrix(record: RunRecord, kind: str) -> List[List[float]]:
     """``rows x cols`` matrix of one per-tile activity counter
     (``telemetry.tile.<t>.<kind>``); zeros where absent."""
     tel = record.telemetry or {}
-    matrix = [[0.0] * record.cols for _ in range(record.rows)]
-    for tile in range(record.rows * record.cols):
+    cols, rows = record.point.cols, record.point.rows
+    matrix = [[0.0] * cols for _ in range(rows)]
+    for tile in range(rows * cols):
         value = tel.get(f"tile.{tile}.{kind}", 0.0)
-        matrix[tile // record.cols][tile % record.cols] = float(value)
+        matrix[tile // cols][tile % cols] = float(value)
     return matrix
 
 
@@ -306,7 +307,8 @@ _INTERVAL_COLUMNS = (
 
 def diff_runs(a: RunArtifacts, b: RunArtifacts, k: int = 5) -> RunDiff:
     heatmaps: Dict[str, Dict[str, List[List[float]]]] = {}
-    if a.record.cols == b.record.cols and a.record.rows == b.record.rows:
+    pa, pb = a.record.point, b.record.point
+    if (pa.cols, pa.rows) == (pb.cols, pb.rows):
         for kind in tile_kinds(a.record, b.record):
             ma = tile_matrix(a.record, kind)
             mb = tile_matrix(b.record, kind)

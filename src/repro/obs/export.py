@@ -36,29 +36,6 @@ _TRACK_OF_KIND = {"mem": 0, "elem": 1, "stream": 2}
 _PH_ORDER = {"M": 0, "X": 1, "s": 2, "f": 3}
 
 
-def point_slug(params: Dict[str, Any]) -> str:
-    """Deterministic human-readable label for one simulation point:
-    it names every parameter that makes the point a distinct model run
-    (a default link width or interleave is left out)."""
-    parts = [
-        str(params.get("workload", "?")),
-        str(params.get("config", "?")),
-        str(params.get("core", "?")),
-        f"{params.get('cols', '?')}x{params.get('rows', '?')}",
-        f"s{params.get('scale', '?')}",
-    ]
-    link_bits = params.get("link_bits", 256)
-    if link_bits != 256:
-        parts.append(f"link{link_bits}")
-    interleave = params.get("l3_interleave")
-    if interleave is not None:
-        parts.append(f"ilv{interleave}")
-    seed = params.get("seed", 0)
-    if seed:
-        parts.append(f"seed{seed}")
-    return "-".join(parts)
-
-
 def _span_name(span: Span) -> str:
     if span.kind == "mem":
         tag = "pf" if span.meta.get("prefetch") else (

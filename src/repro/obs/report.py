@@ -246,9 +246,9 @@ def render_attribution(record, top: int = 10) -> str:
 
 
 def _point_line(record) -> str:
-    return (f"{record.workload}/{record.config} core={record.core} "
-            f"{record.cols}x{record.rows} scale={record.scale} "
-            f"seed={record.seed}")
+    p = record.point
+    return (f"{p.workload}/{p.config} core={p.core} "
+            f"{p.cols}x{p.rows} scale={p.scale} seed={p.seed}")
 
 
 def _grid_pair(*sides) -> List[str]:

@@ -1,9 +1,12 @@
 """Tests for the content-addressed on-disk run cache."""
 
+import dataclasses
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.energy.model import EnergyBreakdown
 from repro.harness.cache import (
@@ -14,10 +17,10 @@ from repro.harness.cache import (
     params_digest,
 )
 from repro.harness.runner import (
+    Point,
     RunRecord,
     clear_cache,
     run_once,
-    run_params,
 )
 from repro.sim.stats import Stats
 
@@ -31,13 +34,12 @@ def fresh_memo():
     clear_cache()
 
 
-def make_record(seed=0) -> RunRecord:
+def make_record(seed=0, point=None) -> RunRecord:
     stats = Stats()
     stats.add("l2.hits", 10)
     stats.add("noc.flit_hops.data", 5.5)
     return RunRecord(
-        workload="nn", config="sf", core="ooo8", cols=2, rows=2,
-        scale=64, link_bits=256, l3_interleave=None, seed=seed,
+        point=point or Point("nn", "sf", **KW, seed=seed),
         cycles=1234, stats=stats,
         energy=EnergyBreakdown(l2=3.0, noc=1.5, dram=7.25),
     )
@@ -74,12 +76,22 @@ def test_energy_from_dict_ignores_total():
 def test_runrecord_roundtrip():
     rec = make_record(seed=3)
     restored = RunRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
-    assert restored.key == rec.key
-    assert restored.seed == 3
+    assert restored.point == rec.point
+    assert restored.point.seed == 3
     assert restored.cycles == rec.cycles
     assert restored.stats.to_dict() == rec.stats.to_dict()
     assert restored.energy == rec.energy
     assert restored.flit_hops == rec.flit_hops
+
+
+def test_record_dict_is_flat_and_old_payloads_load():
+    """to_dict keeps the flat JSON of record.json and the disk cache;
+    a payload missing a field takes the Point default."""
+    payload = make_record().to_dict()
+    assert list(payload)[:11] == [f.name for f in dataclasses.fields(Point)]
+    for name in ("seed", "obs", "sanitize"):
+        del payload[name]
+    assert RunRecord.from_dict(payload).point == Point("nn", "sf", **KW)
 
 
 def test_real_run_roundtrips_exactly():
@@ -97,13 +109,13 @@ def test_real_run_roundtrips_exactly():
 
 def test_digest_includes_seed():
     fp = code_fingerprint()
-    a = params_digest(run_params("nn", "base", seed=0), fp)
-    b = params_digest(run_params("nn", "base", seed=1), fp)
+    a = params_digest(dataclasses.asdict(Point("nn", "base", seed=0)), fp)
+    b = params_digest(dataclasses.asdict(Point("nn", "base", seed=1)), fp)
     assert a != b
 
 
 def test_digest_includes_fingerprint():
-    params = run_params("nn", "base")
+    params = dataclasses.asdict(Point("nn", "base"))
     assert params_digest(params, "aaa") != params_digest(params, "bbb")
 
 
@@ -124,74 +136,120 @@ def test_default_cache_dir_env_override(monkeypatch, tmp_path):
 def test_put_get_roundtrip(tmp_path):
     cache = RunCache(str(tmp_path))
     rec = make_record()
-    cache.put(rec.params, rec)
-    assert len(cache) == 1
-    got = cache.get(rec.params)
+    cache.put(rec)
+    assert len(os.listdir(tmp_path)) == 1
+    got = cache.get(rec.point)
     assert got is not None
-    assert got.key == rec.key
+    assert got.point == rec.point
     assert got.stats.to_dict() == rec.stats.to_dict()
-    assert cache.counters.stores == 1
-    assert cache.counters.hits == 1
 
 
 def test_seed_distinguishes_disk_entries(tmp_path):
     cache = RunCache(str(tmp_path))
     a, b = make_record(seed=0), make_record(seed=1)
-    cache.put(a.params, a)
-    cache.put(b.params, b)
-    assert len(cache) == 2
-    assert cache.get(a.params).seed == 0
-    assert cache.get(b.params).seed == 1
+    cache.put(a)
+    cache.put(b)
+    assert len(os.listdir(tmp_path)) == 2
+    assert cache.get(a.point).point.seed == 0
+    assert cache.get(b.point).point.seed == 1
 
 
 def test_missing_entry_is_a_miss(tmp_path):
     cache = RunCache(str(tmp_path))
-    assert cache.get(make_record().params) is None
-    assert cache.counters.misses == 1
-    assert cache.counters.errors == 0
+    assert cache.get(make_record().point) is None
+    assert os.listdir(tmp_path) == []
 
 
 def test_corrupt_file_is_ignored_not_fatal(tmp_path):
     cache = RunCache(str(tmp_path))
     rec = make_record()
-    cache.put(rec.params, rec)
-    with open(cache.path_for(rec.params), "w") as fh:
+    cache.put(rec)
+    with open(cache.path_for(rec.point), "w") as fh:
         fh.write("{ not json")
-    assert cache.get(rec.params) is None
-    assert cache.counters.errors == 1
+    assert cache.get(rec.point) is None
 
 
 def test_truncated_payload_is_ignored_not_fatal(tmp_path):
     cache = RunCache(str(tmp_path))
     rec = make_record()
-    path = cache.path_for(rec.params)
+    path = cache.path_for(rec.point)
     os.makedirs(str(tmp_path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump({"schema": CACHE_SCHEMA,
                    "fingerprint": cache.fingerprint}, fh)  # no "record"
-    assert cache.get(rec.params) is None
-    assert cache.counters.errors == 1
+    assert cache.get(rec.point) is None
 
 
 def test_stale_fingerprint_is_ignored(tmp_path):
     old = RunCache(str(tmp_path), fingerprint="old-code")
     rec = make_record()
-    old.put(rec.params, rec)
+    old.put(rec)
     # Same directory, current code: the entry is stale, not reused.
     # (Different fingerprints also produce different digests, so the
     # lookup misses; a hand-moved file with a mismatched fingerprint
     # inside is likewise rejected.)
     fresh = RunCache(str(tmp_path))
-    assert fresh.get(rec.params) is None
+    assert fresh.get(rec.point) is None
 
     bad = RunCache(str(tmp_path), fingerprint="new-code")
-    os.replace(old.path_for(rec.params), bad.path_for(rec.params))
-    assert bad.get(rec.params) is None
-    assert bad.counters.stale == 1
+    os.replace(old.path_for(rec.point), bad.path_for(rec.point))
+    assert os.path.exists(bad.path_for(rec.point))
+    assert bad.get(rec.point) is None
 
 
 def test_put_to_unwritable_dir_is_swallowed():
     cache = RunCache("/proc/definitely-not-writable/cache")
-    cache.put(make_record().params, make_record())  # must not raise
-    assert cache.counters.stores == 0
-    assert cache.get(make_record().params) is None
+    cache.put(make_record())  # must not raise
+    assert cache.get(make_record().point) is None
+
+
+# ---------------------------------------------------------------------------
+# Point: one identity for the memo, the disk cache and the slug
+# ---------------------------------------------------------------------------
+
+# Every Point field at its default and at non-default values.
+FIELDS = {
+    "workload": st.sampled_from(["nn", "mv", "stencil_tiled"]),
+    "config": st.sampled_from(["base", "sf", "sf_smart"]),
+    "core": st.sampled_from(["ooo8", "io4", "ooo4"]),
+    "cols": st.sampled_from([4, 2, 8]),
+    "rows": st.sampled_from([4, 2, 8]),
+    "scale": st.sampled_from([16, 4, 64]),
+    "link_bits": st.sampled_from([256, 128, 512]),
+    "l3_interleave": st.sampled_from([None, 64, 4096]),
+    "seed": st.sampled_from([0, 1, 3]),
+    "obs": st.sampled_from([None, "attribution", "attribution,spans"]),
+    "sanitize": st.booleans(),
+}
+POINTS = st.builds(Point, **FIELDS)
+
+
+@st.composite
+def point_pairs(draw):
+    """Two points that differ in exactly one field."""
+    point = draw(POINTS)
+    name = draw(st.sampled_from(sorted(FIELDS)))
+    value = draw(FIELDS[name].filter(lambda v: v != getattr(point, name)))
+    return point, dataclasses.replace(point, **{name: value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=POINTS)
+def test_point_survives_json_and_the_disk_cache(point, tmp_path_factory):
+    rec = make_record(point=point)
+    restored = RunRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+    assert restored.point == rec.point
+    cache = RunCache(str(tmp_path_factory.mktemp("cache")))
+    cache.put(rec)
+    assert cache.get(point).point == point
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=point_pairs())
+def test_points_differing_in_one_field_have_distinct_slugs(pair):
+    """...and distinct memo and disk-cache keys."""
+    a, b = pair
+    assert a.slug != b.slug
+    assert a != b and len({a, b}) == 2
+    assert (params_digest(dataclasses.asdict(a), "fp")
+            != params_digest(dataclasses.asdict(b), "fp"))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness import experiments, report
+from repro.harness.runner import COUNTERS, clear_cache
 
 # These tests share the runner's memo: experiments over the same
 # points reuse each other's simulations, as in a benchmark session.
@@ -111,3 +112,14 @@ def test_fig19_points():
     assert by[("io4", "base")].speedup == pytest.approx(1.0)
     assert by[("io4", "base")].energy == pytest.approx(1.0)
     assert report.render_fig19(pts)
+
+
+def test_cold_figure_counts_no_memo_hits():
+    """A figure reads its records from its one run_points call, so on
+    a cleared memo each of its points is simulated and none is
+    counted as a memo hit. (Last in this file: it clears the memo the
+    tests above share.)"""
+    clear_cache()
+    experiments.fig2_motivation(["nn"], cols=2, rows=2, scale=64)
+    assert (COUNTERS.memo_hits, COUNTERS.simulated) == (0, 1)
+    clear_cache()

@@ -1,4 +1,4 @@
-"""Tests for the parallel fan-out layer.
+"""Tests for run_points' parallel fan-out.
 
 Points are kept tiny (2x2 mesh, scale 64) so the multiprocessing
 paths stay cheap even on a single-core CI runner.
@@ -6,22 +6,22 @@ paths stay cheap even on a single-core CI runner.
 
 import pytest
 
-from repro.harness import parallel
-from repro.harness.parallel import resolve_jobs, run_points
 from repro.harness.runner import (
     COUNTERS,
+    Point,
     clear_cache,
     configure_disk_cache,
-    params_key,
+    resolve_jobs,
     run_once,
-    run_params,
+    run_points,
+    set_progress,
 )
 
 KW = dict(cols=2, rows=2, scale=64)
 POINTS = [
-    dict(workload="nn", config="base", **KW),
-    dict(workload="nn", config="sf", **KW),
-    dict(workload="conv3d", config="base", **KW),
+    Point("nn", "base", **KW),
+    Point("nn", "sf", **KW),
+    Point("conv3d", "base", **KW),
 ]
 
 
@@ -77,7 +77,8 @@ def test_resolve_jobs_zero_means_all_cpus():
 
 def test_run_points_returns_every_point_serial():
     records = run_points(POINTS, jobs=1)
-    assert set(records) == {params_key(run_params(**p)) for p in POINTS}
+    assert set(records) == set(POINTS)
+    assert all(rec.point == point for point, rec in records.items())
     assert all(rec.cycles > 0 for rec in records.values())
     assert COUNTERS.simulated == len(POINTS)
 
@@ -93,7 +94,20 @@ def test_run_points_warms_the_memo():
     before = COUNTERS.simulated
     rec = run_once("nn", "sf", **KW)
     assert COUNTERS.simulated == before  # memo hit, no new simulation
-    assert rec.config == "sf"
+    assert rec.point.config == "sf"
+
+
+def test_cold_point_reads_the_disk_cache_once(tmp_path, monkeypatch):
+    """run_points is the only lookup: a cold point costs one disk
+    read, then one simulation."""
+    cache = configure_disk_cache(str(tmp_path))
+    reads = []
+    get = cache.get
+    monkeypatch.setattr(cache, "get",
+                        lambda point: reads.append(point) or get(point))
+    run_points([POINTS[0]], jobs=1)
+    assert reads == [POINTS[0]]
+    assert COUNTERS.simulated == 1 and COUNTERS.disk_hits == 0
 
 
 def test_run_points_reuses_memo_hits():
@@ -123,14 +137,14 @@ def test_parallel_populates_memo_and_disk(tmp_path):
 
 def test_progress_lines(monkeypatch):
     lines = []
-    parallel.set_progress(lines.append)
+    set_progress(lines.append)
     try:
         run_points([POINTS[0]], jobs=1)
         run_points([POINTS[0]], jobs=1)
     finally:
-        parallel.set_progress(None)
-    assert any(line.startswith("[sim ]") for line in lines)
-    assert any(line.startswith("[memo]") for line in lines)
+        set_progress(None)
+    assert lines[0].startswith("[sim ] nn-base-ooo8-2x2-s64 ")
+    assert "[memo] nn-base-ooo8-2x2-s64" in lines
     summaries = [l for l in lines if l.startswith("[cache]")]
     assert len(summaries) == 2
     assert "1 simulated" in summaries[0]

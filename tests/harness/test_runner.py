@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.harness import runner
 from repro.harness.runner import (
     COUNTERS,
+    Point,
     clear_cache,
     configure_disk_cache,
-    run_key,
     run_once,
+    simulate,
 )
 
 KW = dict(cols=2, rows=2, scale=32)
@@ -26,8 +28,7 @@ def test_run_once_produces_record():
     assert rec.cycles > 0
     assert rec.energy.total > 0
     assert rec.flit_hops > 0
-    assert rec.workload == "nn"
-    assert rec.config == "base"
+    assert rec.point == Point("nn", "base", **KW)
 
 
 def test_memoization_returns_same_object():
@@ -50,17 +51,11 @@ def test_seed_distinguishes_memo_entries():
     a = run_once("nn", "base", seed=0, **KW)
     b = run_once("nn", "base", seed=1, **KW)
     assert a is not b
-    assert a.seed == 0 and b.seed == 1
-    assert a.key != b.key
+    assert a.point.seed == 0 and b.point.seed == 1
+    assert a.point != b.point
     # And the seed=0 entry is still there, undisturbed.
     assert run_once("nn", "base", seed=0, **KW) is a
     assert run_once("nn", "base", seed=1, **KW) is b
-
-
-def test_run_key_includes_seed():
-    base = ("nn", "base", "ooo8", 2, 2, 32, 256, None)
-    assert run_key(*base, seed=0) != run_key(*base, seed=1)
-    assert run_key(*base) == run_key(*base, seed=0)
 
 
 def test_disk_cache_hit_across_memo_clears(tmp_path):
@@ -85,18 +80,9 @@ def test_disk_cache_distinguishes_seeds(tmp_path):
     a2 = run_once("nn", "base", seed=0, **KW)
     b2 = run_once("nn", "base", seed=1, **KW)
     assert COUNTERS.disk_hits == 2 and COUNTERS.simulated == 0
-    assert a2.seed == 0 and b2.seed == 1
+    assert a2.point.seed == 0 and b2.point.seed == 1
     assert a2.stats.to_dict() == a.stats.to_dict()
     assert b2.stats.to_dict() == b.stats.to_dict()
-
-
-def test_use_cache_false_bypasses_disk(tmp_path):
-    configure_disk_cache(str(tmp_path))
-    run_once("nn", "base", **KW)
-    clear_cache()
-    run_once("nn", "base", use_cache=False, **KW)
-    assert COUNTERS.simulated == 1
-    assert COUNTERS.disk_hits == 0
 
 
 def test_environment_does_not_enable_the_disk_cache(tmp_path, monkeypatch):
@@ -119,23 +105,32 @@ def test_sanitize_distinguishes_records(tmp_path):
     plain = run_once("nn", "base", **KW)
     checked = run_once("nn", "base", sanitize=True, **KW)
     assert COUNTERS.simulated == 2
-    assert checked is not plain and checked.key != plain.key
-    assert checked.sanitize and not plain.sanitize
+    assert checked is not plain and checked.point != plain.point
+    assert checked.point.sanitize and not plain.point.sanitize
     assert checked.stats["sanitizer.trace_events"] > 0
     assert checked.cycles == plain.cycles
     clear_cache()
-    assert run_once("nn", "base", sanitize=True, **KW).sanitize
-    assert not run_once("nn", "base", **KW).sanitize
+    assert run_once("nn", "base", sanitize=True, **KW).point.sanitize
+    assert not run_once("nn", "base", **KW).point.sanitize
     assert COUNTERS.disk_hits == 2 and COUNTERS.simulated == 0
 
 
-def test_use_cache_false_reruns():
+def test_simulate_neither_reads_nor_fills_the_caches(tmp_path):
+    """simulate is the uncached path: it reruns a point the memo and
+    the disk cache already hold, and stores its record in neither."""
+    cache = configure_disk_cache(str(tmp_path))
     a = run_once("nn", "base", **KW)
-    b = run_once("nn", "base", use_cache=False, **KW)
+    files = sorted(tmp_path.iterdir())
+    b, _ = simulate(Point("nn", "base", **KW))
+    c, _ = simulate(Point("nn", "sf", **KW))
     assert a is not b
     # Deterministic simulation: identical outcome.
     assert a.cycles == b.cycles
     assert a.flit_hops == b.flit_hops
+    assert COUNTERS.simulated == 1
+    assert runner._MEMO == {a.point: a}
+    assert sorted(tmp_path.iterdir()) == files
+    assert cache.get(c.point) is None
 
 
 def test_hit_rates_in_range():

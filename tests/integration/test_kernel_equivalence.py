@@ -21,7 +21,7 @@ with the exact first divergent (cycle, event, handler).
 import pytest
 
 import repro.system.chip as chip_module
-from repro.harness.runner import run_once
+from repro.harness.runner import Point, simulate
 from repro.sim.kernel import Simulator
 from repro.system.configs import make_config
 from repro.workloads.base import build_programs
@@ -42,7 +42,7 @@ POINT = dict(cols=4, rows=4, scale=8)
 
 def _run(monkeypatch, kernel, workload, config):
     monkeypatch.setattr(chip_module, "Simulator", kernel)
-    rec = run_once(workload, config, use_cache=False, **POINT)
+    rec, _ = simulate(Point(workload, config, **POINT))
     stats = rec.stats.to_dict()
     assert stats.get("sanitizer.trace_events", 0) > 0
     return stats

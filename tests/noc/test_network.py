@@ -144,13 +144,3 @@ class TestMulticast:
         _, _, net = make_net()
         with pytest.raises(ValueError):
             net.multicast(src=0, dsts=[], kind=CTRL, payload_bits=0, dst_port="x")
-
-
-def test_utilization():
-    sim, stats, net = make_net(cols=2, rows=2)
-    net.register(1, "l2", lambda pkt: None)
-    net.send(Packet(src=0, dst=1, kind=CTRL, payload_bits=0, dst_port="l2"))
-    sim.run()
-    # 1 flit-hop over 8 links x 10 cycles.
-    assert net.utilization(10) == pytest.approx(1 / 80)
-    assert net.utilization(0) == 0.0

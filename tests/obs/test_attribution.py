@@ -4,11 +4,11 @@ off, and the bucket movement the attribution figure exists to show."""
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-from repro.harness.parallel import run_points
-from repro.harness.runner import clear_cache, params_key, run_once, run_params
+from repro.harness.runner import Point, clear_cache, run_points, simulate
 from repro.obs.attribution import BUCKETS
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.sim.kernel import Simulator
@@ -20,7 +20,7 @@ GOLDEN_MD = os.path.join(os.path.dirname(__file__),
                          "golden_attribution.md")
 
 KW = dict(cols=2, rows=2, scale=64)
-GOLDEN_POINT = dict(workload="mv", config="sf", **KW)
+GOLDEN_POINT = Point("mv", "sf", obs="attribution,spans", **KW)
 
 
 @pytest.fixture(autouse=True)
@@ -38,8 +38,7 @@ def _attribution(record):
 
 
 def _golden_record():
-    return run_once(obs="attribution,spans", use_cache=False,
-                    **GOLDEN_POINT)
+    return simulate(GOLDEN_POINT)[0]
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +95,7 @@ def test_conservation_is_asserted_at_finalize(monkeypatch):
 
 
 def test_record_carries_cpi_counters():
-    record = run_once(obs="attribution", use_cache=False, **GOLDEN_POINT)
+    record, _ = simulate(replace(GOLDEN_POINT, obs="attribution"))
     tel = record.telemetry
     for bucket in BUCKETS:
         assert f"cpi.{bucket}" in tel
@@ -133,12 +132,10 @@ def test_golden_attribution_report():
 def test_attribution_stable_across_jobs():
     """`--jobs 2` must reproduce the serial CPI stack byte-for-byte
     (the golden pins the serial one; satellite of DESIGN.md §15)."""
-    points = [dict(GOLDEN_POINT, obs="attribution,spans"),
-              dict(workload="mv", config="base", obs="attribution,spans",
-                   **KW)]
-    records = run_points(points, jobs=2, use_cache=False)
-    key = params_key(run_params(**points[0]))
-    got = json.dumps(_attribution(records[key]), indent=1, sort_keys=True)
+    points = [GOLDEN_POINT, replace(GOLDEN_POINT, config="base")]
+    records = run_points(points, jobs=2)
+    got = json.dumps(_attribution(records[GOLDEN_POINT]), indent=1,
+                     sort_keys=True)
     want = json.dumps(_load_golden(), indent=1, sort_keys=True)
     assert got == want
 
@@ -148,10 +145,10 @@ def test_attribution_stable_across_jobs():
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 def test_floating_empties_dram_wait_bucket():
-    base = run_once("mv", "base", cols=2, rows=2, scale=16,
-                    obs="attribution", use_cache=False)
-    sf = run_once("mv", "sf", cols=2, rows=2, scale=16,
-                  obs="attribution", use_cache=False)
+    base, _ = simulate(Point("mv", "base", cols=2, rows=2, scale=16,
+                             obs="attribution"))
+    sf, _ = simulate(Point("mv", "sf", cols=2, rows=2, scale=16,
+                           obs="attribution"))
     assert sf.cycles < base.cycles  # floating wins on mv...
     b, s = base.telemetry, sf.telemetry
     # ...and the accounting shows where: the DRAM-wait bucket empties

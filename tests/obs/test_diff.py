@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.energy.model import EnergyBreakdown
-from repro.harness.runner import RunRecord
+from repro.harness.runner import Point, RunRecord
 from repro.obs.diff import (
     RunArtifacts,
     diff_runs,
@@ -43,8 +43,7 @@ def _record(config, cycles, overrides, telemetry):
                              noc=float(base["noc.flit_hops.data"]),
                              dram=200.0)
     return RunRecord(
-        workload="mv", config=config, core="ooo8", cols=2, rows=2,
-        scale=8, link_bits=256, l3_interleave=None, seed=0,
+        point=Point("mv", config, cols=2, rows=2, scale=8),
         cycles=cycles, stats=stats, energy=energy, telemetry=telemetry,
     )
 
@@ -180,15 +179,15 @@ def test_report_deltas_match_raw_records():
     workload reports exactly the numbers recomputed from the raw
     RunRecords — the report is a view, not a second source of
     truth."""
-    from repro.harness.runner import run_params, simulate
+    from repro.harness.runner import Point, simulate
     from repro.obs.report import _fmt
     from repro.obs.telemetry import TelemetryConfig
 
     provenance = TelemetryConfig(provenance=True)
-    rec_off, _ = simulate(run_params(workload="mv", config="base",
-                                     cols=2, rows=2, scale=8), provenance)
-    rec_on, _ = simulate(run_params(workload="mv", config="sf",
-                                    cols=2, rows=2, scale=8), provenance)
+    rec_off, _ = simulate(Point("mv", "base", cols=2, rows=2, scale=8),
+                          provenance)
+    rec_on, _ = simulate(Point("mv", "sf", cols=2, rows=2, scale=8),
+                         provenance)
     a = RunArtifacts(record=rec_off, label="float-off")
     b = RunArtifacts(record=rec_on, label="float-on")
     markdown = render_markdown(diff_runs(a, b))

@@ -2,10 +2,11 @@
 
 import json
 import os
+from dataclasses import replace
 
+from repro.harness.runner import Point
 from repro.obs.export import (
     chrome_trace_events,
-    point_slug,
     write_chrome_trace,
     write_point_dir,
 )
@@ -13,6 +14,7 @@ from repro.obs.spans import SpanCollector
 from repro.obs.telemetry import TelemetryConfig
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_trace.json")
+POINT = Point("nn", "sf", cols=2, rows=2, scale=64)
 
 
 def synthetic_collector() -> SpanCollector:
@@ -104,18 +106,17 @@ def test_span_hops_ride_in_args():
 
 
 def test_point_slug_is_deterministic():
-    params = dict(workload="nn", config="sf", core="ooo8", cols=2,
-                  rows=2, scale=64, link_bits=256, l3_interleave=None,
-                  seed=0)
-    assert point_slug(params) == "nn-sf-ooo8-2x2-s64"
+    assert POINT.slug == "nn-sf-ooo8-2x2-s64"
     # Link width and NUCA interleave make distinct points (figs 16
     # and 17 sweep them), so the slug names them when not default.
-    assert (point_slug(dict(params, link_bits=128))
+    assert (replace(POINT, link_bits=128).slug
             == "nn-sf-ooo8-2x2-s64-link128")
-    assert (point_slug(dict(params, l3_interleave=4096))
+    assert (replace(POINT, l3_interleave=4096).slug
             == "nn-sf-ooo8-2x2-s64-ilv4096")
-    params["seed"] = 3
-    assert point_slug(params).endswith("-seed3")
+    assert replace(POINT, seed=3).slug.endswith("-seed3")
+    # So do a point's own telemetry pillars and the sanitizer.
+    assert (replace(POINT, obs="attribution,spans", sanitize=True).slug
+            == "nn-sf-ooo8-2x2-s64-attribution+spans-sanitize")
 
 
 def test_real_point_export_repeats_in_one_process():
@@ -153,16 +154,11 @@ class _SummaryOnlyTelemetry:
         return dict(self._summary)
 
 
-def _params():
-    return dict(workload="nn", config="sf", core="ooo8", cols=2, rows=2,
-                scale=64, link_bits=256, l3_interleave=None, seed=0)
-
-
 def test_point_dir_warns_on_nonzero_drop_counters(tmp_path, capsys):
     telemetry = _SummaryOnlyTelemetry(
         {"spans_opened": 10, "spans_dropped": 3, "cpi.journeys_dropped": 2,
          "noc_dropped": 0})
-    assert write_point_dir(telemetry, point_slug(_params()),
+    assert write_point_dir(telemetry, POINT.slug,
                            str(tmp_path)) == []
     [warning] = capsys.readouterr().err.splitlines()
     assert "WARNING" in warning
@@ -175,7 +171,7 @@ def test_point_dir_warns_on_nonzero_drop_counters(tmp_path, capsys):
 def test_point_dir_quiet_without_drops(tmp_path, capsys):
     telemetry = _SummaryOnlyTelemetry(
         {"spans_opened": 10, "spans_dropped": 0})
-    write_point_dir(telemetry, point_slug(_params()), str(tmp_path))
+    write_point_dir(telemetry, POINT.slug, str(tmp_path))
     assert capsys.readouterr().err == ""
 
 

@@ -169,9 +169,8 @@ def test_jsonl_writer(tmp_path):
 def test_interval_pillar_end_to_end():
     """A chip run with the interval pillar on produces samples whose
     totals reconcile with the final Stats."""
-    from repro.harness.runner import simulate, run_params
+    from repro.harness.runner import Point, simulate
 
-    record, _ = simulate(run_params(workload="nn", config="base",
-                                    cols=2, rows=2, scale=64),
+    record, _ = simulate(Point("nn", "base", cols=2, rows=2, scale=64),
                          TelemetryConfig(interval=5000))
     assert record.telemetry["interval_samples"] > 1

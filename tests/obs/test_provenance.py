@@ -150,10 +150,9 @@ def test_all_enables_provenance():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def sf_telemetry_record():
-    from repro.harness.runner import run_params, simulate
+    from repro.harness.runner import Point, simulate
 
-    record, _ = simulate(run_params(workload="mv", config="sf",
-                                    cols=2, rows=2, scale=8),
+    record, _ = simulate(Point("mv", "sf", cols=2, rows=2, scale=8),
                          TelemetryConfig(provenance=True))
     return record
 

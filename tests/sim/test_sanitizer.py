@@ -12,12 +12,14 @@ import zlib
 
 import pytest
 
-from repro.harness.parallel import run_points
 from repro.harness.runner import (
     COUNTERS,
+    Point,
     clear_cache,
     configure_disk_cache,
     run_once,
+    run_points,
+    simulate,
 )
 from repro.sim import Simulator
 from repro.sim.sanitizer import S5Trace, SanitizerError
@@ -173,8 +175,7 @@ def test_trace_hash_tracks_the_workload():
 
 
 def test_chip_reports_trace_hash_stat():
-    record = run_once("nn", "sf", cols=2, rows=2, scale=64,
-                      use_cache=False)
+    record, _ = simulate(Point("nn", "sf", cols=2, rows=2, scale=64))
     assert record.stats["sanitizer.violations"] == 0
     assert record.stats["sanitizer.trace_events"] > 0
     assert record.stats["sanitizer.trace_hash"] != 0
@@ -186,14 +187,13 @@ def test_trace_hash_identical_across_jobs():
     # worker processes. The points ask for the sanitizer themselves,
     # so workers attach it whatever start method the pool uses.
     points = [
-        dict(workload="nn", config="base", cols=2, rows=2, scale=64,
-             sanitize=True),
-        dict(workload="nn", config="sf", cols=2, rows=2, scale=64,
-             sanitize=True),
+        Point("nn", "base", cols=2, rows=2, scale=64, sanitize=True),
+        Point("nn", "sf", cols=2, rows=2, scale=64, sanitize=True),
     ]
-    serial = run_points(points, jobs=1, use_cache=False)
     clear_cache()
-    fanned = run_points(points, jobs=2, use_cache=False)
+    serial = run_points(points, jobs=1)
+    clear_cache()
+    fanned = run_points(points, jobs=2)
     clear_cache()
     assert serial.keys() == fanned.keys()
     for key in serial:
@@ -243,7 +243,7 @@ def test_cli_sanitize_flag_checks_every_point(tmp_path, capsys):
     finally:
         configure_disk_cache(None)
     assert COUNTERS.disk_hits == 1
-    assert record.sanitize is False
+    assert record.point.sanitize is False
     assert not [k for k in record.stats.to_dict()
                 if k.startswith("sanitizer.")]
     clear_cache()

@@ -4,7 +4,9 @@ import tracemalloc
 
 import pytest
 
+from repro.noc.message import CTRL, Packet
 from repro.system import Chip, make_config
+from repro.system.chip import RunResult
 from repro.workloads.kernel import CoreProgram, Iteration, KernelPhase
 
 
@@ -145,3 +147,15 @@ class TestRunResult:
         chip = make_chip()
         result = chip.run({0: CoreProgram(phases=[compute_phase(10)])})
         assert result.stats["chip.cycles"] == result.cycles
+
+    def test_noc_utilization(self):
+        chip = make_chip()
+        chip.net.register(1, "probe", lambda pkt: None)
+        chip.net.send(Packet(src=0, dst=1, kind=CTRL, payload_bits=0,
+                             dst_port="probe"))
+        chip.sim.run()
+        # 1 flit-hop over the 2x2 mesh's 8 links x 10 cycles.
+        result = RunResult(cycles=10, stats=chip.stats, params=chip.params)
+        assert result.noc_utilization() == pytest.approx(1 / 80)
+        result.cycles = 0
+        assert result.noc_utilization() == 0.0

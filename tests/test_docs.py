@@ -4,8 +4,9 @@ DESIGN.md, README.md and EXPERIMENTS.md point readers at modules,
 tests and scripts by path, and so do the CI workflow and the verify
 skill's recipe. A path that names no file sends a reader looking for
 code that is not there, and a CI step that runs one fails, so every
-one must resolve: paths under ``repro/`` against ``src/``, the others
-against the repository root. Likewise every ``--flag`` of a
+one must resolve: paths under ``repro/``, or inside it such as
+``harness/cache.py``, against ``src/``, the others against the
+repository root. Likewise every ``--flag`` of a
 ``python -m repro.harness`` or ``python -m repro.obs
 <run|diff|attribute>`` command the three documents show must be one
 that command's ``--help`` lists. PAPER.md is the supplied paper text
@@ -23,13 +24,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS = ("DESIGN.md", "README.md", "EXPERIMENTS.md")
 PATH_DOCS = DOCS + (".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md")
 PATH = re.compile(r"(?:src/)?(?:repro|tests|benchmarks|bench)/[\w/]+\.py")
+PACKAGE = os.path.join(ROOT, "src", "repro")
+# A path inside the package, e.g. ``harness/cache.py``.
+PACKAGE_PATH = re.compile(r"(?<![\w/.-])(?:%s)/[\w/]+\.py" % "|".join(
+    name for name in sorted(os.listdir(PACKAGE))
+    if os.path.isfile(os.path.join(PACKAGE, name, "__init__.py"))))
 
 
 def test_docs_name_only_files_that_exist():
     checked, missing = 0, []
     for doc in PATH_DOCS:
         with open(os.path.join(ROOT, doc), encoding="utf-8") as f:
-            paths = set(PATH.findall(f.read()))
+            text = f.read()
+        paths = set(PATH.findall(text))
+        paths |= {"repro/" + path for path in PACKAGE_PATH.findall(text)}
         for path in sorted(paths):
             rel = "src/" + path if path.startswith("repro/") else path
             checked += 1
