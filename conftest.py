@@ -5,9 +5,9 @@ The tier-1 suite runs with the runtime invariant sanitizer attached
 :class:`~repro.sim.sanitizer.Sanitizer` to every
 :class:`~repro.sim.kernel.Simulator` a test builds, bare component
 rigs and the test oracles included, so protocol bugs fail the
-offending test at the cycle they happen. The sanitizer leaves handler
-fusion on, so the checkers run the one configuration the benchmarks
-ship. Tests marked ``no_sanitize`` (and
+offending test at the cycle they happen. Attaching it changes no
+event the model runs, so the checkers run the one configuration the
+benchmarks ship. Tests marked ``no_sanitize`` (and
 every benchmark under ``benchmarks/``) build plain simulators.
 """
 

@@ -289,14 +289,7 @@ class Core:
     def _store_done(self) -> None:
         self._outstanding_stores -= 1
         if self._store_waiters:
-            sim = self.sim
-            if sim.can_inline():
-                # Tail fusion (DESIGN.md §12): nothing else pending
-                # this cycle, so the zero-delay wakeup runs now.
-                sim.count_inlined_events(1)
-                self._store_waiters.pop(0)()
-            else:
-                sim.schedule(0, self._store_waiters.pop(0))
+            self.sim.schedule(0, self._store_waiters.pop(0))
 
     def _check_done(self, state: _IterState, by_load: bool = False) -> None:
         """Finish the iteration once its loads and compute are done;

@@ -210,34 +210,13 @@ class L1Cache:
             self.stats.add("l1.write_upgrade_retries")
             self._miss(L1Request(addr=base, is_write=True))
         sim = self.sim
+        for waiter in entry.waiters:
+            if waiter.on_done is not None:
+                sim.schedule(0, waiter.on_done)
+        self._drain_overflow()
         p = self._probes.l1_fill
-        if sim.can_inline():
-            # Fused wakeup (DESIGN.md §12): with nothing else pending
-            # this cycle, the zero-delay waiter callbacks would run
-            # immediately after this handler in queue order — so run
-            # them synchronously once _fill has fully completed
-            # (after the overflow drain and the fill probe, exactly
-            # where the event queue would have run them).
-            # count_inlined_events keeps the logical event count
-            # identical to the unfused path.
-            self._drain_overflow()
-            if p is not None:
-                p(self, base, "uncached" if result.uncached else "fill")
-            sim._inline_depth += 1
-            try:
-                for waiter in entry.waiters:
-                    if waiter.on_done is not None:
-                        sim.count_inlined_events(1)
-                        waiter.on_done()
-            finally:
-                sim._inline_depth -= 1
-        else:
-            for waiter in entry.waiters:
-                if waiter.on_done is not None:
-                    sim.schedule(0, waiter.on_done)
-            self._drain_overflow()
-            if p is not None:
-                p(self, base, "uncached" if result.uncached else "fill")
+        if p is not None:
+            p(self, base, "uncached" if result.uncached else "fill")
 
     def _writeback_to_l2(self, addr: int) -> None:
         """Dirty L1 victim folds into the (inclusive) L2 copy."""

@@ -279,31 +279,12 @@ class L2Cache:
             self._fill(base, msg, entry, resp_flits)
         line = self.array.lookup(base, touch=False)
         writable = bool(line) and line.state in (MODIFIED, EXCLUSIVE)
-        sim = self.sim
+        for waiter in entry.waiters:
+            self._respond(waiter, writable=writable, delay=0)
+        self._drain_overflow()
         p = self._probes.l2_data
-        if sim.can_inline():
-            # Fused response (DESIGN.md §12): the zero-delay waiter
-            # callbacks run synchronously after _data fully completes
-            # (overflow drain and data probe included), exactly where
-            # the event queue would have run them.
-            self._drain_overflow()
-            if p is not None:
-                p(self, base, pkt.src)
-            sim._inline_depth += 1
-            try:
-                for waiter in entry.waiters:
-                    if waiter.on_done is not None:
-                        sim.count_inlined_events(1)
-                        waiter.on_done(L2AccessResult(
-                            addr=base, writable=writable))
-            finally:
-                sim._inline_depth -= 1
-        else:
-            for waiter in entry.waiters:
-                self._respond(waiter, writable=writable, delay=0)
-            self._drain_overflow()
-            if p is not None:
-                p(self, base, pkt.src)
+        if p is not None:
+            p(self, base, pkt.src)
 
     def _fill(self, base: int, msg: CohMsg, entry, resp_flits: int) -> None:
         state = msg.grant or SHARED

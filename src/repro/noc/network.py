@@ -95,14 +95,14 @@ class Network:
         """Inject ``packet`` now (+``extra_delay``); returns accounting
         info immediately while delivery is scheduled asynchronously.
 
-        This is the fused hot path (DESIGN.md §12): one lane-cache
-        probe replaces the per-packet route/flits/handler/stat-cell
-        lookups, and traversal, accounting and delivery scheduling run
-        inline instead of as three method calls. Same-tile deliveries
-        serialize on a per-tile pseudo-link so delivery order matches
-        send order there too — the protocol relies on per-route FIFO
-        ordering (a Data grant must never be overtaken by a later
-        forward from the same bank).
+        One lane-cache probe (DESIGN.md §12) replaces the per-packet
+        route/flits/handler/stat-cell lookups, and traversal,
+        accounting and delivery scheduling run inline instead of as
+        three method calls. Same-tile deliveries serialize on a
+        per-tile pseudo-link so delivery order matches send order
+        there too — the protocol relies on per-route FIFO ordering (a
+        Data grant must never be overtaken by a later forward from the
+        same bank).
         """
         lanes = self._lanes
         key = (packet.src, packet.dst, packet.kind,
@@ -206,41 +206,28 @@ class Network:
         """Run every delivery that arrives at cycle ``when``.
 
         Handlers fire in send order (the batch is append-ordered), so
-        per-route FIFO delivery is unchanged; batching only merges the
-        kernel dispatches. Handlers that send again either hit a later
+        per-route FIFO delivery is unchanged. The batch is part of the
+        model, not a fast path: every delivery of the cycle runs where
+        the first was scheduled, and one event per delivery would
+        order them among the cycle's other events differently and move
+        cycles (DESIGN.md §12). Handlers that send again either hit a later
         cycle or (same-cycle degenerate) re-arm a fresh batch, because
         this cycle's batch is detached before any handler runs. Each
         delivery is still one logical event for ``events_executed``.
         """
         batch = self._arrivals.pop(when)
-        sim = self.sim
         probes = self._probes
         pre = probes.noc_deliver
         post = probes.noc_delivered
         n = len(batch)
         if n > 1:
-            sim.count_inlined_events(n - 1)
-            # The undrained tail of the batch is invisible to the event
-            # queue, so nested handler fusions must stand down while it
-            # exists (DESIGN.md §12).
-            sim._inline_depth += 1
-            try:
-                for handler, packet in batch[:-1]:
-                    if pre is not None:
-                        pre(handler, packet)
-                    handler(packet)
-                    if post is not None:
-                        post(handler, packet)
-            finally:
-                sim._inline_depth -= 1
-        # The final (or only) handler runs unguarded, in tail position,
-        # so its own fusions stay available.
-        handler, packet = batch[n - 1]
-        if pre is not None:
-            pre(handler, packet)
-        handler(packet)
-        if post is not None:
-            post(handler, packet)
+            self.sim.count_inlined_events(n - 1)
+        for handler, packet in batch:
+            if pre is not None:
+                pre(handler, packet)
+            handler(packet)
+            if post is not None:
+                post(handler, packet)
 
     # ------------------------------------------------------------------
     # multicast

@@ -28,10 +28,10 @@ simulated-cycle arithmetic: deterministic, cache- and ``--jobs``-safe.
 
 The accountant subscribes to the probe seam itself: the cache, DRAM
 and GetU probes for the journeys, the ``core_*`` probes for the
-commit front, ``built`` for the cores. Probes fire before any fused
-tail call (DESIGN.md §12), so a fill precedes the waiter callbacks it
-wakes whether fusion is on or off — which is what lets a finishing
-load correlate to the latest completion.
+commit front, ``built`` for the cores. A fill's probe fires inside
+its handler, and the waiter callbacks it wakes run as later events, so
+a fill precedes the loads it completes — which is what lets a
+finishing load correlate to the latest completion.
 """
 
 from __future__ import annotations

@@ -16,9 +16,7 @@ and fires a probe where the model reaches it::
         p(self, base, reason)
 
 A probe nobody subscribes to costs that one attribute test and no
-call. Probes fire synchronously, *before* any fused tail call the
-fast paths make (DESIGN.md §12), so an observer sees the same
-sequence of probe calls whether fusion is on or off.
+call. Probes fire synchronously, inside the handler that reaches them.
 """
 
 from __future__ import annotations

@@ -47,21 +47,14 @@ class Simulator:
       those cycles is possible — keyed by ``(when, seq)`` so per-cycle
       FIFO order is preserved across the migration;
     - buckets are deques consumed from the left as they execute, so a
-      bucket always holds exactly the *pending* events of its cycle;
-      ``can_inline()`` is then a free emptiness test on the current
-      bucket, which is what gates the handler-layer zero-delay
-      fusions (DESIGN.md §12).
+      bucket always holds exactly the *pending* events of its cycle.
     """
 
     RING = 2048  # bucket count; must be a power of two
-    # Handler fusion (gated by can_inline) is always on; only
-    # tests/sim/unfused_oracle.py turns it off, to keep the all-events
-    # reference. Fusion changes the event stream (hence the S5 trace
-    # hash) but never cycles or architectural stats, and every probe
-    # fires before a fused tail call (DESIGN.md §12).
+    # Inert: nothing under src/ reads either. bench/run.py's
+    # shipping-path guard still checks ``fastpath and pooling``, so
+    # both leave together with that guard.
     fastpath = True
-    # Inert: nothing under src/ reads it. bench/run.py's shipping-path
-    # guard still checks it, so it leaves together with that check.
     pooling = True
 
     def __init__(self) -> None:
@@ -69,11 +62,6 @@ class Simulator:
         self._seq: int = 0
         self._events_executed: int = 0
         self._events_inlined: int = 0
-        # Depth of handler-layer fused loops currently on the stack.
-        # While positive, can_inline() reports False: a fused loop
-        # holds callbacks in a local list the queue cannot see, so a
-        # nested fusion would run ahead of them (DESIGN.md §12).
-        self._inline_depth: int = 0
         self._mask = self.RING - 1
         self._buckets: List[deque] = [deque() for _ in range(self.RING)]
         self._ring_count = 0  # pending events across all buckets
@@ -172,8 +160,8 @@ class Simulator:
 
     @property
     def events_inlined(self) -> int:
-        """Logical events that ran fused/batched instead of through a
-        kernel dispatch (a subset of ``events_executed``)."""
+        """Logical events that ran inside a batching event instead of
+        through a kernel dispatch (a subset of ``events_executed``)."""
         return self._events_inlined
 
     def count_inlined_events(self, n: int) -> None:
@@ -182,22 +170,6 @@ class Simulator:
         keeps counting logical events, not just kernel dispatches."""
         self._events_executed += n
         self._events_inlined += n
-
-    def can_inline(self) -> bool:
-        """True when nothing is pending at the current cycle, so a
-        handler may run a zero-delay callback synchronously instead of
-        scheduling it: with an empty current-cycle queue the scheduled
-        callback would execute next anyway, and anything the callback
-        itself schedules lands behind it in FIFO order either way
-        (DESIGN.md §12). When another event *is* pending this cycle,
-        fusing would jump the queue — callers must fall back to
-        ``schedule(0, ...)``. Always False with ``fastpath`` off: this
-        is the only fusion gate."""
-        return (
-            self.fastpath
-            and not self._inline_depth
-            and not self._buckets[self.now & self._mask]
-        )
 
     # -- execution -----------------------------------------------------
     def run(
@@ -238,8 +210,7 @@ class Simulator:
                 bucket = buckets[c & mask]
             # Drain the current cycle. Zero-delay events append to this
             # same bucket mid-drain and are picked up by the emptiness
-            # test; fused (inlined) callbacks never enter the bucket at
-            # all and are accounted via count_inlined_events.
+            # test.
             consumed = 0
             popleft = bucket.popleft
             try:

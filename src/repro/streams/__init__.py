@@ -4,8 +4,6 @@ from repro.streams.history import HistoryEntry, StreamHistoryTable
 from repro.streams.isa import (
     AFFINE_CONFIG_BITS,
     INDIRECT_CONFIG_BITS,
-    StreamCfg,
-    StreamEnd,
     StreamSpec,
     config_packet_bits,
 )
@@ -26,8 +24,6 @@ __all__ = [
     "AffinePattern",
     "IndirectPattern",
     "StreamSpec",
-    "StreamCfg",
-    "StreamEnd",
     "AFFINE_CONFIG_BITS",
     "INDIRECT_CONFIG_BITS",
     "config_packet_bits",

@@ -90,20 +90,3 @@ class StreamSpec:
 def config_packet_bits(specs: List[StreamSpec]) -> int:
     """Total bits of a stream configuration packet (SS IV-A/IV-B)."""
     return sum(spec.config_bits() for spec in specs)
-
-
-# --- kernel-level stream instructions -------------------------------------
-
-
-@dataclass
-class StreamCfg:
-    """Configure a group of streams before a loop."""
-
-    specs: List[StreamSpec]
-
-
-@dataclass
-class StreamEnd:
-    """Deconstruct streams after the loop (enables early termination)."""
-
-    sids: List[int]

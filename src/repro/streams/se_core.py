@@ -520,10 +520,6 @@ class SECore:
             on_ready()
 
         if idx in stream.ready:
-            # NOT fused: consume() is called mid-handler (the core keeps
-            # dispatching after it returns), so running deliver() here
-            # would reorder it ahead of the caller's remaining same-cycle
-            # work — unlike the tail-position fusions in l1/l2 (§12).
             self.sim.schedule(0, deliver)
         else:
             stream.waiters.setdefault(idx, []).append(deliver)

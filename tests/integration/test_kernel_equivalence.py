@@ -1,9 +1,11 @@
 """Scheduler-equivalence suite: calendar queue vs heap oracle.
 
-The calendar queue is the only scheduler the simulator ships, on the
-promise of *bit-identical* semantics to a plain ``(time, seq)`` heap
-(DESIGN.md §10). This suite holds it to that: for each tier-1 workload
-point, a run on :class:`~repro.sim.kernel.Simulator` and a run with
+The calendar queue is the only scheduler the simulator ships, and
+every callback a handler schedules runs through it: there is no second
+execution path. It rests on the promise of *bit-identical* semantics
+to a plain ``(time, seq)`` heap (DESIGN.md §10). This suite holds it
+to that: for each tier-1 workload point, a run on
+:class:`~repro.sim.kernel.Simulator` and a run with
 ``repro.system.chip.Simulator`` swapped for
 :class:`~tests.sim.heap_oracle.HeapOracle` must produce the same
 sanitizer determinism hash (the S5 CRC over every (cycle, event)

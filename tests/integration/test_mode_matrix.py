@@ -1,18 +1,17 @@
 """Mode matrix: every kernel and sanitizer setting runs the same model.
 
-The simulator ships one configuration: the calendar queue with handler
-fusion on (DESIGN.md §10, §12). Tier-1 runs that configuration under
-the sanitizer, and the test oracles keep the references:
+The simulator ships one configuration: the calendar queue (DESIGN.md
+§10), with every zero-delay callback dispatched through it. Tier-1
+runs that configuration under the sanitizer, and
 :class:`~tests.sim.heap_oracle.HeapOracle` (one heap instead of the
-calendar queue) and :class:`~tests.sim.unfused_oracle.UnfusedOracle`
-(fusion off). On one point per float policy, runs on the shipping
-kernel, on each oracle and on a kernel that is both, each with the
-sanitizer off and on, must agree on cycles, logical events and every stat outside
-``sanitizer.*``. The sanitizer attaches after the chip is built, as
-the runner's ``sanitize`` parameter attaches it, so the matrix also
-shows that a late attachment observes the same run. The sanitized
-shipping run's S5 hash, trace events and cycles must equal the pins in
-``tests/sim/golden_s5.json``.
+calendar queue) keeps the reference. On one point per float policy,
+runs on the shipping kernel and on the oracle, each with the sanitizer
+off and on, must agree on cycles, logical events and every stat
+outside ``sanitizer.*``. The sanitizer attaches after the chip is
+built, as the runner's ``sanitize`` parameter attaches it, so the
+matrix also shows that a late attachment observes the same run. Both
+sanitized runs' S5 hash, trace events and cycles must equal the pins
+in ``tests/sim/golden_s5.json``.
 """
 
 import pytest
@@ -24,14 +23,8 @@ from repro.system.configs import make_config
 from repro.workloads.base import build_programs
 from tests.sim.heap_oracle import HeapOracle
 from tests.sim.s5_pins import observed, pinned, point_name
-from tests.sim.unfused_oracle import UnfusedOracle
 
-
-class UnfusedHeapOracle(UnfusedOracle, HeapOracle):
-    """The heap scheduler with fusion off."""
-
-
-KERNELS = (Simulator, HeapOracle, UnfusedOracle, UnfusedHeapOracle)
+KERNELS = (Simulator, HeapOracle)
 
 POINTS = [
     ("mv", "sf", 64),                   # static float policy
@@ -68,5 +61,6 @@ def test_every_mode_runs_the_same_model(monkeypatch, workload, config, scale):
         assert run[0] == cycles, mode
         assert run[1] == events, mode
         assert run[2] == stats, mode
-    assert runs[("Simulator", True)][3] == pinned(
-        point_name(workload, config, 2, 2, scale))
+    pin = pinned(point_name(workload, config, 2, 2, scale))
+    for kernel in KERNELS:
+        assert runs[(kernel.__name__, True)][3] == pin, kernel.__name__

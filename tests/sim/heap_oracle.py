@@ -35,10 +35,6 @@ class HeapOracle(Simulator):
     def events_pending(self):
         return len(self._queue)
 
-    def can_inline(self):
-        return (self.fastpath and not self._inline_depth
-                and not (self._queue and self._queue[0][0] == self.now))
-
     def run(self, until=None, max_events=None):
         queue = self._queue
         budget = max_events if max_events is not None else float("inf")

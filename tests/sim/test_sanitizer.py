@@ -62,16 +62,20 @@ def test_enabled_by_fixture():
     assert sim.probes.dispatch is not None
 
 
-def test_sanitized_chip_runs_the_fused_path():
-    # The checkers see the configuration every benchmark runs: the
-    # sanitizer leaves handler fusion on, so some events run inline.
+def test_s5_hashes_every_kernel_dispatch():
+    # The checkers see the configuration every benchmark runs, and S5
+    # hashes each event the kernel dispatches: every logical event but
+    # those a NoC batch or a coalesced stream fetch runs inside one.
     from repro.system import Chip, make_config
     from repro.workloads.base import build_programs
 
     chip = Chip(make_config("sf", core="ooo8", cols=2, rows=2, scale=64))
     chip.run(build_programs("mv", chip.num_cores, scale=64, seed=0))
-    assert chip.sim.sanitizer is not None
+    san = chip.sim.sanitizer
+    assert san is not None
     assert chip.sim.events_inlined > 0
+    assert san.trace_events == (chip.sim.events_executed
+                                - chip.sim.events_inlined)
 
 
 def test_clean_run_passes_final_check():
