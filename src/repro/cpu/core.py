@@ -89,6 +89,12 @@ class Core:
         self._phase_sids: List[int] = []
         self.ops_committed = 0
         self.finish_time = 0
+        # Interned cells for the per-iteration and per-access counters
+        # (DESIGN.md §12).
+        self._c_iterations = stats.counter("core.iterations")
+        self._c_ops = stats.counter("core.ops")
+        self._c_loads = stats.counter("core.loads")
+        self._c_stores = stats.counter("core.stores")
         self._probes = sim.probes.bind("core", self)
 
     # ------------------------------------------------------------------
@@ -191,9 +197,10 @@ class Core:
         state.compute_done_at = self.sim.now + math.ceil(
             max(1, it.compute_ops) / self.params.issue_width
         )
-        self.ops_committed += len(it.ops) + it.compute_ops
-        self.stats.add("core.iterations")
-        self.stats.add("core.ops", len(it.ops) + it.compute_ops)
+        ops = len(it.ops) + it.compute_ops
+        self.ops_committed += ops
+        self._c_iterations[0] += 1
+        self._c_ops[0] += ops
         for op in it.ops:
             self._issue_op(state, op)
         # An iteration with no loads still completes after compute.
@@ -256,7 +263,7 @@ class Core:
     ) -> None:
         state.loads_pending += 1
         self._outstanding_loads += 1
-        self.stats.add("core.loads")
+        self._c_loads[0] += 1
         self.l1.access(L1Request(
             addr=addr, op_id=op_id, stream_id=stream_id,
             on_done=lambda: self._load_done(state),
@@ -269,7 +276,7 @@ class Core:
         self._try_dispatch()
 
     def _plain_store(self, addr: int, op_id: int) -> None:
-        self.stats.add("core.stores")
+        self._c_stores[0] += 1
         self._do_store(addr, op_id)
 
     def _do_store(self, addr: int, op_id: int) -> None:

@@ -140,9 +140,15 @@ class L2Cache:
             src=0, dst=tile, kind=DATA,
             payload_bits=data_payload_bits(LINE_SIZE), dst_port="l2",
         ).flits(net.link_bits)
-        # Interned cells for the once-per-access counters (DESIGN.md §12).
+        # Interned cells for the once-per-access and once-per-eviction
+        # counters (DESIGN.md §12).
         self._c_hits = stats.counter("l2.hits")
         self._c_misses = stats.counter("l2.misses")
+        self._c_evictions = stats.counter("l2.evictions")
+        self._c_noreuse = stats.counter("l2.evictions_noreuse")
+        self._c_noreuse_stream = stats.counter("l2.evictions_noreuse_stream")
+        self._c_noreuse_data = stats.counter("l2.noreuse_flits.data")
+        self._c_noreuse_ctrl = stats.counter("l2.noreuse_flits.ctrl")
         net.register(tile, "l2", self.handle)
         self._probes = sim.probes.bind("l2", self)
 
@@ -313,7 +319,7 @@ class L2Cache:
         base = victim.addr
         if self.on_l1_invalidate:
             self.on_l1_invalidate(base)
-        self.stats.add("l2.evictions")
+        self._c_evictions[0] += 1
         evict_flits_ctrl = 0
         evict_flits_data = 0
         home = self.nuca.bank_of(base)
@@ -336,14 +342,19 @@ class L2Cache:
         # --- Figure 2a/2b classification ---
         no_reuse = victim.uses == 0 and not victim.dirty
         if no_reuse:
-            self.stats.add("l2.evictions_noreuse")
+            self._c_noreuse[0] += 1
             if victim.stream_id is not None:
-                self.stats.add("l2.evictions_noreuse_stream")
-            self.stats.add("l2.noreuse_flits.data", victim.fill_flits + evict_flits_data)
-            self.stats.add(
-                "l2.noreuse_flits.ctrl",
-                victim.fill_flits_ctrl + evict_flits_ctrl,
-            )
+                self._c_noreuse_stream[0] += 1
+            # A cell folds only non-zero deltas, but Stats.add(name, 0)
+            # creates the key. The data amount is zero for a line filled
+            # outside _fill (test rigs do so); the control amount counts
+            # the PutS just sent, so it never is.
+            data = victim.fill_flits + evict_flits_data
+            if data:
+                self._c_noreuse_data[0] += data
+            else:
+                self.stats.add("l2.noreuse_flits.data", 0)
+            self._c_noreuse_ctrl[0] += victim.fill_flits_ctrl + evict_flits_ctrl
 
     def _inv(self, msg: CohMsg) -> None:
         base = msg.addr & _LINE_MASK

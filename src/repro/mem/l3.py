@@ -100,6 +100,9 @@ class L3Bank:
         self._c_gets = stats.counter("l3.requests.gets")
         self._c_getx = stats.counter("l3.requests.getx")
         self._c_stream_float = stats.counter("l3.requests.stream_float")
+        self._c_puts = stats.counter("l3.puts")
+        self._c_putm = stats.counter("l3.putm")
+        self._c_mshr_full_waits = stats.counter("l3.mshr_full_waits")
         self._src_cells: Dict[str, List[float]] = {}
         # Colocated SE_L3, attached by the tile assembly. The bank
         # notifies it when GetU data it asked for becomes available.
@@ -170,7 +173,7 @@ class L3Bank:
                 if p is not None:
                     p(self, sub, outcome)
         elif op == "PutS":
-            self.stats.add("l3.puts")
+            self._c_puts[0] += 1
             self.dir.remove(msg.addr, msg.requester)
         elif op == "PutM":
             self._put_m(src, msg)
@@ -238,7 +241,7 @@ class L3Bank:
         if self.mshr.full:
             # Park in the bank's wait queue until an MSHR frees up.
             self._waitq.append((src, msg))
-            self.stats.add("l3.mshr_full_waits")
+            self._c_mshr_full_waits[0] += 1
             return "mshr_wait"
         self._c_misses[0] += 1
         entry = self.mshr.allocate(base, self.sim.now)
@@ -255,7 +258,7 @@ class L3Bank:
         base = msg.addr & _LINE_MASK
         if self.mshr.full:
             self._waitq.append((src, msg))
-            self.stats.add("l3.mshr_full_waits")
+            self._c_mshr_full_waits[0] += 1
             return
         fwd_op = {"GetS": "FwdGetS", "GetX": "FwdGetX", "GetU": "FwdGetU"}[msg.op]
         entry = self.mshr.allocate(base, self.sim.now)
@@ -425,7 +428,7 @@ class L3Bank:
 
     def _put_m(self, src: int, msg: CohMsg) -> None:
         base = msg.addr & _LINE_MASK
-        self.stats.add("l3.putm")
+        self._c_putm[0] += 1
         line = self.array.lookup(base, touch=False)
         if line is None:
             self._fill(base, dirty=True)

@@ -31,9 +31,13 @@ from repro.sim.stats import Stats
 Handler = Callable[[Packet], None]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeliveryInfo:
-    """Returned by :meth:`Network.send` for the caller's accounting."""
+    """Returned by :meth:`Network.send` for the caller's accounting.
+
+    One instance is shared by every packet with the same flits and
+    hops, so callers only read it.
+    """
 
     flits: int
     hops: int
@@ -60,16 +64,21 @@ class Network:
         self.hop_latency = router_stages + 1
         self._busy_until: Dict[Link, int] = {}
         self._handlers: Dict[Tuple[int, str], Handler] = {}
-        # Hot-path caches: X-Y routes are static per (src, dst) pair,
-        # flit counts are static per payload size, and the per-class
-        # accounting updates interned counter cells (DESIGN.md §12).
-        self._route_cache: Dict[Tuple[int, int], List[Link]] = {}
+        # Hot-path caches: X-Y routes are static per (src, dst) pair
+        # (tuples of the mesh's shared link tuples), flit counts are
+        # static per payload size, a DeliveryInfo is shared per (flits,
+        # hops), and the per-class accounting updates interned counter
+        # cells (DESIGN.md §12).
+        self._route_cache: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
         self._flits_cache: Dict[int, int] = {}
+        self._infos: Dict[Tuple[int, int], DeliveryInfo] = {}
         self._stat_cells: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
+        self._c_mc_packets = stats.counter("noc.multicast.packets")
+        self._c_mc_saved = stats.counter("noc.multicast.saved_flit_hops")
         # Lane cache: everything static per (src, dst, kind, payload,
-        # port) — route, flit count, stat cells, the local pseudo-link,
-        # and a shared DeliveryInfo (callers only read it) — so send()
-        # runs traversal, accounting and delivery scheduling inline.
+        # port) — route, flit count, handler, stat cells, the local
+        # pseudo-link and the shared DeliveryInfo — so send() runs
+        # traversal, accounting and delivery scheduling inline.
         self._lanes: Dict[Tuple[int, int, str, int, str], tuple] = {}
         self._tree_cache: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
         # Deliveries arriving at the same cycle share one kernel event:
@@ -108,7 +117,7 @@ class Network:
         key = (packet.src, packet.dst, packet.kind,
                packet.payload_bits, packet.dst_port)
         lane = lanes[key] if key in lanes else self._make_lane(key, packet)
-        route, flits, hkey, c_pkts, c_flits, c_fhops, info, local_link = lane
+        route, flits, handler, c_pkts, c_flits, c_fhops, info, local_link = lane
         sim = self.sim
         busy = self._busy_until
         hop = self.hop_latency
@@ -149,9 +158,9 @@ class Network:
             when = now
         arrivals = self._arrivals
         if when in arrivals:
-            arrivals[when].append((self._handlers[hkey], packet))
+            arrivals[when].append((handler, packet))
         else:
-            arrivals[when] = [(self._handlers[hkey], packet)]
+            arrivals[when] = [(handler, packet)]
             sim.schedule_at(when, self._drain_cycle, when)
         return info
 
@@ -163,9 +172,10 @@ class Network:
             flits = self._flits_cache[payload] = packet.flits(self.link_bits)
         route = self._route_cache.get((src, dst))
         if route is None:
-            route = self._route_cache[(src, dst)] = self.mesh.route(src, dst)
-        hkey = (dst, dst_port)
-        if hkey not in self._handlers:
+            route = self._route_cache[(src, dst)] = tuple(
+                self.mesh.route(src, dst))
+        handler = self._handlers.get((dst, dst_port))
+        if handler is None:
             raise KeyError(f"no handler at tile {dst} port {dst_port!r}")
         cells = self._stat_cells.get(kind)
         if cells is None:
@@ -174,14 +184,21 @@ class Network:
                 self.stats.counter(f"noc.flits.{kind}"),
                 self.stats.counter(f"noc.flit_hops.{kind}"),
             )
-        hops = len(route)
         lane = (
-            route, flits, hkey, cells[0], cells[1], cells[2],
-            DeliveryInfo(flits=flits, hops=hops, flit_hops=flits * hops),
+            route, flits, handler, cells[0], cells[1], cells[2],
+            self._info(flits, len(route)),
             (dst, dst) if not route else None,
         )
         self._lanes[key] = lane
         return lane
+
+    def _info(self, flits: int, hops: int) -> DeliveryInfo:
+        """The shared DeliveryInfo for ``flits`` over ``hops`` links."""
+        info = self._infos.get((flits, hops))
+        if info is None:
+            info = self._infos[(flits, hops)] = DeliveryInfo(
+                flits=flits, hops=hops, flit_hops=flits * hops)
+        return info
 
     def _deliver_at(self, when: int, packet: Packet) -> None:
         handler = self._handlers.get((packet.dst, packet.dst_port))
@@ -246,13 +263,12 @@ class Network:
         dsts = list(dict.fromkeys(dsts))
         if not dsts:
             raise ValueError("multicast needs at least one destination")
-        template = Packet(
-            src=src, dst=dsts[0], kind=kind,
-            payload_bits=payload_bits, dst_port=dst_port, body=body,
-        )
         flits = self._flits_cache.get(payload_bits)
         if flits is None:
-            flits = self._flits_cache[payload_bits] = template.flits(self.link_bits)
+            flits = self._flits_cache[payload_bits] = Packet(
+                src=src, dst=dsts[0], kind=kind,
+                payload_bits=payload_bits, dst_port=dst_port,
+            ).flits(self.link_bits)
         # X-Y trees are static per (src, destination set): confluence
         # groups multicast the same set for every element, so cache the
         # routes and the deduplicated tree links alongside the unicast
@@ -294,12 +310,16 @@ class Network:
             )
             self._deliver_at(arrival, pkt)
             total_hops += len(route)
-        flit_hops = flits * len(tree_links)
-        self._record(kind, flits, len(tree_links))
-        self.stats.add("noc.multicast.packets")
-        self.stats.add("noc.multicast.saved_flit_hops",
-                       flits * total_hops - flit_hops)
-        return DeliveryInfo(flits=flits, hops=len(tree_links), flit_hops=flit_hops)
+        info = self._info(flits, len(tree_links))
+        self._record(kind, flits, info.hops)
+        self._c_mc_packets[0] += 1
+        saved = flits * total_hops - info.flit_hops
+        if saved:
+            self._c_mc_saved[0] += saved
+        else:
+            # A zero saving still creates its key, which a cell cannot.
+            self.stats.add("noc.multicast.saved_flit_hops", 0)
+        return info
 
     # ------------------------------------------------------------------
     # accounting

@@ -26,6 +26,8 @@ class Mesh:
         self.cols = cols
         self.rows = rows
         self.num_tiles = cols * rows
+        # One tuple per physical link, shared by every route through it.
+        self._links: Dict[Link, Link] = {}
 
     def coords(self, tile: int) -> Tuple[int, int]:
         """(x, y) coordinates of ``tile``."""
@@ -48,24 +50,23 @@ class Mesh:
         return abs(sx - dx) + abs(sy - dy)
 
     def route(self, src: int, dst: int) -> List[Link]:
-        """X-Y route as an ordered list of unidirectional links."""
+        """X-Y route as an ordered list of unidirectional links.
+
+        Every route through a physical link holds the same tuple.
+        """
         self._check(src)
         self._check(dst)
-        links: List[Link] = []
         x, y = self.coords(src)
         dx, dy = self.coords(dst)
-        here = src
+        path = [src]
         while x != dx:
             x += 1 if dx > x else -1
-            nxt = self.tile_at(x, y)
-            links.append((here, nxt))
-            here = nxt
+            path.append(self.tile_at(x, y))
         while y != dy:
             y += 1 if dy > y else -1
-            nxt = self.tile_at(x, y)
-            links.append((here, nxt))
-            here = nxt
-        return links
+            path.append(self.tile_at(x, y))
+        shared = self._links
+        return [shared.setdefault(link, link) for link in zip(path, path[1:])]
 
     def multicast_tree(self, src: int, dsts: Iterable[int]) -> Dict[int, List[Link]]:
         """Per-destination X-Y routes sharing a common prefix tree.

@@ -8,14 +8,15 @@ relative times and executed in (time, insertion-order) order, so the
 simulation is fully deterministic.
 
 The scheduler is a calendar queue (DESIGN.md §10): a ring of ``RING``
-per-cycle FIFO buckets covering the window ``[now, now + RING)``, with
-a binary heap holding far-future overflow events. Scheduling into the
-window and dispatching are both O(1) appends/indexing with no
-comparisons; overflow events migrate into the ring exactly when the
-window reaches them, before any direct insert for their cycle can
-occur, which preserves the global (time, insertion-order) ordering
-bit-for-bit. ``tests/sim/heap_oracle.py`` keeps a single-``heapq``
-reference that the equivalence suite runs against this queue.
+per-cycle FIFO buckets, plain lists, covering the window
+``[now, now + RING)``, with a binary heap holding far-future overflow
+events. Scheduling into the window is one append and dispatching one
+walk over a bucket, with no comparisons; overflow events migrate into
+the ring exactly when the window reaches them, before any direct
+insert for their cycle can occur, which preserves the global
+(time, insertion-order) ordering bit-for-bit.
+``tests/sim/heap_oracle.py`` keeps a single-``heapq`` reference that
+the equivalence suite runs against this queue.
 
 Events at the same cycle run in the order they were scheduled (FIFO
 tie-break), ``run(until=N)`` leaves ``now == N`` even when the queue
@@ -26,7 +27,7 @@ silently truncated.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from itertools import islice
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.probes import Probes
@@ -46,8 +47,9 @@ class Simulator:
       into their buckets immediately — before any direct insert for
       those cycles is possible — keyed by ``(when, seq)`` so per-cycle
       FIFO order is preserved across the migration;
-    - buckets are deques consumed from the left as they execute, so a
-      bucket always holds exactly the *pending* events of its cycle.
+    - a drain deletes the events it ran from the front of its bucket
+      when it stops, so between drains a bucket holds exactly the
+      *pending* events of its cycle.
     """
 
     RING = 2048  # bucket count; must be a power of two
@@ -63,8 +65,8 @@ class Simulator:
         self._events_executed: int = 0
         self._events_inlined: int = 0
         self._mask = self.RING - 1
-        self._buckets: List[deque] = [deque() for _ in range(self.RING)]
-        self._ring_count = 0  # pending events across all buckets
+        # Plain lists: an empty list is 56 bytes, an empty deque 760.
+        self._buckets: List[list] = [[] for _ in range(self.RING)]
         self._overflow: List[Tuple[int, int, Callable[..., Any], tuple]] = []
         # The probe seam (repro.obs.probes): components bind it at
         # construction and every observer attaches through it.
@@ -96,7 +98,6 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         if d < self.RING:
             self._buckets[(self.now + d) & self._mask].append((fn, args))
-            self._ring_count += 1
         else:
             heapq.heappush(
                 self._overflow, (self.now + d, self._seq, fn, args)
@@ -125,33 +126,26 @@ class Simulator:
             )
         if w < now + self.RING:
             self._buckets[w & self._mask].append((fn, args))
-            self._ring_count += 1
         else:
             heapq.heappush(self._overflow, (w, self._seq, fn, args))
             self._seq += 1
 
-    def _advance_to(self, when: int) -> None:
-        """Move ``now`` forward to ``when`` (no pending event before
-        it) and migrate overflow events the new window reaches."""
-        if when == self.now:
-            return
-        self.now = when
+    def _migrate(self) -> None:
+        """Move every overflow event the window ``[now, now + RING)``
+        reaches into its bucket, in ``(when, seq)`` order."""
+        horizon = self.now + self.RING
         overflow = self._overflow
-        if overflow and overflow[0][0] < when + self.RING:
-            horizon = when + self.RING
-            buckets = self._buckets
-            mask = self._mask
-            pop = heapq.heappop
-            while overflow and overflow[0][0] < horizon:
-                w, _seq, fn, args = pop(overflow)
-                buckets[w & mask].append((fn, args))
-                self._ring_count += 1
+        buckets = self._buckets
+        mask = self._mask
+        while overflow and overflow[0][0] < horizon:
+            w, _seq, fn, args = heapq.heappop(overflow)
+            buckets[w & mask].append((fn, args))
 
     # -- introspection -------------------------------------------------
     @property
     def events_pending(self) -> int:
-        """Number of events still in the queue."""
-        return self._ring_count + len(self._overflow)
+        """Number of events still in the queue (read between runs)."""
+        return sum(map(len, self._buckets)) + len(self._overflow)
 
     @property
     def events_executed(self) -> int:
@@ -182,54 +176,68 @@ class Simulator:
         ``until`` bounds simulated time (events at cycles > ``until``
         stay queued, and ``now`` advances to ``until`` even when the
         queue drains first); ``max_events`` bounds the number of events
-        run, which guards against accidental livelock. Returns the
+        run, which guards against accidental livelock: the run stops
+        where it is once that many have run, so ``max_events=0`` runs
+        none, and a negative bound raises ``ValueError``. Returns the
         current cycle when the run stops.
 
         The ``dispatch``/``dispatched`` probes fire around every event
         the loop runs (the S5 hash and the interval sampler subscribe).
+        A handler must not call ``run()``: the drain deletes the events
+        it ran from their bucket only when it stops.
         """
+        if max_events is not None:
+            if max_events < 0:
+                raise ValueError(f"max_events must be >= 0, got {max_events}")
+            if max_events == 0:
+                return self.now
+        remaining = max_events  # None: unbounded
         buckets = self._buckets
         mask = self._mask
-        budget = max_events if max_events is not None else float("inf")
+        ring = self.RING
+        overflow = self._overflow
         before = self.probes.dispatch
         after = self.probes.dispatched
+        now = self.now
         while True:
-            bucket = buckets[self.now & mask]
+            bucket = buckets[now & mask]
             if not bucket:
-                if self._ring_count:
-                    c = self.now + 1
-                    while not buckets[c & mask]:
-                        c += 1
-                elif self._overflow:
-                    c = self._overflow[0][0]
-                else:
-                    break  # drained
+                # The next non-empty bucket of the window; past it, the
+                # ring is empty and the overflow head is next.
+                c = now + 1
+                end = now + ring
+                while c < end and not buckets[c & mask]:
+                    c += 1
+                if c == end:
+                    if not overflow:
+                        break  # drained
+                    c = overflow[0][0]
                 if until is not None and c > until:
                     break
-                self._advance_to(c)
+                self.now = now = c
+                if overflow and overflow[0][0] < c + ring:
+                    self._migrate()
                 bucket = buckets[c & mask]
-            # Drain the current cycle. Zero-delay events append to this
-            # same bucket mid-drain and are picked up by the emptiness
-            # test.
-            consumed = 0
-            popleft = bucket.popleft
+            # Drain the current cycle. A list iterator sees appends, so
+            # a zero-delay event scheduled mid-drain runs in this cycle,
+            # after every event queued before it.
+            done = 0
             try:
-                while bucket:
-                    fn, args = popleft()
-                    consumed += 1
+                for done, (fn, args) in enumerate(islice(bucket, remaining), 1):
                     if before is not None:
-                        before(self.now, fn)
+                        before(now, fn)
                     fn(*args)
                     if after is not None:
-                        after(self.now, fn)
-                    budget -= 1
-                    if budget <= 0:
-                        break
+                        after(now, fn)
             finally:
-                self._ring_count -= consumed
-                self._events_executed += consumed
-            if budget <= 0:
-                return self.now
-        if until is not None and self.now < until:
-            self._advance_to(until)
+                del bucket[:done]
+                self._events_executed += done
+            if remaining is not None:
+                remaining -= done
+                if not remaining:
+                    return now
+        if until is not None and now < until:
+            self.now = until
+            if overflow and overflow[0][0] < until + ring:
+                self._migrate()
         return self.now

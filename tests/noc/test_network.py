@@ -1,5 +1,7 @@
 """Tests for the wormhole network model."""
 
+import dataclasses
+
 import pytest
 
 from repro.noc.message import CTRL, DATA, Packet, data_payload_bits
@@ -113,6 +115,35 @@ class TestDelivery:
                             dst_port="l2", body=body))
             sim.run()
         assert [p.body for p in got] == ["a", "b"]
+
+
+class TestSharedState:
+    def test_routes_share_one_tuple_per_physical_link(self):
+        sim, _, net = make_net()
+        seen = []
+        sim.probes.subscribe("noc_links", lambda links, flits: seen.append(links))
+        for dst in (2, 3):
+            net.register(dst, "l2", lambda pkt: None)
+        net.send(Packet(src=0, dst=2, kind=CTRL, payload_bits=0, dst_port="l2"))
+        net.send(Packet(src=1, dst=3, kind=CTRL, payload_bits=0, dst_port="l2"))
+        first, second = seen
+        # The probe still sees the links by value...
+        assert list(first) == [(0, 1), (1, 2)]
+        assert list(second) == [(1, 2), (2, 3)]
+        # ...and both routes hold the one tuple of link (1, 2).
+        assert first[1] is second[0]
+        assert net.mesh.route(0, 3)[1] is first[1]
+
+    def test_lanes_share_a_frozen_delivery_info(self):
+        _, _, net = make_net()
+        for dst in (1, 2):
+            net.register(dst, "l2", lambda pkt: None)
+        a = net.send(Packet(src=0, dst=1, kind=CTRL, payload_bits=0, dst_port="l2"))
+        b = net.send(Packet(src=1, dst=2, kind=CTRL, payload_bits=0, dst_port="l2"))
+        assert (a.flits, a.hops, a.flit_hops) == (1, 1, 1)
+        assert a is b
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.flits = 2
 
 
 class TestMulticast:

@@ -36,6 +36,11 @@ class HeapOracle(Simulator):
         return len(self._queue)
 
     def run(self, until=None, max_events=None):
+        if max_events is not None:
+            if max_events < 0:
+                raise ValueError(f"max_events must be >= 0, got {max_events}")
+            if max_events == 0:
+                return self.now
         queue = self._queue
         budget = max_events if max_events is not None else float("inf")
         before, after = self.probes.dispatch, self.probes.dispatched

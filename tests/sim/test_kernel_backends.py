@@ -3,16 +3,19 @@
 The shared-contract tests run against both the calendar queue
 (:class:`repro.sim.Simulator`) and the single-heap reference
 (:class:`heap_oracle.HeapOracle`): the two must be observably
-identical, and the regression tests for the two historical kernel bugs
-— ``run(until=N)`` leaving ``now`` behind on queue drain, and
-``schedule_at`` silently truncating fractional times — must hold on
-each. The ``test_calendar_*`` tests pin the calendar queue's own
-mechanics.
+identical, and the regression tests for the three historical kernel
+bugs — ``run(until=N)`` leaving ``now`` behind on queue drain,
+``schedule_at`` silently truncating fractional times, and
+``run(max_events=0)`` running one event — must hold on each, as must
+the event budget's stop inside a cycle and a raising handler's.
+The ``test_calendar_*`` tests pin the calendar queue's own mechanics.
 
 Tests marked ``no_sanitize`` additionally exercise the run loop with
 no ``dispatch`` probe subscriber (the tier-1 default attaches the
 sanitizer, which subscribes one).
 """
+
+import tracemalloc
 
 import pytest
 
@@ -137,6 +140,75 @@ def test_count_inlined_events(sim):
 
 
 # ----------------------------------------------------------------------
+# the event budget and a raising handler
+# ----------------------------------------------------------------------
+def test_max_events_zero_runs_nothing(sim):
+    fired = []
+    sim.schedule(0, fired.append, "a")
+    sim.schedule(3, fired.append, "b")
+    assert sim.run(max_events=0) == 0
+    assert fired == []
+    assert sim.events_pending == 2
+    assert sim.events_executed == 0
+
+
+def test_negative_max_events_rejected_before_running(sim):
+    fired = []
+    sim.schedule(0, fired.append, "a")
+    with pytest.raises(ValueError, match="max_events"):
+        sim.run(max_events=-1)
+    assert fired == []
+    assert sim.events_pending == 1
+    sim.run()
+    assert fired == ["a"]
+
+
+def test_max_events_stops_inside_a_cycle(sim):
+    """The budget runs out in a cycle whose first handler queued a
+    zero-delay event: the rest stay pending in order, and a later run
+    finishes them."""
+    order = []
+
+    def first():
+        order.append("first")
+        sim.schedule(0, order.append, "zero-delay")
+
+    sim.schedule(2, first)
+    sim.schedule(2, order.append, "second")
+    sim.schedule(2, order.append, "third")
+    sim.schedule(4, order.append, "later")
+    assert sim.run(max_events=2) == 2
+    assert order == ["first", "second"]
+    assert sim.events_pending == 3
+    assert sim.events_executed == 2
+    sim.run()
+    assert order == ["first", "second", "third", "zero-delay", "later"]
+    assert sim.events_executed == 5
+
+
+def test_raising_handler_leaves_rest_of_cycle_pending(sim):
+    order = []
+
+    def boom():
+        order.append("boom")
+        raise RuntimeError("handler failed")
+
+    sim.schedule(1, order.append, "before")
+    sim.schedule(1, boom)
+    sim.schedule(1, order.append, "after")
+    sim.schedule(2, order.append, "next cycle")
+    with pytest.raises(RuntimeError, match="handler failed"):
+        sim.run()
+    assert order == ["before", "boom"]
+    assert sim.now == 1
+    assert sim.events_executed == 2  # the raising event counts
+    assert sim.events_pending == 2
+    sim.run()
+    assert order == ["before", "boom", "after", "next cycle"]
+    assert sim.events_executed == 4
+
+
+# ----------------------------------------------------------------------
 # calendar-specific mechanics
 # ----------------------------------------------------------------------
 @pytest.fixture
@@ -176,9 +248,24 @@ def test_calendar_overflow_migration_preserves_fifo(cal):
 def test_calendar_far_future_goes_to_overflow(cal):
     cal.schedule(cal.RING + 100, lambda: None)
     assert len(cal._overflow) == 1
-    assert cal._ring_count == 0
+    assert not any(cal._buckets)
     cal.run()
     assert cal.events_executed == 1
+
+
+@pytest.mark.no_sanitize
+def test_calendar_ring_is_small():
+    """The ring's empty buckets are plain lists: 2,048 empty deques
+    took ~1.5 MiB, a deque allocating its 64-slot block up front."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim = Simulator()
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sim.events_pending == 0
+    assert size < 256 * 1024
 
 
 def test_calendar_dense_reschedule_storm(cal):
