@@ -7,7 +7,6 @@ from repro.mem.cache import (
     MODIFIED,
     SHARED,
     CacheArray,
-    CacheLine,
 )
 from repro.mem.coherence import CohMsg, DirEntry, Directory
 from repro.mem.dram import DramController, DramSystem
@@ -23,7 +22,6 @@ __all__ = [
     "NucaMap",
     "line_addr",
     "CacheArray",
-    "CacheLine",
     "INVALID",
     "SHARED",
     "EXCLUSIVE",

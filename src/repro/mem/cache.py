@@ -1,25 +1,28 @@
-"""Set-associative cache array with the metadata the paper measures.
+"""Set-associative cache array: line tags, dirty bits and replacement.
 
-This is the tag/data bookkeeping shared by L1, L2 and L3 controllers.
-Beyond the usual state, each line tracks:
+This is the tag bookkeeping shared by the L1, L2 and L3 controllers. A
+line is a *slot* (``set * ways + way``), not an object. Per slot the
+array keeps only what every level reads: the line base, in an
+``array('q')`` that holds :data:`FREE` for an empty way (negative,
+because address 0 is a real line), and the dirty bit, in the
+``bytearray`` :attr:`CacheArray.dirty`. A line-base -> slot map makes a
+lookup one dict probe, and the array hands controllers slot numbers.
+Each controller keeps, by slot, only the line fields that it reads:
 
-- ``uses``: hits since fill. Only L2 evictions are classified: an L2
-  victim with ``uses == 0`` that is not dirty counts as *evicted
-  without reuse*, the quantity in Figure 2a (the L2 counts a hit, not
-  the miss that filled the line, as a use);
-- ``stream_id``: the stream that brought the line in (the paper extends
-  the private-cache tag array with a 4-bit stream id, §IV-D), used both
-  for the reuse-history float policy and for Figure 2a's "stream"
-  fraction;
-- ``fill_flits``: NoC flits spent bringing the line in, so eviction-
-  without-reuse traffic (Figure 2b) can be attributed per line.
+- the L2 (:mod:`repro.mem.l2`) its MESI state and the Figure 2
+  accounting: hits since fill, the stream that filled the line, and the
+  flits spent filling it;
+- the L1 (:mod:`repro.mem.l1`) its ``writable`` hint;
+- the L3 nothing beyond the dirty bit.
 
-The array keeps ``sets x ways`` slots in one flat list (slot =
-``set * ways + way``) and a line-base -> slot map, so lookups are one
-dict probe + one list index with no nested containers on the hot path.
-A slot holds no :class:`CacheLine` until its way's first fill builds
-one, which then stays in the slot for the array's life: at the paper's
-8x8 geometry most slots are never filled.
+Every per-slot column is a ``bytearray`` or an ``array.array``, which
+the cyclic GC does not track, and every value of the map comes from one
+tuple of slot numbers per array size, shared by all arrays of that
+size, so a fill allocates nothing but its line-base key. After mv/sf
+at the paper's 8x8 geometry, an object per line (80,136 of them) cost
+~8 MB of peak RSS; and columns of Python lists, which the GC tracks,
+moved a collection into each chip build and doubled its setup time
+(DESIGN.md §12).
 
 Replacement state is flat too, indexed by slot. The paper's caches use
 Bimodal RRIP with p = 0.03 (Table III) [Jaleel et al., ISCA'10]: one
@@ -27,17 +30,19 @@ Bimodal RRIP with p = 0.03 (Table III) [Jaleel et al., ISCA'10]: one
 ``bytearray`` per array. A hit sets RRPV 0; a fill inserts at 2 (long)
 with probability p and at 3 (distant) otherwise, which makes the cache
 scan-resistant; the victim is the first way at RRPV 3, after aging the
-set until one exists. LRU keeps one recency stamp per slot, drawn from
-one counter per array, and evicts the way with the oldest stamp. Either
-way a set's state is a slice of the array, not an object of its own.
+set until one exists. LRU keeps one recency stamp per slot, in an
+``array('q')``, drawn from one counter per array, and evicts the way
+with the oldest stamp. Either way a set's state is a slice of the
+array, not an object of its own.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Dict, List, Optional, Tuple
 
-from repro.mem.addr import LINE_SIZE, line_addr
+from repro.mem.addr import LINE_SIZE
 
 # Coherence states (MESI). The same enum serves private caches and the
 # LLC/directory; not every state is meaningful at every level.
@@ -50,6 +55,10 @@ MODIFIED = "M"
 BRRIP_P = 0.03
 MAX_RRPV = 3
 
+# The tag of a way that holds no line. Any negative tag reads as free:
+# line bases are never negative, and address 0 is a real line.
+FREE = -1
+
 # seed -> (generator, the values drawn from it so far). Fill n of BRRIP
 # set s of an array seeded t inserts by value n of random.Random(t + s).
 # Value n is always the n-th output of that generator, whichever set
@@ -61,69 +70,19 @@ MAX_RRPV = 3
 # mv/sf at 8x8: 319 seeds, 1,365 values).
 _DRAWS: Dict[int, Tuple[random.Random, List[float]]] = {}
 
-
-class CacheLine:
-    """One cache line's tag entry."""
-
-    __slots__ = (
-        "addr", "state", "dirty",
-        # --- accounting used by the paper's measurements ---
-        "uses", "stream_id",
-        "fill_flits",       # data flits spent filling the line
-        "fill_flits_ctrl",  # control flits spent filling the line
-        "writable",         # L1-level hint: backing L2 state is M/E
-    )
-
-    def __init__(
-        self,
-        addr: int = 0,
-        state: str = INVALID,
-        dirty: bool = False,
-        uses: int = 0,
-        stream_id: Optional[int] = None,
-        fill_flits: int = 0,
-        fill_flits_ctrl: int = 0,
-        writable: bool = False,
-    ) -> None:
-        self.addr = addr
-        self.state = state
-        self.dirty = dirty
-        self.uses = uses
-        self.stream_id = stream_id
-        self.fill_flits = fill_flits
-        self.fill_flits_ctrl = fill_flits_ctrl
-        self.writable = writable
-
-    @property
-    def valid(self) -> bool:
-        return self.state != INVALID
-
-    def copy(self) -> "CacheLine":
-        """Snapshot for post-eviction accounting."""
-        dup = CacheLine.__new__(CacheLine)
-        dup.addr = self.addr
-        dup.state = self.state
-        dup.dirty = self.dirty
-        dup.uses = self.uses
-        dup.stream_id = self.stream_id
-        dup.fill_flits = self.fill_flits
-        dup.fill_flits_ctrl = self.fill_flits_ctrl
-        dup.writable = self.writable
-        return dup
-
-    def __repr__(self) -> str:  # debugging / sanitizer reports
-        return (
-            f"CacheLine(addr={self.addr:#x}, state={self.state!r}, "
-            f"dirty={self.dirty}, uses={self.uses}, "
-            f"stream_id={self.stream_id})"
-        )
+# slot count -> (0, 1, ..., count - 1): the values of the line-base ->
+# slot map of every array with that many slots. Reading the slot number
+# from the shared tuple, a fill allocates no int for it.
+_SLOT_IDS: Dict[int, Tuple[int, ...]] = {}
 
 
 class CacheArray:
-    """A set-associative array of :class:`CacheLine`.
+    """A set-associative array of line slots.
 
     The array does pure tag management: controllers decide when to
-    look up, fill and evict, and own all timing and messaging.
+    look up, fill and evict, and own all timing and messaging. Lines
+    are named by slot; :attr:`dirty` holds each slot's dirty bit, which
+    controllers read and set directly.
     """
 
     def __init__(
@@ -151,32 +110,36 @@ class CacheArray:
         if self.num_sets & (self.num_sets - 1):
             raise ValueError(f"number of sets ({self.num_sets}) must be a power of two")
         nslots = self.num_sets * ways
-        # Flat slot array: slot = set_idx * ways + way. None until the
-        # way's first fill; built ways are always a prefix of the set.
-        self._slots: List[Optional[CacheLine]] = [None] * nslots
+        # Per slot (slot = set_idx * ways + way): the line base, FREE
+        # for an empty way, and the dirty bit.
+        self._tags = array("q", [FREE]) * nslots
+        self.dirty = bytearray(nslots)
         # Replacement state, by slot: BRRIP's RRPVs and fills per set,
         # or LRU's recency stamps and their one counter.
         self._rrpv: Optional[bytearray] = None
-        self._stamps: Optional[List[int]] = None
+        self._stamps: Optional[array] = None
         if replacement == "brrip":
             self._rrpv = bytearray([MAX_RRPV]) * nslots
-            self._fills = [0] * self.num_sets
+            self._fills = array("q", [0]) * self.num_sets
             self._seed = seed
         else:
-            self._stamps = [0] * nslots
+            self._stamps = array("q", [0]) * nslots
             self._clock = 0
         self._set_index_fn = set_index_fn
         self._set_mask = self.num_sets - 1
-        # Map line base address -> flat slot for O(1) lookups.
+        # Map line base address -> slot for O(1) lookups.
         self._where: Dict[int, int] = {}
+        if nslots not in _SLOT_IDS:
+            _SLOT_IDS[nslots] = tuple(range(nslots))
+        self._slot_ids = _SLOT_IDS[nslots]
 
     def set_of(self, addr: int) -> int:
         if self._set_index_fn is not None:
             return self._set_index_fn(addr) & self._set_mask
         return (addr >> 6) & self._set_mask
 
-    def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
-        """Return the line holding ``addr``, updating recency if
+    def lookup(self, addr: int, touch: bool = True) -> Optional[int]:
+        """Return the slot holding ``addr``, updating recency if
         ``touch``; ``None`` on miss."""
         base = addr & ~(LINE_SIZE - 1)
         where = self._where
@@ -190,39 +153,32 @@ class CacheArray:
             else:
                 self._clock += 1
                 self._stamps[slot] = self._clock
-        return self._slots[slot]
+        return slot
 
     def contains(self, addr: int) -> bool:
         return addr & ~(LINE_SIZE - 1) in self._where
 
-    def pick_victim(self, addr: int, avoid=None) -> Tuple[int, CacheLine]:
-        """Choose (way, line) to evict so ``addr`` can be filled.
-
-        The caller should handle writeback of a valid victim, then call
-        :meth:`fill`. A free way's line is built here on the way's
-        first use, which callers cannot observe; otherwise only the
-        set's replacement state changes (BRRIP aging, and promotion of
-        a skipped pinned way). ``avoid`` is an optional predicate over
-        line addresses; lines it matches (e.g. lines with in-flight
-        transactions) are skipped unless every way matches, in which
-        case a RuntimeError is raised.
+    def pick_victim(self, addr: int, avoid=None) -> int:
+        """The slot a fill of ``addr`` would take, as :meth:`fill`
+        chooses it: a free way if the set has one, else the policy's
+        victim. Only the set's replacement state changes (BRRIP aging,
+        and promotion of a skipped pinned way). ``avoid`` is an
+        optional predicate over line addresses; lines it matches (e.g.
+        lines with in-flight transactions) are skipped unless every way
+        matches, in which case a RuntimeError is raised.
         """
         return self._victim(self.set_of(addr), avoid)
 
-    def _victim(self, set_idx: int, avoid) -> Tuple[int, CacheLine]:
+    def _victim(self, set_idx: int, avoid) -> int:
         nways = self.ways
         first = set_idx * nways
         end = first + nways
-        slots = self._slots
+        tags = self._tags
         # Free-way fast scan: both policies prefer the lowest-index
-        # invalid way.
+        # free way.
         for slot in range(first, end):
-            line = slots[slot]
-            if line is None:
-                line = slots[slot] = CacheLine()
-                return slot - first, line
-            if line.state == INVALID:
-                return slot - first, line
+            if tags[slot] < 0:
+                return slot
         # The set is full: every way holds a valid line.
         rrpv = self._rrpv
         stamps = self._stamps
@@ -239,9 +195,8 @@ class CacheArray:
             else:
                 recency = stamps[first:end]
                 slot = first + recency.index(min(recency))
-            line = slots[slot]
-            if avoid is None or not avoid(line.addr):
-                return slot - first, line
+            if avoid is None or not avoid(tags[slot]):
+                return slot
             # Pinned: make it most-recently-used and try again.
             if rrpv is not None:
                 rrpv[slot] = 0
@@ -252,45 +207,38 @@ class CacheArray:
         # promoted way that ages back to RRPV 3 with the others wins
         # the tie again), so fall back to the lowest unpinned way.
         for slot in range(first, end):
-            line = slots[slot]
-            if not avoid(line.addr):
-                return slot - first, line
+            if not avoid(tags[slot]):
+                return slot
         raise RuntimeError(f"all ways pinned in set {set_idx}")
 
     def fill(
-        self,
-        addr: int,
-        state: str,
-        stream_id: Optional[int] = None,
-        fill_flits: int = 0,
-        fill_flits_ctrl: int = 0,
-        avoid=None,
-    ) -> Tuple[CacheLine, Optional[CacheLine]]:
-        """Insert ``addr``; returns (new_line, evicted_copy_or_None).
+        self, addr: int, dirty: bool = False, avoid=None,
+    ) -> Tuple[int, Optional[int], bool]:
+        """Insert ``addr``, with dirty bit ``dirty``; returns
+        ``(slot, evicted_base, evicted_dirty)``.
 
-        The evicted line is returned as a *copy* holding its final
-        metadata so the controller can account for it after the slot
-        has been reused. ``avoid`` works as in :meth:`pick_victim`.
+        ``evicted_base`` is ``None`` when the way was free. A
+        controller's own fields for the slot still hold the evicted
+        line's values, to read before it writes the new line's.
+        ``avoid`` works as in :meth:`pick_victim`.
         """
         base = addr & ~(LINE_SIZE - 1)
-        if base in self._where:
+        where = self._where
+        if base in where:
             raise ValueError(f"fill of already-present line {base:#x}")
         set_idx = self.set_of(addr)
-        way, victim = self._victim(set_idx, avoid)
-        evicted: Optional[CacheLine] = None
-        if victim.state != INVALID:
-            evicted = victim.copy()
-            del self._where[victim.addr]
-        victim.addr = base
-        victim.state = state
-        victim.dirty = False
-        victim.uses = 0
-        victim.stream_id = stream_id
-        victim.fill_flits = fill_flits
-        victim.fill_flits_ctrl = fill_flits_ctrl
-        victim.writable = False
-        slot = set_idx * self.ways + way
-        self._where[base] = slot
+        slot = self._victim(set_idx, avoid)
+        tags = self._tags
+        flags = self.dirty
+        evicted = tags[slot]
+        evicted_dirty = flags[slot] == 1
+        if evicted < 0:
+            evicted = None
+        else:
+            del where[evicted]
+        tags[slot] = base
+        flags[slot] = dirty
+        where[base] = self._slot_ids[slot]
         rrpv = self._rrpv
         if rrpv is not None:
             fills = self._fills
@@ -307,22 +255,24 @@ class CacheArray:
         else:
             self._clock += 1
             self._stamps[slot] = self._clock
-        return victim, evicted
+        return slot, evicted, evicted_dirty
 
-    def invalidate(self, addr: int) -> Optional[CacheLine]:
-        """Drop ``addr`` if present; returns a copy of the dropped line."""
-        slot = self._where.pop(line_addr(addr), None)
+    def invalidate(self, addr: int) -> Optional[bool]:
+        """Drop ``addr`` if present; returns the dropped line's dirty
+        bit, or ``None`` if the array did not hold it."""
+        slot = self._where.pop(addr & ~(LINE_SIZE - 1), None)
         if slot is None:
             return None
-        line = self._slots[slot]
-        copy = line.copy()
-        line.state = INVALID
-        line.dirty = False
-        return copy
+        self._tags[slot] = FREE
+        flags = self.dirty
+        dirty = flags[slot] == 1
+        flags[slot] = 0
+        return dirty
 
-    def all_lines(self) -> List[CacheLine]:
-        """All valid lines (test/debug helper)."""
-        return [ln for ln in self._slots if ln is not None and ln.valid]
+    def lines(self) -> List[int]:
+        """The bases of all valid lines, in slot order (sanitizer and
+        test helper)."""
+        return [base for base in self._tags if base >= 0]
 
     def occupancy(self) -> int:
         return len(self._where)

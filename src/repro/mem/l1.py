@@ -4,7 +4,10 @@ Per-tile, 32 kB 8-way, 2-cycle latency (Table III). The L1 is not a
 coherence endpoint: the colocated L2 is inclusive of it and back-
 invalidates it when lines leave the L2. Each line carries a
 ``writable`` hint mirroring the L2's M/E state so stores know whether
-an upgrade round-trip is needed.
+an upgrade round-trip is needed. The hint is the one line field only
+the L1 reads, so the L1 keeps it itself, one byte per slot of its
+:class:`~repro.mem.cache.CacheArray` in :attr:`L1Cache.writable`; the
+array keeps the line base and the dirty bit (DESIGN.md §12).
 
 The L1 hosts the demand-side prefetchers (stride or Bingo): every
 demand access trains the prefetcher, whose suggested lines are issued
@@ -16,8 +19,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.mem.addr import LINE_SIZE
-from repro.mem.cache import CacheArray, EXCLUSIVE, MODIFIED, SHARED
-from repro.mem.l2 import L2AccessResult, L2Cache, L2Request
+from repro.mem.cache import CacheArray
+from repro.mem.l2 import E_CODE, M_CODE, L2AccessResult, L2Cache, L2Request
 from repro.mem.mshr import MshrFile
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
@@ -80,6 +83,9 @@ class L1Cache:
         self.l2 = l2
         self.latency = latency
         self.array = CacheArray(size_bytes, ways, replacement=replacement, seed=tile)
+        self._dirty = self.array.dirty
+        # The writable hint, by slot.
+        self.writable = bytearray(len(self._dirty))
         self.mshr = MshrFile(mshrs)
         # fill()'s eviction-victim predicate: victim addresses are line
         # bases, so MSHR key membership is lookup() minus the masking —
@@ -89,21 +95,22 @@ class L1Cache:
         self.prefetcher = None  # L1 stride or Bingo, wired by the tile
         self._c_hits = stats.counter("l1.hits")
         self._c_misses = stats.counter("l1.misses")
+        self._c_writebacks = stats.counter("l1.writebacks")
         l2.on_l1_invalidate = self.invalidate
         l2.on_l1_downgrade = self.downgrade
         self._probes = sim.probes.bind("l1", self)
 
     # ------------------------------------------------------------------
     def access(self, req: L1Request) -> None:
-        line = self.array.lookup(req.addr)  # lookup masks to the line
-        hit = line is not None and (not req.is_write or line.writable)
+        slot = self.array.lookup(req.addr)  # lookup masks to the line
+        hit = slot is not None and (not req.is_write or self.writable[slot] == 1)
         if self.prefetcher is not None and not req.prefetch and not req.floating:
             for pf_addr in self.prefetcher.on_access(req.op_id, req.addr, hit=hit):
                 self._issue_prefetch(pf_addr, req.op_id)
         if hit:
             self._c_hits[0] += req.count
             if req.is_write:
-                line.dirty = True
+                self._dirty[slot] = 1
             if req.floating and self.l2.se_l2 is not None:
                 # Floating stream data unexpectedly in L1 (SS IV-A):
                 # serve from cache, tell SE_L2 to advance.
@@ -176,34 +183,28 @@ class L1Cache:
         # ``result.writable`` but before this fill runs. The writable
         # hint must mirror the L2's *current* M/E state, or a store
         # would silently dirty a shared line (a second writer).
-        l2_line = self.l2.array.lookup(base, touch=False)
-        writable = l2_line is not None and l2_line.state in (MODIFIED, EXCLUSIVE)
-        if not self.array.contains(base):
-            stream_id = None
-            for waiter in entry.waiters:
-                if waiter.stream_id is not None:
-                    stream_id = waiter.stream_id
-                    break
+        l2 = self.l2
+        l2_slot = l2.array.lookup(base, touch=False)
+        writable = l2_slot is not None and l2.state[l2_slot] >= E_CODE
+        slot = self.array.lookup(base, touch=False)
+        if slot is None:
             # Floating-stream data bypasses the caches entirely: it
             # lives in the SE_L2 buffer (SS V-A, uncached stream data),
             # even when a demand request merged into the same MSHR.
             # Inclusion guard: the L2 may have evicted the line during
             # the response latency window; don't fill the L1 then.
-            if not result.uncached and l2_line is not None:
-                line, evicted = self.array.fill(
-                    base, SHARED, stream_id=stream_id,
+            if not result.uncached and l2_slot is not None:
+                slot, evicted, evicted_dirty = self.array.fill(
+                    base, dirty=entry.is_write and writable,
                     avoid=self._avoid_inflight,
                 )
-                line.writable = writable
-                if entry.is_write and writable:
-                    line.dirty = True
-                if evicted is not None and evicted.dirty:
-                    self._writeback_to_l2(evicted.addr)
+                self.writable[slot] = writable
+                if evicted_dirty:
+                    self._writeback_to_l2(evicted)
         else:
-            line = self.array.lookup(base, touch=False)
-            line.writable = writable
+            self.writable[slot] = writable
             if entry.is_write and writable:
-                line.dirty = True
+                self._dirty[slot] = 1
         if entry.is_write and not writable and not result.uncached:
             # Write permission was revoked while the response was in
             # flight: retry the store as a background upgrade (GetX).
@@ -223,22 +224,23 @@ class L1Cache:
         p = self._probes.l1_writeback
         if p is not None:
             p(self, addr)
-        line = self.l2.array.lookup(addr, touch=False)
-        if line is not None:
-            line.dirty = True
-            line.state = MODIFIED
-        self.stats.add("l1.writebacks")
+        l2 = self.l2
+        slot = l2.array.lookup(addr, touch=False)
+        if slot is not None:
+            l2.array.dirty[slot] = 1
+            l2.state[slot] = M_CODE
+        self._c_writebacks[0] += 1
 
     def _drain_overflow(self) -> None:
         while self._overflow and not self.mshr.full:
             req = self._overflow.pop(0)
             base = req.addr & _LINE_MASK
-            line = self.array.lookup(base)
-            if line is not None and (not req.is_write or line.writable):
+            slot = self.array.lookup(base)
+            if slot is not None and (not req.is_write or self.writable[slot] == 1):
                 # The line arrived while the request was parked.
                 self.stats.add("l1.hits", req.count)
                 if req.is_write:
-                    line.dirty = True
+                    self._dirty[slot] = 1
                 if req.on_done is not None:
                     self.sim.schedule(self.latency, req.on_done)
                 continue
@@ -250,7 +252,7 @@ class L1Cache:
     def downgrade(self, addr: int) -> None:
         """L2 lost write permission: clear the writable hint (and fold
         any silently dirtied L1 data back into the outgoing copy)."""
-        line = self.array.lookup(addr & _LINE_MASK, touch=False)
-        if line is not None:
-            line.writable = False
-            line.dirty = False
+        slot = self.array.lookup(addr & _LINE_MASK, touch=False)
+        if slot is not None:
+            self.writable[slot] = 0
+            self._dirty[slot] = 0

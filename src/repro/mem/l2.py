@@ -8,11 +8,21 @@ invalidates the colocated L1 on evictions (inclusive hierarchy).
 This controller also produces the paper's motivation measurements:
 
 - Figure 2a: every eviction is classified by whether the line was
-  re-accessed after its fill (``uses``), whether it was clean, and
-  whether a stream brought it in (``stream_id``).
+  re-accessed after its fill (its hit count since the fill, where a
+  hit, not the miss that filled the line, counts as a use), whether it
+  was clean, and whether a stream brought it in (the paper extends the
+  private-cache tag array with a 4-bit stream id, SS IV-D).
 - Figure 2b: for lines evicted clean-without-reuse, the flits spent
   filling them (recorded at fill time) plus their eviction messages
   are accumulated into ``l2.noreuse_flits.*``.
+
+The L2 is the only level that reads a line's MESI state or this
+accounting, so it keeps them itself, by slot of its
+:class:`~repro.mem.cache.CacheArray`, in untracked columns: the state
+as a byte code in :attr:`L2Cache.state`, and the hit count, filling
+stream and fill flits in ``array.array`` columns. The array keeps the
+line base and the dirty bit. :meth:`L2Cache.state_of` reads a line's
+state as its MESI letter.
 
 Stream hooks: ``se_l2`` intercepts misses of floating-stream requests
 (the data lives in the SE_L2 stream buffer, not the cache);
@@ -22,10 +32,11 @@ SE_core's history table (SS IV-D).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from array import array
+from typing import Callable, Dict, List, Optional
 
 from repro.mem.addr import LINE_SIZE, NucaMap
-from repro.mem.cache import CacheArray, EXCLUSIVE, MODIFIED, SHARED
+from repro.mem.cache import CacheArray, EXCLUSIVE, INVALID, MODIFIED, SHARED
 from repro.mem.coherence import CohMsg
 from repro.mem.mshr import MshrFile
 from repro.noc.message import CTRL, DATA, Packet, control_payload_bits, data_payload_bits
@@ -34,6 +45,14 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
 
 _LINE_MASK = ~(LINE_SIZE - 1)  # line_addr(), inlined for the hot paths
+
+# MESI state codes of ``L2Cache.state``: STATES[code] is the state's
+# letter, and the codes from E_CODE up (E, M) grant write permission.
+STATES = INVALID + SHARED + EXCLUSIVE + MODIFIED
+S_CODE, E_CODE, M_CODE = 1, 2, 3
+_CODES = {SHARED: S_CODE, EXCLUSIVE: E_CODE, MODIFIED: M_CODE}
+# The stream column's value for a line no stream brought in.
+_NO_STREAM = -(1 << 31)
 
 
 class L2AccessResult:
@@ -118,6 +137,20 @@ class L2Cache:
         self.tile = tile
         self.latency = latency
         self.array = CacheArray(size_bytes, ways, replacement=replacement, seed=tile)
+        self._dirty = self.array.dirty
+        nslots = len(self._dirty)
+        # The line fields only the L2 reads, by slot: the MESI state
+        # code, and Figure 2's hits since fill, filling stream and
+        # fill flits (data and control).
+        self.state = bytearray(nslots)
+        self._uses = array("I", [0]) * nslots
+        self._stream_ids = array("i", [_NO_STREAM]) * nslots
+        self._fill_flits = array("H", [0]) * nslots
+        self._fill_flits_ctrl = array("H", [0]) * nslots
+        # A fill whose request rode a bulk group (repro.prefetch.bulk)
+        # spent a float share of the group's packet: its control flits
+        # live here, by slot, in place of the column's.
+        self._bulk_shares: Dict[int, float] = {}
         self.mshr = MshrFile(mshrs)
         # fill()'s eviction-victim predicate: skip lines with in-flight
         # transactions. Victim addresses are already line bases, so the
@@ -149,6 +182,7 @@ class L2Cache:
         self._c_noreuse_stream = stats.counter("l2.evictions_noreuse_stream")
         self._c_noreuse_data = stats.counter("l2.noreuse_flits.data")
         self._c_noreuse_ctrl = stats.counter("l2.noreuse_flits.ctrl")
+        self._c_put_acks = stats.counter("l2.put_acks")
         net.register(tile, "l2", self.handle)
         self._probes = sim.probes.bind("l2", self)
 
@@ -158,21 +192,23 @@ class L2Cache:
     def access(self, req: L2Request) -> None:
         """Look up ``req.addr``; respond through ``req.on_done``."""
         base = req.addr & _LINE_MASK
-        line = self.array.lookup(base)
-        if line is not None and not (req.is_write and line.state == SHARED):
+        slot = self.array.lookup(base)
+        state = self.state
+        if slot is not None and not (req.is_write and state[slot] == S_CODE):
             # Plain hit (writes need M/E; E upgrades to M silently).
             self._c_hits[0] += 1
-            line.uses += 1
+            self._uses[slot] += 1
             if req.is_write:
-                line.state = MODIFIED
-                line.dirty = True
-            if line.stream_id is not None and self.on_stream_reuse:
-                self.on_stream_reuse(line.stream_id)
+                state[slot] = M_CODE
+                self._dirty[slot] = 1
+            sid = self._stream_ids[slot]
+            if sid != _NO_STREAM and self.on_stream_reuse:
+                self.on_stream_reuse(sid)
             if req.floating and self.se_l2 is not None:
                 # Data unexpectedly cached: tell SE_L2 to advance past
                 # this element (SS IV-A).
                 self.se_l2.on_cache_hit(req.stream_id, req.element)
-            self._respond(req, writable=line.state in (MODIFIED, EXCLUSIVE))
+            self._respond(req, writable=state[slot] >= E_CODE)
             return
 
         self._c_misses[0] += 1
@@ -186,7 +222,7 @@ class L2Cache:
         if self.prefetcher is not None and not req.prefetch:
             for pf_addr in self.prefetcher.on_access(req.op_id, base, hit=False):
                 self._issue_prefetch(pf_addr)
-        self._miss(req, line)
+        self._miss(req, slot)
 
     PREFETCH_MSHR_RESERVE = 4  # MSHRs kept free for demand misses
 
@@ -200,13 +236,14 @@ class L2Cache:
         self.stats.add("l2.prefetch_issued")
         self._miss(L2Request(addr=base, prefetch=True), None)
 
-    def _miss(self, req: L2Request, line) -> None:
-        """Send the miss to the home bank, or park it. ``via`` names
-        how it left the L2 for the l2_miss probe: "gets"/"getx"/"bulk"
-        sent to the bank, "merge" rode an in-flight MSHR entry,
+    def _miss(self, req: L2Request, slot: Optional[int]) -> None:
+        """Send the miss to the home bank, or park it. ``slot`` is the
+        line's slot on a write hit in S. ``via`` names how it left the
+        L2 for the l2_miss probe: "gets"/"getx"/"bulk" sent to the
+        bank, "merge" rode an in-flight MSHR entry,
         "overflow"/"prefetch_drop" parked or dropped here."""
         base = req.addr & _LINE_MASK
-        upgrade = line is not None  # write hit in S: needs GetX, no fill
+        upgrade = slot is not None  # write hit in S: needs GetX, no fill
         merged = self.mshr.lookup(base)
         if merged is not None:
             via = "merge"
@@ -264,7 +301,7 @@ class L2Cache:
         elif op == "InvAck":
             self.stats.add("l2.inv_acks")
         elif op == "PutAck":
-            self.stats.add("l2.put_acks")
+            self._c_put_acks[0] += 1
         elif op in ("FwdGetS", "FwdGetX", "FwdGetU"):
             self._forward(pkt, msg)
         else:
@@ -275,16 +312,17 @@ class L2Cache:
         entry = self.mshr.release(base)
         resp_flits = self._resp_flits
         if entry.meta["upgrade"]:
-            line = self.array.lookup(base, touch=False)
-            if line is not None:
-                line.state = msg.grant
-                line.dirty = line.dirty or msg.grant == MODIFIED
+            slot = self.array.lookup(base, touch=False)
+            if slot is not None:
+                self.state[slot] = _CODES[msg.grant]
+                if msg.grant == MODIFIED:
+                    self._dirty[slot] = 1
             else:
                 self._fill(base, msg, entry, resp_flits)
         else:
             self._fill(base, msg, entry, resp_flits)
-        line = self.array.lookup(base, touch=False)
-        writable = bool(line) and line.state in (MODIFIED, EXCLUSIVE)
+        slot = self.array.lookup(base, touch=False)
+        writable = slot is not None and self.state[slot] >= E_CODE
         for waiter in entry.waiters:
             self._respond(waiter, writable=writable, delay=0)
         self._drain_overflow()
@@ -295,17 +333,33 @@ class L2Cache:
     def _fill(self, base: int, msg: CohMsg, entry, resp_flits: int) -> None:
         state = msg.grant or SHARED
         meta = entry.meta
-        line, evicted = self.array.fill(
-            base, state,
-            stream_id=meta["stream_id"] if "stream_id" in meta else None,
-            fill_flits=resp_flits,
-            fill_flits_ctrl=meta["req_flits"] if "req_flits" in meta else 0,
-            avoid=self._avoid_inflight,
+        slot, evicted, evicted_dirty = self.array.fill(
+            base, dirty=state == MODIFIED, avoid=self._avoid_inflight,
         )
-        if state == MODIFIED:
-            line.dirty = True
+        uses = self._uses
+        stream_ids = self._stream_ids
+        fill_flits = self._fill_flits
+        fill_flits_ctrl = self._fill_flits_ctrl
+        shares = self._bulk_shares
         if evicted is not None:
-            self._evict(evicted)
+            # Read the victim's fields before the new line's replace them.
+            victim = (evicted, evicted_dirty, uses[slot], stream_ids[slot],
+                      fill_flits[slot],
+                      shares[slot] if slot in shares else fill_flits_ctrl[slot])
+        sid = meta["stream_id"] if "stream_id" in meta else None
+        self.state[slot] = _CODES[state]
+        uses[slot] = 0
+        stream_ids[slot] = _NO_STREAM if sid is None else sid
+        fill_flits[slot] = resp_flits
+        ctrl = meta["req_flits"] if "req_flits" in meta else 0
+        if ctrl.__class__ is float:
+            shares[slot] = ctrl
+        else:
+            fill_flits_ctrl[slot] = ctrl
+            if slot in shares:
+                del shares[slot]
+        if evicted is not None:
+            self._evict(*victim)
 
     def _drain_overflow(self) -> None:
         while self._overflow and not self.mshr.full:
@@ -315,19 +369,22 @@ class L2Cache:
     # ------------------------------------------------------------------
     # evictions (the Figure 2 measurements live here)
     # ------------------------------------------------------------------
-    def _evict(self, victim) -> None:
-        base = victim.addr
+    def _evict(self, base: int, dirty: bool, uses: int, stream_id: int,
+               fill_flits: int, fill_flits_ctrl: float) -> None:
+        """Evict line ``base``, which a fill displaced: write it back
+        (PutM) or drop it (PutS), and classify it for Figure 2 by the
+        fields it held."""
         if self.on_l1_invalidate:
             self.on_l1_invalidate(base)
         self._c_evictions[0] += 1
         evict_flits_ctrl = 0
         evict_flits_data = 0
         home = self.nuca.bank_of(base)
-        if victim.dirty and self.se_l2 is not None:
+        if dirty and self.se_l2 is not None:
             # SS IV-E (second window): a dirty eviction may alias a
             # buffered floating-stream element.
             self.se_l2.on_dirty_evict(base)
-        if victim.dirty:
+        if dirty:
             info = self.net.send(Packet(
                 self.tile, home, DATA, data_payload_bits(LINE_SIZE), "l3",
                 body=CohMsg(op="PutM", addr=base, requester=self.tile),
@@ -340,31 +397,31 @@ class L2Cache:
             ))
             evict_flits_ctrl = info.flits
         # --- Figure 2a/2b classification ---
-        no_reuse = victim.uses == 0 and not victim.dirty
+        no_reuse = uses == 0 and not dirty
         if no_reuse:
             self._c_noreuse[0] += 1
-            if victim.stream_id is not None:
+            if stream_id != _NO_STREAM:
                 self._c_noreuse_stream[0] += 1
             # A cell folds only non-zero deltas, but Stats.add(name, 0)
             # creates the key. The data amount is zero for a line filled
             # outside _fill (test rigs do so); the control amount counts
             # the PutS just sent, so it never is.
-            data = victim.fill_flits + evict_flits_data
+            data = fill_flits + evict_flits_data
             if data:
                 self._c_noreuse_data[0] += data
             else:
                 self.stats.add("l2.noreuse_flits.data", 0)
-            self._c_noreuse_ctrl[0] += victim.fill_flits_ctrl + evict_flits_ctrl
+            self._c_noreuse_ctrl[0] += fill_flits_ctrl + evict_flits_ctrl
 
     def _inv(self, msg: CohMsg) -> None:
         base = msg.addr & _LINE_MASK
-        victim = self.array.invalidate(base)
+        dirty = self.array.invalidate(base)
         if self.on_l1_invalidate:
             self.on_l1_invalidate(base)
         self.stats.add("l2.invalidated")
-        if victim is None:
+        if dirty is None:
             return
-        if victim.dirty and msg.writeback_to_dram:
+        if dirty and msg.writeback_to_dram:
             # LLC back-invalidation of an M-state line: the bank no
             # longer homes it, write straight to memory.
             # (Requires a DramSystem mapping; use home-bank relay when
@@ -382,8 +439,8 @@ class L2Cache:
 
     def _forward(self, pkt: Packet, msg: CohMsg) -> None:
         base = msg.addr & _LINE_MASK
-        line = self.array.lookup(base, touch=False)
-        if line is None:
+        slot = self.array.lookup(base, touch=False)
+        if slot is None:
             # We no longer hold the line (our PutS/PutM is in flight):
             # nack so the bank clears the stale ownership and retries.
             # Note the bank's grant-then-forward sequence cannot race
@@ -400,8 +457,8 @@ class L2Cache:
             body=CohMsg(op=down_op, addr=base, requester=msg.requester),
         ))
         if msg.op == "FwdGetS":
-            line.state = SHARED
-            line.dirty = False
+            self.state[slot] = S_CODE
+            self._dirty[slot] = 0
             if self.on_l1_downgrade:
                 self.on_l1_downgrade(base)
         elif msg.op == "FwdGetX":
@@ -411,6 +468,12 @@ class L2Cache:
         # FwdGetU: no state change (Fig 12c).
 
     # ------------------------------------------------------------------
+    def state_of(self, addr: int) -> str:
+        """The MESI state of ``addr``'s line here, as its letter:
+        ``INVALID`` when the L2 does not hold it."""
+        slot = self.array.lookup(addr, touch=False)
+        return INVALID if slot is None else STATES[self.state[slot]]
+
     def _respond(self, req: L2Request, writable: bool, delay: Optional[int] = None) -> None:
         if req.on_done is None:
             return

@@ -103,6 +103,7 @@ class L3Bank:
         self._c_puts = stats.counter("l3.puts")
         self._c_putm = stats.counter("l3.putm")
         self._c_mshr_full_waits = stats.counter("l3.mshr_full_waits")
+        self._c_forwards = stats.counter("l3.forwards")
         self._src_cells: Dict[str, List[float]] = {}
         # Colocated SE_L3, attached by the tile assembly. The bank
         # notifies it when GetU data it asked for becomes available.
@@ -219,8 +220,8 @@ class L3Bank:
             self._forward_to_owner(owner, src, msg)
             return "forward"
 
-        line = self.array.lookup(base)
-        if line is not None:
+        slot = self.array.lookup(base)
+        if slot is not None:
             self._c_hits[0] += 1
             if ent is None and op == "GetS":
                 # Uncontended GetS shortcut: no directory entry means
@@ -234,7 +235,7 @@ class L3Bank:
                     body=CohMsg("Data", base, msg.requester, grant=EXCLUSIVE),
                 ))
                 return "hit"
-            self._satisfy(msg, line_dirty=line.dirty)
+            self._satisfy(msg, line_dirty=self.array.dirty[slot] == 1)
             return "hit"
 
         # LLC miss: fetch from memory.
@@ -263,7 +264,7 @@ class L3Bank:
         fwd_op = {"GetS": "FwdGetS", "GetX": "FwdGetX", "GetU": "FwdGetU"}[msg.op]
         entry = self.mshr.allocate(base, self.sim.now)
         entry.meta["head"] = (src, msg)
-        self.stats.add("l3.forwards")
+        self._c_forwards[0] += 1
         self.net.send(Packet(
             self.tile, owner, CTRL, control_payload_bits(), "l2",
             body=CohMsg(fwd_op, base, msg.requester, data_bytes=msg.data_bytes),
@@ -354,11 +355,11 @@ class L3Bank:
     def _down_data(self, msg: CohMsg) -> None:
         """Owner's writeback after FwdGetS/FwdGetX."""
         base = msg.addr & _LINE_MASK
-        line = self.array.lookup(base)
-        if line is None:
+        slot = self.array.lookup(base)
+        if slot is None:
             self._fill(base, dirty=True)
         else:
-            line.dirty = True
+            self.array.dirty[slot] = 1
         # Owner relinquished M/E (downgrade or invalidate).
         entry = self.mshr.lookup(base)
         head_msg = entry.meta["head"][1] if entry else None
@@ -405,8 +406,8 @@ class L3Bank:
         src, head = entry.meta["head"]
         queued = entry.meta.get("queued", [])
         self.mshr.release(base)
-        line = self.array.lookup(base, touch=False)
-        self._satisfy(head, line_dirty=bool(line and line.dirty))
+        slot = self.array.lookup(base, touch=False)
+        self._satisfy(head, line_dirty=slot is not None and self.array.dirty[slot] == 1)
         for qsrc, qmsg in queued:
             self.sim.schedule(0, self._process, qsrc, qmsg)
         self._drain_waitq()
@@ -429,11 +430,11 @@ class L3Bank:
     def _put_m(self, src: int, msg: CohMsg) -> None:
         base = msg.addr & _LINE_MASK
         self._c_putm[0] += 1
-        line = self.array.lookup(base, touch=False)
-        if line is None:
+        slot = self.array.lookup(base, touch=False)
+        if slot is None:
             self._fill(base, dirty=True)
         else:
-            line.dirty = True
+            self.array.dirty[slot] = 1
         self.dir.remove(base, msg.requester)
         self.net.send(Packet(
             self.tile, msg.requester, CTRL, control_payload_bits(), "l2",
@@ -443,16 +444,18 @@ class L3Bank:
     def _fill(self, base: int, dirty: bool) -> None:
         """Insert a line, back-invalidating the victim's sharers
         (inclusive LLC) and writing back dirty victims."""
-        if self.array.contains(base):
+        slot = self.array.lookup(base, touch=False)
+        if slot is not None:
             if dirty:
-                self.array.lookup(base, touch=False).dirty = True
+                self.array.dirty[slot] = 1
             return
-        line, evicted = self.array.fill(base, SHARED, avoid=self._blocked)
-        line.dirty = dirty
+        _slot, evicted, evicted_dirty = self.array.fill(
+            base, dirty=dirty, avoid=self._blocked,
+        )
         if evicted is None:
             return
         self.stats.add("l3.evictions")
-        ent = self.dir.clear(evicted.addr)
+        ent = self.dir.clear(evicted)
         if ent is not None:
             targets = set(ent.sharers)
             if ent.owner is not None:
@@ -461,12 +464,12 @@ class L3Bank:
                 self.stats.add("l3.back_invalidations")
                 self.net.send(Packet(
                     self.tile, tile, CTRL, control_payload_bits(), "l2",
-                    body=CohMsg("Inv", evicted.addr, self.tile, writeback_to_dram=True),
+                    body=CohMsg("Inv", evicted, self.tile, writeback_to_dram=True),
                 ))
-        if evicted.dirty:
-            dram_tile = self.dram.controller_tile(evicted.addr)
+        if evicted_dirty:
+            dram_tile = self.dram.controller_tile(evicted)
             self.net.send(Packet(
                 self.tile, dram_tile, DATA,
                 data_payload_bits(LINE_SIZE), "dram",
-                body=CohMsg("MemWrite", evicted.addr, self.tile),
+                body=CohMsg("MemWrite", evicted, self.tile),
             ))

@@ -253,20 +253,20 @@ class Sanitizer:
         return line_addr(addr)
 
     def _mesi(self):
-        from repro.mem.cache import EXCLUSIVE, MODIFIED, SHARED
+        from repro.mem.cache import EXCLUSIVE, INVALID, MODIFIED, SHARED
 
-        return MODIFIED, EXCLUSIVE, SHARED
+        return MODIFIED, EXCLUSIVE, SHARED, INVALID
 
     def _check_writeback(self, l1, addr: int) -> None:
         """A dirty L1 victim may only fold into an L2 line it owns."""
-        M, E, _S = self._mesi()
-        line = l1.l2.array.lookup(addr, touch=False)
-        if line is not None and line.state not in (M, E):
+        M, E, _S, I = self._mesi()
+        state = l1.l2.state_of(addr)
+        if state not in (M, E, I):
             self._fail(
                 "S1",
                 f"dirty L1 writeback folds into L2 line {addr:#x} "
-                f"without write permission (state {line.state!r})",
-                tile=l1.tile, obj=line,
+                f"without write permission (state {state!r})",
+                tile=l1.tile,
             )
 
     def _after_l3_step(self, bank, msg) -> None:
@@ -275,16 +275,14 @@ class Sanitizer:
 
     def _check_line(self, base: int) -> None:
         """Cross-tile snapshot invariants for one line."""
-        M, E, S = self._mesi()
+        M, E, S, I = self._mesi()
         writers = []
         sharers = []
         for tile, l2 in self._l2s.items():
-            line = l2.array.lookup(base, touch=False)
-            if line is None:
-                continue
-            if line.state in (M, E):
+            state = l2.state_of(base)
+            if state in (M, E):
                 writers.append(tile)
-            elif line.state == S:
+            elif state == S:
                 sharers.append(tile)
 
         def excused(tile: int) -> bool:
@@ -309,23 +307,23 @@ class Sanitizer:
                         tile=tile,
                     )
         for tile, l1 in self._l1s.items():
-            line = l1.array.lookup(base, touch=False)
-            if line is None:
+            slot = l1.array.lookup(base, touch=False)
+            if slot is None:
                 continue
             l2 = self._l2s.get(tile)
-            backing = l2.array.lookup(base, touch=False) if l2 else None
-            if backing is None:
+            backing = l2.state_of(base) if l2 else I
+            if backing == I:
                 self._fail(
                     "S1",
                     f"L1 line {base:#x} not backed by the inclusive L2",
                     tile=tile,
                 )
-            elif line.writable and backing.state not in (M, E):
+            elif l1.writable[slot] and backing not in (M, E):
                 self._fail(
                     "S1",
                     f"L1 writable hint for {base:#x} without L2 write "
-                    f"permission (L2 state {backing.state!r})",
-                    tile=tile, obj=line,
+                    f"permission (L2 state {backing!r})",
+                    tile=tile,
                 )
 
     # ------------------------------------------------------------------
@@ -455,13 +453,12 @@ class Sanitizer:
         self._final_stream_check()
 
     def _final_directory_check(self) -> None:
-        M, E, _S = self._mesi()
+        M, E, _S, I = self._mesi()
         for btile, bank in self._banks.items():
             for base, ent in bank.dir.items():
                 for tile in ent.holders():
                     l2 = self._l2s.get(tile)
-                    line = l2.array.lookup(base, touch=False) if l2 else None
-                    if line is None:
+                    if l2 is None or l2.state_of(base) == I:
                         self._fail(
                             "S1",
                             f"directory lists tile {tile} for {base:#x} but "
@@ -470,33 +467,34 @@ class Sanitizer:
                         )
                 if ent.owner is not None:
                     l2 = self._l2s.get(ent.owner)
-                    line = l2.array.lookup(base, touch=False) if l2 else None
-                    if line is not None and line.state not in (M, E):
+                    state = l2.state_of(base) if l2 else I
+                    if state not in (M, E, I):
                         self._fail(
                             "S1",
                             f"directory owner {ent.owner} of {base:#x} holds "
-                            f"it in state {line.state!r}",
+                            f"it in state {state!r}",
                             tile=btile, obj=ent,
                         )
         for tile, l2 in self._l2s.items():
             if l2.nuca is None:
                 break  # bare rig without a NUCA map: skip reverse check
-            for line in l2.array.all_lines():
-                bank = self._banks.get(l2.nuca.bank_of(line.addr))
+            for base in l2.array.lines():
+                bank = self._banks.get(l2.nuca.bank_of(base))
                 if bank is None:
                     continue
-                ent = bank.dir.peek(line.addr)
+                ent = bank.dir.peek(base)
+                state = l2.state_of(base)
                 if ent is None or tile not in ent.holders():
                     self._fail(
                         "S1",
-                        f"L2 holds {line.addr:#x} (state {line.state!r}) "
+                        f"L2 holds {base:#x} (state {state!r}) "
                         "unknown to its home directory",
-                        tile=tile, obj=line,
+                        tile=tile,
                     )
-                elif line.state in (M, E) and ent.owner != tile:
+                elif state in (M, E) and ent.owner != tile:
                     self._fail(
                         "S1",
-                        f"L2 holds {line.addr:#x} in {line.state!r} but the "
+                        f"L2 holds {base:#x} in {state!r} but the "
                         f"directory owner is {ent.owner}",
                         tile=tile, obj=ent,
                     )
@@ -504,13 +502,13 @@ class Sanitizer:
             l2 = self._l2s.get(tile)
             if l2 is None:
                 continue
-            for line in l1.array.all_lines():
-                if not l2.array.contains(line.addr):
+            for base in l1.array.lines():
+                if not l2.array.contains(base):
                     self._fail(
                         "S1",
-                        f"L1 line {line.addr:#x} missing from the inclusive "
+                        f"L1 line {base:#x} missing from the inclusive "
                         "L2",
-                        tile=tile, obj=line,
+                        tile=tile,
                     )
 
     def _final_stream_check(self) -> None:

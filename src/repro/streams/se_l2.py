@@ -142,6 +142,9 @@ class SEL2:
         # Interned counter cells for the per-element hot path.
         self._c_intercepts = stats.counter("se_l2.intercepts")
         self._c_data_arrivals = stats.counter("se_l2.data_arrivals")
+        self._c_follower_hits = stats.counter("se_l2.follower_hits")
+        self._c_orphan_data = stats.counter("se_l2.orphan_data")
+        self._c_credits_sent = stats.counter("se_l2.credits_sent")
         self.se_core = None  # wired by SECore.__init__
         l2.se_l2 = self
         net.register(tile, "se_l2", self.handle)
@@ -452,7 +455,7 @@ class SEL2:
                 # Elements before the leader's window: normal path.
                 self._bounce_to_memory(req)
             elif leader_idx in stream.ready or leader_idx < stream.freed_through:
-                self.stats.add("se_l2.follower_hits")
+                self._c_follower_hits[0] += 1
                 self._respond(req)
             else:
                 stream.waiters.setdefault(leader_idx, []).append(req)
@@ -497,7 +500,7 @@ class SEL2:
         stream = self._find(sid)
         idx = body.element
         if stream is None:
-            self.stats.add("se_l2.orphan_data")
+            self._c_orphan_data[0] += 1
         else:
             self._c_data_arrivals[0] += 1
             if sid == stream.sid:
@@ -599,7 +602,7 @@ class SEL2:
             return
         body = Credit(requester=self.tile, sid=stream.sid, count=grant,
                       epoch=stream.epoch)
-        self.stats.add("se_l2.credits_sent")
+        self._c_credits_sent[0] += 1
         self.net.send(Packet(
             self.tile, stream.last_bank, STREAM, body.bits(), "se_l3",
             body=body,

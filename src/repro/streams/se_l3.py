@@ -175,9 +175,17 @@ class SEL3:
         self.ended: Dict[StreamKey, int] = {}
         self._rr: Deque[StreamKey] = deque()  # round-robin order
         self._pump_armed = False
-        # Interned counter cells for the per-element hot path.
+        # Interned counter cells for the per-element hot path and the
+        # per-stream counters that fire thousands of times a run.
         self._c_tlb = stats.counter("se_l3.tlb_lookups")
         self._c_elements = stats.counter("se_l3.elements_issued")
+        self._c_indirect_forwards = stats.counter("se_l3.indirect_forwards")
+        self._c_configured = stats.counter("se_l3.streams_configured")
+        self._c_migrations_in = stats.counter("se_l3.migrations_in")
+        self._c_migrations_out = stats.counter("se_l3.migrations_out")
+        self._c_multicasts = stats.counter("se_l3.multicasts")
+        self._c_confluences = stats.counter("se_l3.confluences")
+        self._c_credits = stats.counter("se_l3.credits_received")
         bank.se_l3 = self
         net.register(tile, "se_l3", self.handle)
         self._probes = sim.probes.bind("se_l3", self)
@@ -190,7 +198,7 @@ class SEL3:
         if isinstance(body, FloatConfig):
             start, migrated = body.start_idx, False
         elif isinstance(body, Migrate):
-            self.stats.add("se_l3.migrations_in")
+            self._c_migrations_in[0] += 1
             start, migrated = body.next_idx, True
         elif isinstance(body, Credit):
             self._credit(body)
@@ -274,7 +282,7 @@ class SEL3:
             if pending[0] == epoch:
                 stream.credits += pending[1]
         self._rr.append(key)
-        self.stats.add("se_l3.streams_configured")
+        self._c_configured[0] += 1
         if self.confluence_enabled and not spec.is_indirect:
             self._try_merge(stream)
         self._arm_pump()
@@ -309,7 +317,7 @@ class SEL3:
                 continue
             group.members.append(stream)
             stream.group = group
-            self.stats.add("se_l3.confluences")
+            self._c_confluences[0] += 1
             p = self._probes.se_l3_confluence
             if p is not None:
                 p(self, stream)
@@ -519,7 +527,7 @@ class SEL3:
             kind=DATA, payload_bits=data_payload_bits(LINE_SIZE),
             dst_port="se_l2", body=body,
         )
-        self.stats.add("se_l3.multicasts")
+        self._c_multicasts[0] += 1
         if self.indirect_enabled:
             for member in participants:
                 for child in member.children:
@@ -536,7 +544,7 @@ class SEL3:
         data_bytes = child.pattern.elem_size
         # Indirect accesses translate per element (SS IV-E).
         self.tlb.translate(addr)
-        self.stats.add("se_l3.tlb_lookups")
+        self._c_tlb[0] += 1
         target = self.nuca.bank_of(addr)
         if target == self.tile:
             self._local_indirect(stream.requester, child.sid, idx, addr, data_bytes)
@@ -545,7 +553,7 @@ class SEL3:
                 requester=stream.requester, sid=child.sid, element=idx,
                 addr=addr, data_bytes=data_bytes,
             )
-            self.stats.add("se_l3.indirect_forwards")
+            self._c_indirect_forwards[0] += 1
             self.net.send(Packet(
                 self.tile, target, CTRL, body.bits(), "se_l3", body=body,
             ))
@@ -580,7 +588,7 @@ class SEL3:
             requester=stream.requester, epoch=stream.epoch,
             plan=stream.plan,
         )
-        self.stats.add("se_l3.migrations_out")
+        self._c_migrations_out[0] += 1
         self.net.send(Packet(
             self.tile, target, STREAM, body.bits(), "se_l3", body=body,
         ))
@@ -614,7 +622,7 @@ class SEL3:
         if stream is not None and stream.epoch == body.epoch:
             stream.credits += body.count
             stream.parked = False
-            self.stats.add("se_l3.credits_received")
+            self._c_credits[0] += 1
             self._arm_pump()
             return
         if stream is not None and stream.epoch > body.epoch:

@@ -89,11 +89,11 @@ class Chip:
         The event loop runs with the cyclic garbage collector paused
         (restored on exit). A run makes no cyclic garbage, yet every
         full collection walks every long-lived object: after mv/sf at
-        8x8 the process tracks ~209k objects, 80k of them cache lines.
-        On that point at commit 309d653, when it tracked ~248k (Python
-        3.11, one vCPU of an AMD EPYC host), the collector left on made
-        the run 1.07-1.43x slower in 10 of 10 interleaved rounds
-        (median 8.29 s against 6.63 s).
+        8x8 the process tracks ~38k objects (~118k while every filled
+        cache way held a line object). On that point, with lines as
+        slots (Python 3.11, one vCPU of a shared 2-vCPU host), the
+        collector left on made the run slower in 8 of 10 alternating
+        rounds, 0.98-1.26x (median 14.95 s of CPU time against 13.10 s).
         """
         for core_id in programs:
             if not (0 <= core_id < self.num_cores):

@@ -31,14 +31,13 @@ def check_coherence(chip):
     owners = {}
     sharers = {}
     for tile in chip.tiles:
-        for line in tile.l2.array.all_lines():
-            if line.state in (MODIFIED, EXCLUSIVE):
-                assert line.addr not in owners, (
-                    f"two owners for {line.addr:#x}"
-                )
-                owners[line.addr] = tile.tile_id
-            elif line.state == SHARED:
-                sharers.setdefault(line.addr, set()).add(tile.tile_id)
+        for base in tile.l2.array.lines():
+            state = tile.l2.state_of(base)
+            if state in (MODIFIED, EXCLUSIVE):
+                assert base not in owners, f"two owners for {base:#x}"
+                owners[base] = tile.tile_id
+            elif state == SHARED:
+                sharers.setdefault(base, set()).add(tile.tile_id)
     # A line with an owner has no other sharers.
     for addr, owner in owners.items():
         others = sharers.get(addr, set()) - {owner}
@@ -47,10 +46,9 @@ def check_coherence(chip):
         )
     # L1 contents are included in the colocated L2.
     for tile in chip.tiles:
-        for line in tile.l1.array.all_lines():
-            assert tile.l2.array.contains(line.addr), (
-                f"L1 line {line.addr:#x} missing from L2 (tile "
-                f"{tile.tile_id})"
+        for base in tile.l1.array.lines():
+            assert tile.l2.array.contains(base), (
+                f"L1 line {base:#x} missing from L2 (tile {tile.tile_id})"
             )
 
 

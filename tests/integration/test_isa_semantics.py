@@ -79,7 +79,7 @@ def test_store_addresses_follow_pattern_on_all_systems():
     dst_first = BASE_ADDR + 0x100_0000
     for chip in (chip_base, chip_sf):
         bank = chip.nuca.bank_of(dst_first)
-        line = chip.tiles[bank].l3.array.lookup(dst_first, touch=False)
+        slot = chip.tiles[bank].l3.array.lookup(dst_first, touch=False)
         dir_ent = chip.tiles[bank].l3.dir.peek(dst_first)
         # The line exists somewhere on chip: L3 copy or a tracked owner.
-        assert line is not None or dir_ent is not None
+        assert slot is not None or dir_ent is not None

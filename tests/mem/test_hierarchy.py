@@ -1,6 +1,7 @@
 """End-to-end protocol tests over the miniature 2x2 hierarchy."""
 
 from repro.mem.cache import EXCLUSIVE, MODIFIED, SHARED
+from repro.mem.l1 import L1Request
 
 
 class TestDemandPath:
@@ -52,8 +53,7 @@ class TestMesiStates:
     def test_first_reader_gets_exclusive(self, hier):
         hier.read(0, 0x0)
         hier.run()
-        line = hier.l2s[0].array.lookup(0x0, touch=False)
-        assert line.state == EXCLUSIVE
+        assert hier.l2s[0].state_of(0x0) == EXCLUSIVE
         assert hier.banks[0].dir.peek(0x0).owner == 0
 
     def test_second_reader_downgrades_owner_to_shared(self, hier):
@@ -61,8 +61,8 @@ class TestMesiStates:
         hier.run()
         hier.read(1, 0x0)
         hier.run()
-        assert hier.l2s[0].array.lookup(0x0, touch=False).state == SHARED
-        assert hier.l2s[1].array.lookup(0x0, touch=False).state == SHARED
+        assert hier.l2s[0].state_of(0x0) == SHARED
+        assert hier.l2s[1].state_of(0x0) == SHARED
         ent = hier.banks[0].dir.peek(0x0)
         assert ent.owner is None
         assert ent.sharers == {0, 1}
@@ -75,7 +75,7 @@ class TestMesiStates:
         hier.run()
         hier.write(2, 0x0)
         hier.run()
-        assert hier.l2s[2].array.lookup(0x0, touch=False).state == MODIFIED
+        assert hier.l2s[2].state_of(0x0) == MODIFIED
         assert not hier.l2s[0].array.contains(0x0)
         assert not hier.l2s[1].array.contains(0x0)
         ent = hier.banks[0].dir.peek(0x0)
@@ -91,7 +91,8 @@ class TestMesiStates:
         # E->M upgrade is silent: no new coherence traffic; the dirty
         # data sits in the (writable) L1.
         assert hier.stats["noc.packets.ctrl"] == ctrl_before
-        assert hier.l1s[0].array.lookup(0x0, touch=False).dirty
+        l1 = hier.l1s[0]
+        assert l1.array.dirty[l1.array.lookup(0x0, touch=False)]
 
     def test_write_hit_on_shared_upgrades(self, hier):
         hier.read(0, 0x0)
@@ -99,8 +100,7 @@ class TestMesiStates:
         hier.run()
         hier.write(0, 0x0)
         hier.run()
-        line = hier.l2s[0].array.lookup(0x0, touch=False)
-        assert line.state == MODIFIED
+        assert hier.l2s[0].state_of(0x0) == MODIFIED
         assert not hier.l2s[1].array.contains(0x0)
 
     def test_read_after_remote_write_forwards_dirty_data(self, hier):
@@ -109,9 +109,9 @@ class TestMesiStates:
         hier.read(1, 0x0)
         hier.run()
         # Owner downgraded, bank has the dirty copy.
-        assert hier.l2s[0].array.lookup(0x0, touch=False).state == SHARED
-        bank_line = hier.banks[0].array.lookup(0x0, touch=False)
-        assert bank_line.dirty
+        assert hier.l2s[0].state_of(0x0) == SHARED
+        bank = hier.banks[0].array
+        assert bank.dirty[bank.lookup(0x0, touch=False)]
         assert hier.stats["l3.forwards"] >= 1
 
 
@@ -139,24 +139,33 @@ class TestEvictions:
         hier.run()
         assert hier.stats["l3.putm"] == 1
         assert hier.stats["l2.put_acks"] == 1
-        bank_line = hier.banks[0].array.lookup(0x0, touch=False)
-        assert bank_line is not None and bank_line.dirty
+        bank = hier.banks[0].array
+        slot = bank.lookup(0x0, touch=False)
+        assert slot is not None and bank.dirty[slot]
 
     def test_noreuse_classification(self, hier):
         stride = 16 * 64
-        # Line 0 is reused (two separate L2 accesses), others are not.
+        # Line 0 is reused (two separate L2 accesses), others are not;
+        # a stream brings line 1 in.
         hier.read(0, 0x0)
         hier.run()
         hier.l1s[0].invalidate(0x0)  # force the next read back to L2
         hier.read(0, 0x0)
         hier.run()
-        for i in range(1, 6):
+        hier.l1s[0].access(L1Request(addr=stride, stream_id=3))
+        hier.run()
+        for i in range(2, 7):
             hier.read(0, i * stride)
         hier.run()
-        assert hier.stats["l2.evictions"] == 2
-        assert hier.stats["l2.evictions_noreuse"] == 1
-        assert hier.stats["l2.noreuse_flits.data"] > 0
-        assert hier.stats["l2.noreuse_flits.ctrl"] > 0
+        # LRU evicts line 0, then lines 1 and 2 without reuse.
+        assert hier.stats["l2.evictions"] == 3
+        assert hier.stats["l2.evictions_noreuse"] == 2
+        assert hier.stats["l2.evictions_noreuse_stream"] == 1
+        # Each no-reuse victim spent one line-sized Data response (3
+        # flits of 256 bits) on its fill, one GetS (1 flit) on its
+        # request and one PutS (1 flit) on its eviction.
+        assert hier.stats["l2.noreuse_flits.data"] == 2 * 3
+        assert hier.stats["l2.noreuse_flits.ctrl"] == 2 * (1 + 1)
 
 
 class TestGetU:
@@ -187,7 +196,7 @@ class TestGetU:
         got = self._get_u(hier, 0, 0x0, requester=2)
         assert len(got) == 1
         # Owner keeps M state (Fig 12c).
-        assert hier.l2s[1].array.lookup(0x0, touch=False).state == MODIFIED
+        assert hier.l2s[1].state_of(0x0) == MODIFIED
         assert hier.banks[0].dir.peek(0x0).owner == 1
 
 

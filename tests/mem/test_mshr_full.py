@@ -37,10 +37,11 @@ def test_l1_mshr_full_parks_demand_writes():
     hier.run()
     assert len(results) == 10
     # Every parked store eventually got write permission.
+    l1 = hier.l1s[0]
     for addr in distinct_lines(10):
-        line = hier.l1s[0].array.lookup(line_addr(addr))
-        if line is not None:
-            assert line.writable
+        slot = l1.array.lookup(line_addr(addr))
+        if slot is not None:
+            assert l1.writable[slot]
 
 
 def test_l1_parked_request_served_from_array_after_fill():

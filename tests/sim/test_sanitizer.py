@@ -104,16 +104,27 @@ def test_leaked_mshr_raises_structured_error():
     assert hier.sim.sanitizer.violations == 1
 
 
+def forge_l2_line(l2, base, state):
+    """Install ``base`` in ``l2`` in MESI ``state`` behind the
+    protocol's back."""
+    from repro.mem.l2 import STATES
+
+    slot, _, _ = l2.array.fill(base)
+    l2.state[slot] = STATES.index(state)
+
+
 def test_rogue_l2_line_fails_directory_check():
     from repro.mem.cache import MODIFIED
 
     hier = clean_hierarchy()
     # Forge an L2 line the home directory knows nothing about.
-    hier.l2s[3].array.fill(0x77_0000, MODIFIED)
+    forge_l2_line(hier.l2s[3], 0x77_0000, MODIFIED)
     with pytest.raises(SanitizerError) as exc:
         hier.sim.sanitizer.final_check()
     assert exc.value.check == "S1"
     assert exc.value.tile == 3
+    assert "L2 holds 0x770000 (state 'M') unknown to its home directory" \
+        in str(exc.value)
 
 
 def test_untracked_delivery_detected():
@@ -138,15 +149,37 @@ def test_second_writer_detected_at_delivery():
     hier.write(1, BASE + 0x8000, results)
     hier.run()
     base = BASE + 0x8000
-    assert hier.l2s[1].array.lookup(base, touch=False).state == MODIFIED
+    assert hier.l2s[1].state_of(base) == MODIFIED
     # A second M copy appears out of thin air: the next coherence
     # delivery touching that line must trip S1.
-    hier.l2s[2].array.fill(base, MODIFIED)
+    forge_l2_line(hier.l2s[2], base, MODIFIED)
     hier.read(3, base, results)
     with pytest.raises(SanitizerError) as exc:
         hier.run()
     assert exc.value.check == "S1"
     assert "multiple M/E owners" in str(exc.value)
+
+
+def test_stale_writable_hint_detected():
+    from repro.mem.cache import SHARED
+
+    hier = MiniHierarchy()
+    base = BASE + 0x4000
+    hier.read(0, base)
+    hier.read(1, base)
+    hier.run()
+    assert hier.l2s[0].state_of(base) == SHARED
+    # Tile 0's L1 claims a write permission its L2 lost: the next
+    # coherence step touching the line must trip S1.
+    l1 = hier.l1s[0]
+    l1.writable[l1.array.lookup(base, touch=False)] = 1
+    hier.read(2, base)
+    with pytest.raises(SanitizerError) as exc:
+        hier.run()
+    assert exc.value.check == "S1"
+    assert exc.value.tile == 0
+    assert f"L1 writable hint for {base:#x} without L2 write permission " \
+        "(L2 state 'S')" in str(exc.value)
 
 
 # ----------------------------------------------------------------------
