@@ -16,7 +16,7 @@ but never merges them).
 Run:  python examples/confluence_multicast.py
 """
 
-from repro.harness import run_once
+from repro.harness.runner import run_once
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ the SF traffic down to show the subline savings.
 Run:  python examples/graph_indirect.py
 """
 
-from repro.harness import run_once
+from repro.harness.runner import run_once
 
 
 def main() -> None:

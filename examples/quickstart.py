@@ -11,7 +11,7 @@ end-to-end use of the library's public API:
 Run:  python examples/quickstart.py
 """
 
-from repro.energy import EnergyModel
+from repro.energy.model import EnergyModel
 from repro.system import Chip, make_config
 from repro.workloads import build_programs
 

@@ -15,7 +15,7 @@ would otherwise thrash on pass-through data.
 Run:  python examples/stencil_scaling.py
 """
 
-from repro.harness import run_once
+from repro.harness.runner import run_once
 
 
 def main() -> None:

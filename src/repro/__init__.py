@@ -8,16 +8,16 @@ shared L3 banks.
 
 Public API tour:
 
-- :func:`repro.system.make_config` — build any of the paper's
-  comparison systems (base / stride / bingo / bulk / ss / sf /
-  sf_aff / sf_ind / sf_sgc);
+- :func:`repro.system.make_config` — build any of the comparison
+  systems named in :data:`repro.system.configs.CONFIG_NAMES`;
 - :class:`repro.system.Chip` — assemble and run a chip;
 - :func:`repro.workloads.build_programs` — the 12 Table IV
   benchmarks as stream programs;
-- :func:`repro.harness.run_once` — one memoized experiment point;
+- :func:`repro.harness.runner.run_once` — one memoized experiment
+  point;
 - :mod:`repro.harness.experiments` — every figure of the paper's
   evaluation;
-- :class:`repro.energy.EnergyModel` — the McPAT-substitute
+- :class:`repro.energy.model.EnergyModel` — the McPAT-substitute
   event-energy model.
 """
 

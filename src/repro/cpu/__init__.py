@@ -1,5 +1,1 @@
 """Core timing models."""
-
-from repro.cpu.core import Core
-
-__all__ = ["Core"]

@@ -47,9 +47,7 @@ class _IterState:
     seq: int
     loads_pending: int = 0
     compute_done_at: int = 0
-    dispatched: bool = False
     finished: bool = False
-    committed: bool = False
 
 
 class Core:
@@ -87,7 +85,6 @@ class Core:
         self._fallback_buf: Dict[int, tuple] = {}
         self._peeked: Optional[Iteration] = None
         self._phase_sids: List[int] = []
-        self.ops_committed = 0
         self.finish_time = 0
         # Interned cells for the per-iteration and per-access counters
         # (DESIGN.md §12).
@@ -193,12 +190,10 @@ class Core:
         return it
 
     def _start_iteration(self, state: _IterState, it: Iteration) -> None:
-        state.dispatched = True
         state.compute_done_at = self.sim.now + math.ceil(
             max(1, it.compute_ops) / self.params.issue_width
         )
         ops = len(it.ops) + it.compute_ops
-        self.ops_committed += ops
         self._c_iterations[0] += 1
         self._c_ops[0] += ops
         for op in it.ops:

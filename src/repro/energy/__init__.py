@@ -1,10 +1,1 @@
 """Event-energy model (McPAT-substitute)."""
-
-from repro.energy.model import (
-    DEFAULT_ENERGY,
-    EnergyBreakdown,
-    EnergyModel,
-    EnergyParams,
-)
-
-__all__ = ["EnergyModel", "EnergyParams", "EnergyBreakdown", "DEFAULT_ENERGY"]

@@ -2,9 +2,9 @@
 
 Energy is accumulated from the event counts the simulator already
 collects: core ops (with out-of-order cores paying a per-op premium
-for rename/IQ/ROB), cache and TLB accesses, NoC flit-hops, DRAM
-accesses, stream-engine operations, and per-core static leakage
-integrated over the run.
+for rename/IQ/ROB), cache accesses, NoC flit-hops, DRAM accesses,
+stream-engine operations (the SE_L3's TLB lookups among them, at
+``se_op``), and per-core static leakage integrated over the run.
 
 The constants are McPAT-class 22 nm ballparks (pJ); the experiments
 only use energy *ratios* between configurations, which depend on the
@@ -30,11 +30,10 @@ class EnergyParams:
     op_inorder: float = 8.0
     op_ooo4: float = 20.0
     op_ooo8: float = 28.0
-    # Cache/TLB access energies.
+    # Cache access energies.
     l1_access: float = 15.0
     l2_access: float = 45.0
     l3_access: float = 90.0
-    tlb_access: float = 2.0
     # Interconnect and memory.
     noc_flit_hop: float = 12.0
     dram_access: float = 2200.0

@@ -36,6 +36,8 @@ import tempfile
 from dataclasses import asdict
 from typing import Any, Dict, Optional
 
+import repro
+
 CACHE_SCHEMA = 1
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -58,8 +60,6 @@ def code_fingerprint() -> str:
     process).  Any change to the simulator invalidates the cache."""
     global _fingerprint
     if _fingerprint is None:
-        import repro
-
         root = os.path.dirname(os.path.abspath(repro.__file__))
         digest = hashlib.sha256()
         for dirpath, dirnames, filenames in sorted(os.walk(root)):

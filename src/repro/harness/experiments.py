@@ -226,6 +226,31 @@ def fig15_traffic(
     return rows
 
 
+def _sweep(
+    swept: str, values: Sequence[int], base: int,
+    workloads: Sequence[str], core: str, jobs: Optional[int], kw,
+) -> Dict[str, Dict[Tuple[str, int], float]]:
+    """{workload: {(config, value): speedup vs bingo at ``base``}}, with
+    the :class:`Point` field named ``swept`` set to each of ``values``
+    for Bingo and SF (Figures 16 and 17)."""
+    grid = [(cfg, value) for cfg in ("bingo", "sf") for value in values]
+    recs = _records(
+        {(wl, cfg, value): Point(wl, cfg, core=core, **{swept: value}, **kw)
+         for wl in workloads
+         for cfg, value in [("bingo", base)] + grid},
+        jobs,
+    )
+    out = {}
+    for wl in workloads:
+        ref = recs[wl, "bingo", base]
+        cells = {}
+        for cfg, value in grid:
+            rec = recs[wl, cfg, value]
+            cells[(cfg, value)] = ref.cycles / rec.cycles if rec.cycles else 0.0
+        out[wl] = cells
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Figure 16: sensitivity to NoC link width
 # ---------------------------------------------------------------------------
@@ -241,22 +266,7 @@ def fig16_linkwidth(
     **kw,
 ) -> Dict[str, Dict[Tuple[str, int], float]]:
     """{workload: {(config, width): speedup vs bingo at 128-bit}}."""
-    grid = [(cfg, width) for cfg in ("bingo", "sf") for width in widths]
-    recs = _records(
-        {(wl, cfg, width): Point(wl, cfg, core=core, link_bits=width, **kw)
-         for wl in workloads
-         for cfg, width in [("bingo", 128)] + grid},
-        jobs,
-    )
-    out = {}
-    for wl in workloads:
-        ref = recs[wl, "bingo", 128]
-        cells = {}
-        for cfg, width in grid:
-            rec = recs[wl, cfg, width]
-            cells[(cfg, width)] = ref.cycles / rec.cycles if rec.cycles else 0.0
-        out[wl] = cells
-    return out
+    return _sweep("link_bits", widths, 128, workloads, core, jobs, kw)
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +284,7 @@ def fig17_interleave(
     **kw,
 ) -> Dict[str, Dict[Tuple[str, int], float]]:
     """{workload: {(config, interleave): speedup vs bingo at 64B}}."""
-    grid = [(cfg, gran) for cfg in ("bingo", "sf") for gran in granularities]
-    recs = _records(
-        {(wl, cfg, gran): Point(wl, cfg, core=core, l3_interleave=gran, **kw)
-         for wl in workloads
-         for cfg, gran in [("bingo", 64)] + grid},
-        jobs,
-    )
-    out = {}
-    for wl in workloads:
-        ref = recs[wl, "bingo", 64]
-        cells = {}
-        for cfg, gran in grid:
-            rec = recs[wl, cfg, gran]
-            cells[(cfg, gran)] = ref.cycles / rec.cycles if rec.cycles else 0.0
-        out[wl] = cells
-    return out
+    return _sweep("l3_interleave", granularities, 64, workloads, core, jobs, kw)
 
 
 # ---------------------------------------------------------------------------

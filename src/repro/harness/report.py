@@ -22,6 +22,7 @@ from repro.harness.experiments import (
     PolicyRow,
     geomean,
 )
+from repro.obs.attribution import BUCKETS
 
 PAPER_NOTES = {
     "fig2": "paper: 72% of L2 evictions unreused (63% stream); 50% of "
@@ -220,8 +221,6 @@ def render_policy_ablation(rows: List[PolicyRow]) -> str:
 def render_latency_attribution(rows: List[AttributionRow]) -> str:
     """One row per (workload, config): speedup plus the CPI-stack
     shares that explain it (buckets as % of total core cycles)."""
-    from repro.obs.attribution import BUCKETS
-
     body = []
     for r in rows:
         total = sum(r.cpi.values()) or 1.0

@@ -36,6 +36,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.harness.cache import RunCache
 from repro.noc.message import TRAFFIC_CLASSES
+from repro.noc.topology import Mesh
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.sim.sanitizer import Sanitizer
 from repro.sim.stats import Stats
@@ -108,8 +109,6 @@ class RunRecord:
         return sum(self.traffic_breakdown().values())
 
     def noc_utilization(self) -> float:
-        from repro.noc.topology import Mesh
-
         if self.cycles <= 0:
             return 0.0
         links = Mesh(self.point.cols, self.point.rows).num_links

@@ -104,7 +104,6 @@ class CacheArray:
             )
         if replacement not in ("lru", "brrip"):
             raise ValueError(f"unknown replacement policy {replacement!r}")
-        self.size_bytes = size_bytes
         self.ways = ways
         self.num_sets = size_bytes // (ways * LINE_SIZE)
         if self.num_sets & (self.num_sets - 1):

@@ -136,7 +136,6 @@ class Directory:
 
     def __init__(self) -> None:
         self._entries: Dict[int, DirEntry] = {}
-        self.invalidations_sent = 0
 
     def entry(self, addr: int) -> DirEntry:
         base = addr & _LINE_MASK

@@ -178,11 +178,10 @@ class L1Cache:
             if p is not None:
                 p(self, base, "drop")
             return
-        # The L2's grant may be stale: a downgrade or invalidation can
-        # land during the response latency window, after the L2 decided
-        # ``result.writable`` but before this fill runs. The writable
-        # hint must mirror the L2's *current* M/E state, or a store
-        # would silently dirty a shared line (a second writer).
+        # The writable hint mirrors the L2's *current* M/E state: a
+        # downgrade or invalidation can land during the response
+        # latency window, before this fill runs, and a store must not
+        # silently dirty a shared line (a second writer).
         l2 = self.l2
         l2_slot = l2.array.lookup(base, touch=False)
         writable = l2_slot is not None and l2.state[l2_slot] >= E_CODE

@@ -33,7 +33,7 @@ SE_core's history table (SS IV-D).
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.mem.addr import LINE_SIZE, NucaMap
 from repro.mem.cache import CacheArray, EXCLUSIVE, INVALID, MODIFIED, SHARED
@@ -59,24 +59,12 @@ class L2AccessResult:
     """Handed to the ``on_done`` callback of an L2 access."""
 
     __slots__ = (
-        "addr", "writable",
-        "latency_paid",  # False when served by SE_L2 interception
-        "dropped",       # prefetch rejected (MSHR pressure): no fill
-        "uncached",      # served from the SE_L2 stream buffer: the line
+        "dropped",   # prefetch rejected (MSHR pressure): no fill
+        "uncached",  # served from the SE_L2 stream buffer: the line
         # is not in the L2, so the L1 must not cache it either
     )
 
-    def __init__(
-        self,
-        addr: int,
-        writable: bool,
-        latency_paid: bool = True,
-        dropped: bool = False,
-        uncached: bool = False,
-    ) -> None:
-        self.addr = addr
-        self.writable = writable
-        self.latency_paid = latency_paid
+    def __init__(self, dropped: bool = False, uncached: bool = False) -> None:
         self.dropped = dropped
         self.uncached = uncached
 
@@ -147,10 +135,6 @@ class L2Cache:
         self._stream_ids = array("i", [_NO_STREAM]) * nslots
         self._fill_flits = array("H", [0]) * nslots
         self._fill_flits_ctrl = array("H", [0]) * nslots
-        # A fill whose request rode a bulk group (repro.prefetch.bulk)
-        # spent a float share of the group's packet: its control flits
-        # live here, by slot, in place of the column's.
-        self._bulk_shares: Dict[int, float] = {}
         self.mshr = MshrFile(mshrs)
         # fill()'s eviction-victim predicate: skip lines with in-flight
         # transactions. Victim addresses are already line bases, so the
@@ -208,7 +192,7 @@ class L2Cache:
                 # Data unexpectedly cached: tell SE_L2 to advance past
                 # this element (SS IV-A).
                 self.se_l2.on_cache_hit(req.stream_id, req.element)
-            self._respond(req, writable=state[slot] >= E_CODE)
+            self._respond(req)
             return
 
         self._c_misses[0] += 1
@@ -256,9 +240,8 @@ class L2Cache:
                 self.stats.add("l2.prefetch_dropped")
                 if req.on_done is not None:
                     # Tell the L1 so it releases its own MSHR entry.
-                    self.sim.schedule(1, req.on_done, L2AccessResult(
-                        addr=base, writable=False, dropped=True,
-                    ))
+                    self.sim.schedule(1, req.on_done,
+                                      L2AccessResult(dropped=True))
             else:
                 via = "overflow"
                 self._overflow.append(req)
@@ -321,10 +304,8 @@ class L2Cache:
                 self._fill(base, msg, entry, resp_flits)
         else:
             self._fill(base, msg, entry, resp_flits)
-        slot = self.array.lookup(base, touch=False)
-        writable = slot is not None and self.state[slot] >= E_CODE
         for waiter in entry.waiters:
-            self._respond(waiter, writable=writable, delay=0)
+            self._respond(waiter, delay=0)
         self._drain_overflow()
         p = self._probes.l2_data
         if p is not None:
@@ -340,24 +321,16 @@ class L2Cache:
         stream_ids = self._stream_ids
         fill_flits = self._fill_flits
         fill_flits_ctrl = self._fill_flits_ctrl
-        shares = self._bulk_shares
         if evicted is not None:
             # Read the victim's fields before the new line's replace them.
             victim = (evicted, evicted_dirty, uses[slot], stream_ids[slot],
-                      fill_flits[slot],
-                      shares[slot] if slot in shares else fill_flits_ctrl[slot])
+                      fill_flits[slot], fill_flits_ctrl[slot])
         sid = meta["stream_id"] if "stream_id" in meta else None
         self.state[slot] = _CODES[state]
         uses[slot] = 0
         stream_ids[slot] = _NO_STREAM if sid is None else sid
         fill_flits[slot] = resp_flits
-        ctrl = meta["req_flits"] if "req_flits" in meta else 0
-        if ctrl.__class__ is float:
-            shares[slot] = ctrl
-        else:
-            fill_flits_ctrl[slot] = ctrl
-            if slot in shares:
-                del shares[slot]
+        fill_flits_ctrl[slot] = meta["req_flits"] if "req_flits" in meta else 0
         if evicted is not None:
             self._evict(*victim)
 
@@ -370,7 +343,7 @@ class L2Cache:
     # evictions (the Figure 2 measurements live here)
     # ------------------------------------------------------------------
     def _evict(self, base: int, dirty: bool, uses: int, stream_id: int,
-               fill_flits: int, fill_flits_ctrl: float) -> None:
+               fill_flits: int, fill_flits_ctrl: int) -> None:
         """Evict line ``base``, which a fill displaced: write it back
         (PutM) or drop it (PutS), and classify it for Figure 2 by the
         fields it held."""
@@ -474,9 +447,8 @@ class L2Cache:
         slot = self.array.lookup(addr, touch=False)
         return INVALID if slot is None else STATES[self.state[slot]]
 
-    def _respond(self, req: L2Request, writable: bool, delay: Optional[int] = None) -> None:
+    def _respond(self, req: L2Request, delay: Optional[int] = None) -> None:
         if req.on_done is None:
             return
         lat = self.latency if delay is None else delay
-        result = L2AccessResult(addr=req.addr & _LINE_MASK, writable=writable)
-        self.sim.schedule(lat, req.on_done, result)
+        self.sim.schedule(lat, req.on_done, L2AccessResult())

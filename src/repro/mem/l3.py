@@ -306,7 +306,6 @@ class L3Bank:
             for sharer in sorted(ent.sharers):
                 if sharer == msg.requester:
                     continue
-                self.dir.invalidations_sent += 1
                 self.stats.add("l3.invalidations")
                 self.net.send(Packet(
                     self.tile, sharer, CTRL, control_payload_bits(), "l2",

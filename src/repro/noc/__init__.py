@@ -1,28 +1,1 @@
 """Mesh network-on-chip: topology, packets, and the wormhole model."""
-
-from repro.noc.message import (
-    CTRL,
-    DATA,
-    HEADER_BITS,
-    STREAM,
-    TRAFFIC_CLASSES,
-    Packet,
-    control_payload_bits,
-    data_payload_bits,
-)
-from repro.noc.network import DeliveryInfo, Network
-from repro.noc.topology import Mesh
-
-__all__ = [
-    "Mesh",
-    "Network",
-    "DeliveryInfo",
-    "Packet",
-    "CTRL",
-    "DATA",
-    "STREAM",
-    "HEADER_BITS",
-    "TRAFFIC_CLASSES",
-    "control_payload_bits",
-    "data_payload_bits",
-]

@@ -14,7 +14,8 @@ from __future__ import annotations
 import html as _html
 from typing import List, Optional, Sequence
 
-from repro.obs.diff import RunDiff, StatDelta
+from repro.obs.attribution import BUCKETS
+from repro.obs.diff import RunDiff, StatDelta, cpi_stack, crit_edges
 
 SPARK_RAMP = "▁▂▃▄▅▆▇█"
 SHADE_RAMP = " .:-=+*#%@"
@@ -199,9 +200,6 @@ def render_attribution(record, top: int = 10) -> str:
     shares) plus the aggregate critical-path bottleneck table, from a
     RunRecord simulated with the ``attribution`` (+``spans``)
     pillars. Deterministic — golden-testable."""
-    from repro.obs.attribution import BUCKETS
-    from repro.obs.diff import cpi_stack, crit_edges
-
     tel = record.telemetry or {}
     stack = cpi_stack(record)
     total = tel.get("cpi.total_cycles", sum(stack.values())) or 1.0

@@ -37,6 +37,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
 
+from repro.obs.attribution import CycleAccountant
+from repro.obs.interval import IntervalSampler
+from repro.obs.provenance import ProvenanceLedger
+from repro.obs.spans import SpanCollector
+
 PILLARS = ("spans", "interval", "provenance", "attribution")
 
 DEFAULT_INTERVAL = 10_000
@@ -126,27 +131,18 @@ class Telemetry:
     """The per-simulator telemetry hub: config, pillars, summary."""
 
     def __init__(self, sim, config: Optional[TelemetryConfig] = None) -> None:
-        # Deferred: the pillars import simulator packages, which import
-        # the kernel, which imports this package.
-        from repro.obs.interval import IntervalSampler
-        from repro.obs.spans import SpanCollector
-
         self.sim = sim
         sim.telemetry = self
         self.config = config = config or TelemetryConfig()
         self.spans: Optional[SpanCollector] = (
             SpanCollector(sim) if config.spans else None
         )
-        self.provenance = None
-        if config.provenance:
-            from repro.obs.provenance import ProvenanceLedger
-
-            self.provenance = ProvenanceLedger(sim)
-        self.attribution = None
-        if config.attribution:
-            from repro.obs.attribution import CycleAccountant
-
-            self.attribution = CycleAccountant(sim)
+        self.provenance: Optional[ProvenanceLedger] = (
+            ProvenanceLedger(sim) if config.provenance else None
+        )
+        self.attribution: Optional[CycleAccountant] = (
+            CycleAccountant(sim) if config.attribution else None
+        )
         self.sampler: Optional[IntervalSampler] = (
             IntervalSampler(config.interval, sim.probes)
             if config.interval > 0 else None

@@ -1,7 +1,1 @@
 """Prefetchers: stride, Bingo spatial, and bulk request grouping."""
-
-from repro.prefetch.bingo import BingoPrefetcher
-from repro.prefetch.bulk import BulkGrouper
-from repro.prefetch.stride import StridePrefetcher
-
-__all__ = ["StridePrefetcher", "BingoPrefetcher", "BulkGrouper"]

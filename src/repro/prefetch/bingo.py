@@ -52,13 +52,11 @@ class BingoPrefetcher:
         if region_bytes % LINE_SIZE:
             raise ValueError("region must be a multiple of the line size")
         self.region_bytes = region_bytes
-        self.lines_per_region = region_bytes // LINE_SIZE
         self.pht_entries = pht_entries
         self.accumulation_entries = accumulation_entries
         self._accum: "OrderedDict[int, Generation]" = OrderedDict()
         self._pht_long: "OrderedDict[Tuple[int, int], frozenset]" = OrderedDict()
         self._pht_short: "OrderedDict[Tuple[int, int], frozenset]" = OrderedDict()
-        self.issued = 0
         self.long_hits = 0
         self.short_hits = 0
 
@@ -102,13 +100,11 @@ class BingoPrefetcher:
                 return []
             self.short_hits += 1
             self._pht_short.move_to_end((pc, offset))
-        lines = [
+        return [
             region + off * LINE_SIZE
             for off in sorted(footprint)
             if off != offset
         ]
-        self.issued += len(lines)
-        return lines
 
     def _commit(self, gen: Generation) -> None:
         footprint = frozenset(gen.footprint)

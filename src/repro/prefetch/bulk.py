@@ -80,5 +80,8 @@ class BulkGrouper:
             self.stats.add("l2.bulk_groups")
             self.stats.add("l2.bulk_grouped_requests", len(msgs))
         info = self.net.send(packet)
-        for _msg, entry in queue:
-            entry.meta["req_flits"] = info.flits / len(queue)
+        # Each request is charged a whole-flit share of the packet; the
+        # earliest-queued take the remainder, so the shares sum to it.
+        share, extra = divmod(info.flits, len(queue))
+        for i, (_msg, entry) in enumerate(queue):
+            entry.meta["req_flits"] = share + (i < extra)

@@ -40,7 +40,6 @@ class StridePrefetcher:
         self.streams = streams
         self.degree = degree
         self._table: "OrderedDict[int, StrideEntry]" = OrderedDict()
-        self.issued = 0
 
     def on_access(self, op_id: Optional[int], addr: int, hit: bool) -> List[int]:
         """Train on a demand access; returns line addresses to prefetch."""
@@ -92,5 +91,4 @@ class StridePrefetcher:
         for ln in lines:
             if ln not in seen and ln >= 0:
                 seen.append(ln)
-        self.issued += len(seen)
         return seen

@@ -42,6 +42,9 @@ from __future__ import annotations
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.mem.addr import line_addr
+from repro.mem.cache import EXCLUSIVE, INVALID, MODIFIED, SHARED
+
 
 class S5Trace:
     """Rolling CRC32 over the (cycle, handler-name) dispatch stream.
@@ -220,7 +223,7 @@ class Sanitizer:
         self._injected += 1
         body = packet.body
         if getattr(body, "op", None) == "Inv":
-            key = (self._line(body.addr), packet.dst)
+            key = (line_addr(body.addr), packet.dst)
             self._invs[key] = self._invs.get(key, 0) + 1
 
     def _note_delivery(self, handler, pkt) -> None:
@@ -235,33 +238,22 @@ class Sanitizer:
         body = pkt.body
         addr = getattr(body, "addr", None)
         if getattr(body, "op", None) == "Inv":
-            key = (self._line(addr), pkt.dst)
+            key = (line_addr(addr), pkt.dst)
             n = self._invs.get(key, 0)
             if n <= 1:
                 self._invs.pop(key, None)
             else:
                 self._invs[key] = n - 1
         if pkt.dst_port == "l2" and addr is not None:
-            self._check_line(self._line(addr))
+            self._check_line(line_addr(addr))
 
     # ------------------------------------------------------------------
     # S1: MESI single-writer / directory agreement
     # ------------------------------------------------------------------
-    def _line(self, addr: int):
-        from repro.mem.addr import line_addr
-
-        return line_addr(addr)
-
-    def _mesi(self):
-        from repro.mem.cache import EXCLUSIVE, INVALID, MODIFIED, SHARED
-
-        return MODIFIED, EXCLUSIVE, SHARED, INVALID
-
     def _check_writeback(self, l1, addr: int) -> None:
         """A dirty L1 victim may only fold into an L2 line it owns."""
-        M, E, _S, I = self._mesi()
         state = l1.l2.state_of(addr)
-        if state not in (M, E, I):
+        if state not in (MODIFIED, EXCLUSIVE, INVALID):
             self._fail(
                 "S1",
                 f"dirty L1 writeback folds into L2 line {addr:#x} "
@@ -271,18 +263,17 @@ class Sanitizer:
 
     def _after_l3_step(self, bank, msg) -> None:
         if msg.op not in ("GetU", "MemRead"):
-            self._check_line(self._line(msg.addr))
+            self._check_line(line_addr(msg.addr))
 
     def _check_line(self, base: int) -> None:
         """Cross-tile snapshot invariants for one line."""
-        M, E, S, I = self._mesi()
         writers = []
         sharers = []
         for tile, l2 in self._l2s.items():
             state = l2.state_of(base)
-            if state in (M, E):
+            if state in (MODIFIED, EXCLUSIVE):
                 writers.append(tile)
-            elif state == S:
+            elif state == SHARED:
                 sharers.append(tile)
 
         def excused(tile: int) -> bool:
@@ -311,14 +302,14 @@ class Sanitizer:
             if slot is None:
                 continue
             l2 = self._l2s.get(tile)
-            backing = l2.state_of(base) if l2 else I
-            if backing == I:
+            backing = l2.state_of(base) if l2 else INVALID
+            if backing == INVALID:
                 self._fail(
                     "S1",
                     f"L1 line {base:#x} not backed by the inclusive L2",
                     tile=tile,
                 )
-            elif l1.writable[slot] and backing not in (M, E):
+            elif l1.writable[slot] and backing not in (MODIFIED, EXCLUSIVE):
                 self._fail(
                     "S1",
                     f"L1 writable hint for {base:#x} without L2 write "
@@ -453,12 +444,11 @@ class Sanitizer:
         self._final_stream_check()
 
     def _final_directory_check(self) -> None:
-        M, E, _S, I = self._mesi()
         for btile, bank in self._banks.items():
             for base, ent in bank.dir.items():
                 for tile in ent.holders():
                     l2 = self._l2s.get(tile)
-                    if l2 is None or l2.state_of(base) == I:
+                    if l2 is None or l2.state_of(base) == INVALID:
                         self._fail(
                             "S1",
                             f"directory lists tile {tile} for {base:#x} but "
@@ -467,8 +457,8 @@ class Sanitizer:
                         )
                 if ent.owner is not None:
                     l2 = self._l2s.get(ent.owner)
-                    state = l2.state_of(base) if l2 else I
-                    if state not in (M, E, I):
+                    state = l2.state_of(base) if l2 else INVALID
+                    if state not in (MODIFIED, EXCLUSIVE, INVALID):
                         self._fail(
                             "S1",
                             f"directory owner {ent.owner} of {base:#x} holds "
@@ -491,7 +481,7 @@ class Sanitizer:
                         "unknown to its home directory",
                         tile=tile,
                     )
-                elif state in (M, E) and ent.owner != tile:
+                elif state in (MODIFIED, EXCLUSIVE) and ent.owner != tile:
                     self._fail(
                         "S1",
                         f"L2 holds {base:#x} in {state!r} but the "

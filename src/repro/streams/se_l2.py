@@ -285,7 +285,7 @@ class SEL2:
     def _l2_fetched(self, stream, idx: int, count: int, result) -> None:
         if self.streams.get(stream.sid) is not stream:
             return
-        if result is not None and getattr(result, "dropped", False):
+        if result.dropped:
             # MSHR pressure dropped the prefetch: retry later, keeping
             # the in-flight slot so the pump doesn't run away.
             self.sim.schedule(
@@ -473,10 +473,7 @@ class SEL2:
 
     def _respond(self, req: L2Request) -> None:
         if req.on_done is not None:
-            result = L2AccessResult(
-                addr=line_addr(req.addr), writable=False, uncached=True,
-            )
-            self.sim.schedule(1, req.on_done, result)
+            self.sim.schedule(1, req.on_done, L2AccessResult(uncached=True))
 
     # ------------------------------------------------------------------
     # network ingress: DataU / EndAck

@@ -1,20 +1,7 @@
 """Chip assembly: parameters, tiles, the full system and named configs."""
 
-from repro.system.chip import Chip, RunResult
-from repro.system.configs import CONFIG_NAMES, make_config
-from repro.system.params import CORES, IO4, OOO4, OOO8, CoreParams, SystemParams
-from repro.system.tile import Tile
+# bench/run.py imports these two names through the package.
+from repro.system.chip import Chip
+from repro.system.configs import make_config
 
-__all__ = [
-    "Chip",
-    "RunResult",
-    "Tile",
-    "SystemParams",
-    "CoreParams",
-    "IO4",
-    "OOO4",
-    "OOO8",
-    "CORES",
-    "make_config",
-    "CONFIG_NAMES",
-]
+__all__ = ["Chip", "make_config"]

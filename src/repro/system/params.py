@@ -25,11 +25,6 @@ class CoreParams:
     sq: int  # store queue + store buffer entries
     se_fifo_bytes: int  # SE_core stream FIFO capacity
 
-    def scaled(self, factor: int) -> "CoreParams":
-        """Core queues and the SE FIFO are structural (they bound
-        run-ahead and MLP, not working sets), so they do not scale."""
-        return self
-
 
 IO4 = CoreParams(
     name="io4", issue_width=4, window=10, lq=4, sq=10,
@@ -122,14 +117,15 @@ class SystemParams:
 
     def scaled(self, factor: int) -> "SystemParams":
         """Divide every capacity by ``factor`` (power of two), keeping
-        latencies, widths and associativities — the fast-run profile."""
+        latencies, widths, associativities and the core preset, whose
+        queues and SE FIFO bound run-ahead and MLP, not working sets —
+        the fast-run profile."""
         if factor <= 0 or factor & (factor - 1):
             raise ValueError("scale factor must be a positive power of two")
         if factor == 1:
             return self
         return replace(
             self,
-            core=self.core.scaled(factor),
             l1_size=max(1024, self.l1_size // factor),
             # The private L2 shrinks one extra notch: scaled workloads
             # keep the paper's "per-core stream footprint >> L2"

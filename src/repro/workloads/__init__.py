@@ -1,19 +1,6 @@
 """The paper's 12 benchmarks (Table IV) as stream programs."""
 
-from repro.workloads.base import (
-    Layout,
-    Workload,
-    WorkloadMeta,
-    build_programs,
-    get_workload,
-    workload_names,
-)
-from repro.workloads.kernel import (
-    CoreProgram,
-    Iteration,
-    KernelPhase,
-    chunk_range,
-)
+from repro.workloads.base import build_programs, get_workload
 
 # Importing the modules registers the workloads.
 from repro.workloads import (  # noqa: F401
@@ -40,16 +27,4 @@ ALL_WORKLOADS = (
     "mv", "nn", "nw", "particlefilter", "pathfinder", "srad",
 )
 
-__all__ = [
-    "Workload",
-    "WorkloadMeta",
-    "Layout",
-    "build_programs",
-    "get_workload",
-    "workload_names",
-    "ALL_WORKLOADS",
-    "CoreProgram",
-    "KernelPhase",
-    "Iteration",
-    "chunk_range",
-]
+__all__ = ["ALL_WORKLOADS", "build_programs", "get_workload"]

@@ -10,7 +10,8 @@ from repro.mem.l3 import L3Bank
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
 from repro.cpu.core import Core
-from repro.sim import Simulator, Stats
+from repro.sim.kernel import Simulator
+from repro.sim.stats import Stats
 from repro.streams.isa import StreamSpec
 from repro.streams.pattern import AffinePattern
 from repro.system.params import IO4, OOO8

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.energy import EnergyModel, EnergyParams
-from repro.sim import Stats
+from repro.energy.model import EnergyModel, EnergyParams
+from repro.sim.stats import Stats
 from repro.system.params import SystemParams, IO4, OOO8
 from dataclasses import replace
 

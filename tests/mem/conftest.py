@@ -14,7 +14,8 @@ from repro.mem.l2 import L2Cache
 from repro.mem.l3 import L3Bank
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
-from repro.sim import Simulator, Stats
+from repro.sim.kernel import Simulator
+from repro.sim.stats import Stats
 
 
 class MiniHierarchy:

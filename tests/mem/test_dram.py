@@ -7,7 +7,8 @@ from repro.mem.dram import DramSystem
 from repro.noc.message import CTRL, Packet
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
-from repro.sim import Simulator, Stats
+from repro.sim.kernel import Simulator
+from repro.sim.stats import Stats
 
 
 def make_system(cols=4, rows=4, latency=100, cycles_per_line=40):

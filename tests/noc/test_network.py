@@ -7,7 +7,8 @@ import pytest
 from repro.noc.message import CTRL, DATA, Packet, data_payload_bits
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
-from repro.sim import Simulator, Stats
+from repro.sim.kernel import Simulator
+from repro.sim.stats import Stats
 
 
 def make_net(cols=4, rows=4, link_bits=256):

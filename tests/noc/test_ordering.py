@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from repro.noc.message import CTRL, DATA, Packet
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
-from repro.sim import Simulator, Stats
+from repro.sim.kernel import Simulator
+from repro.sim.stats import Stats
 
 
 def build(cols=4, rows=4, link_bits=256):

@@ -14,7 +14,7 @@ from repro.obs.export import (
 )
 from repro.obs.provenance import ProvenanceLedger, ProvenanceRecord
 from repro.obs.telemetry import Telemetry, TelemetryConfig
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from repro.streams.pattern import AffinePattern
 
 

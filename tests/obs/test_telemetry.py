@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs.telemetry import PILLARS, Telemetry, TelemetryConfig
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
 from tests.mem.conftest import MiniHierarchy
 

@@ -5,7 +5,8 @@ from repro.mem.mshr import MshrEntry
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
 from repro.prefetch.bulk import BulkGrouper
-from repro.sim import Simulator, Stats
+from repro.sim.kernel import Simulator
+from repro.sim.stats import Stats
 
 
 class BankStub:
@@ -46,8 +47,12 @@ def test_four_requests_become_one_packet():
     assert len(body.se_info) == 4
     assert stats["l2.bulk_groups"] == 1
     assert stats["noc.packets.ctrl"] == 1
-    # Request flit cost amortized across the group.
-    assert entries[0].meta["req_flits"] == 0.25
+    # Request flit cost split across the group in whole flits: the
+    # earliest-queued requests take the remainder.
+    shares = [e.meta["req_flits"] for e in entries]
+    assert shares == [1, 0, 0, 0]
+    assert all(type(share) is int for share in shares)
+    assert sum(shares) == stats["noc.flits.ctrl"]
 
 
 def test_timeout_flushes_partial_group():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 
 
 def test_runs_events_in_time_order():

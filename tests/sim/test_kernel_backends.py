@@ -1,7 +1,7 @@
 """Backend-level tests for the scheduler.
 
 The shared-contract tests run against both the calendar queue
-(:class:`repro.sim.Simulator`) and the single-heap reference
+(:class:`repro.sim.kernel.Simulator`) and the single-heap reference
 (:class:`heap_oracle.HeapOracle`): the two must be observably
 identical, and the regression tests for the three historical kernel
 bugs — ``run(until=N)`` leaving ``now`` behind on queue drain,
@@ -19,7 +19,7 @@ import tracemalloc
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from tests.sim.heap_oracle import HeapOracle
 
 

@@ -21,7 +21,7 @@ from repro.harness.runner import (
     run_points,
     simulate,
 )
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.sanitizer import S5Trace, SanitizerError
 from tests.mem.conftest import MiniHierarchy
 

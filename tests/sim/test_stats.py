@@ -1,6 +1,6 @@
 """Tests for the statistics tree."""
 
-from repro.sim import Stats
+from repro.sim.stats import Stats
 
 
 def test_add_and_get():

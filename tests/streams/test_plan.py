@@ -23,17 +23,14 @@ class TestConstruction:
         assert plan.level_at(64) == L3
 
     def test_last_writer_wins_per_element(self):
-        plan = FloatPlan()
-        plan.add_change_point(16, L2)
-        plan.add_change_point(16, L3)
+        plan = FloatPlan([(16, L2), (16, L3)])
         assert plan.level_at(16) == L3
 
     def test_rejects_bad_points(self):
-        plan = FloatPlan()
         with pytest.raises(ValueError):
-            plan.add_change_point(-1, L2)
+            FloatPlan([(-1, L2)])
         with pytest.raises(ValueError):
-            plan.add_change_point(0, "l4")
+            FloatPlan([(0, "l4")])
 
     def test_leading_core_run_is_implicit(self):
         plan = FloatPlan([(32, L3)])

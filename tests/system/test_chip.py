@@ -66,7 +66,8 @@ class TestAssembly:
 
     def test_prefetchers_wired(self):
         chip = make_chip("bingo")
-        from repro.prefetch import BingoPrefetcher, StridePrefetcher
+        from repro.prefetch.bingo import BingoPrefetcher
+        from repro.prefetch.stride import StridePrefetcher
         for tile in chip.tiles:
             assert isinstance(tile.l1.prefetcher, BingoPrefetcher)
             assert isinstance(tile.l2.prefetcher, StridePrefetcher)
